@@ -105,6 +105,13 @@ def _gram(kind: str, degree: int) -> np.ndarray:
     n = degree + 1
     if kind == "legendre":
         G = np.diag(1.0 / (2.0 * np.arange(n) + 1.0))
+    elif kind == "chebyshev":
+        # T_i T_j = (T_{i+j} + T_{|i-j|}) / 2 and int_{-1}^{1} T_k = J(k):
+        # 2 / (1 - k^2) for even k, 0 for odd k
+        J = np.zeros(2 * n - 1)
+        J[::2] = 2.0 / (1.0 - np.arange(0, 2 * n - 1, 2) ** 2.0)
+        i, j = np.indices((n, n))
+        G = 0.25 * (J[i + j] + J[np.abs(i - j)])
     else:
         C = _basis_to_monomial(kind, degree)
         H = 1.0 / (np.arange(n)[:, None] + np.arange(n)[None, :] + 1.0)  # Hilbert

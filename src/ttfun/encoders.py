@@ -6,9 +6,13 @@ dilated/shifted mother functions (Haar, hat, anything representable), and
 the self-similar rank-2 sawtooth family.
 
 Polynomial chains propagate the coefficient vector of the polynomial on
-the running prefix interval; the transition to a child interval is the
-binomial dilation with entries C(q,r) i^(q-r) b^-q, all bounded by one,
-which keeps the construction stable up to high degree.
+the running prefix interval. Every chain is a first-level core followed by
+train.deepen, which appends the one dilation operator of its basis:
+the exact binomial table C(q,r) i^(q-r) b^-q in monomial coordinates, a
+per-child Chebyshev-node fit in the shifted Chebyshev and Legendre bases.
+Inputs and leaves in an orthogonal basis stay stable at any degree;
+interpolation.reinterpolate runs its chain in monomial coordinates, which
+are stable only to moderate degree.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -25,7 +28,7 @@ from numpy.polynomial.polynomial import Polynomial
 
 from .basis import PolyBasis
 from .grids import DomainError, Grid, encode_points, flat_to_digits
-from .train import TensorTrain, block_sum, dilation_cores, scale
+from .train import TensorTrain, block_sum, deepen, dilation_cores, fit_coefficients, scale
 
 
 class KnotError(DomainError):
@@ -171,75 +174,29 @@ class PiecewisePolynomial:
 # ---------------------------------------------------------------------------
 
 
-def _cheb_fit_subinterval(f, degree: int, lo: float, hi: float) -> np.ndarray:
-    """Shifted-Chebyshev coefficients of f on [lo, hi), exact for polynomials.
+def _polynomial_chain(coeffs: np.ndarray, chain_basis: PolyBasis, grid: Grid) -> TensorTrain:
+    """Train for the polynomial with coefficients coeffs in chain_basis
+    (monomial or shifted Chebyshev).
 
-    The fit happens in the Chebyshev basis of the subinterval, so no
-    ill-conditioned coordinate change enters even at high degree.
+    The first core holds the polynomial on each child of [0, 1): the
+    binomial dilation of the coefficients in monomial coordinates, a direct
+    Chebyshev fit on the child otherwise; deepen appends the rest. The leaf
+    is the identity in chain_basis coordinates (the coefficient row itself
+    at depth 0), ready to be composed with a leaf map.
     """
-    nodes = 0.5 * (1.0 - np.cos(np.pi * (np.arange(degree + 1) + 0.5) / (degree + 1)))
-    xs = lo + (hi - lo) * nodes
-    return _cheb.chebfit(2.0 * nodes - 1.0, f(xs), degree)
-
-
-def _local_cheb_refit(f, degree: int, lo: float, hi: float) -> np.ndarray:
-    """Monomial coefficients on [lo, hi) rescaled to [0,1), by Chebyshev fit.
-
-    Only safe up to moderate degree (the final coordinate change grows like
-    5.8^degree); the high-degree path stays in Chebyshev coordinates.
-    """
-    c_cheb = _cheb_fit_subinterval(f, degree, lo, hi)
-    return c_cheb @ PolyBasis(degree, "chebyshev").to_monomial()
-
-
-@lru_cache(maxsize=None)
-def _cheb_dilation_cores(degree: int, base: int) -> np.ndarray:
-    """Dilation tensor in local shifted-Chebyshev coordinates.
-
-    A[i] maps the Chebyshev coefficients of a polynomial on a leaf to those
-    of the same polynomial on child i; entries stay O(1) at any degree.
-    """
-    n = degree + 1
-    A = np.zeros((base, n, n))
-    for i in range(base):
-        for q in range(n):
-            e = np.zeros(n)
-            e[q] = 1.0
-            A[i, q] = _cheb_fit_subinterval(
-                lambda x: _cheb.chebval(2.0 * np.asarray(x) - 1.0, e),
-                degree,
-                i / base,
-                (i + 1) / base,
-            )
-    A.setflags(write=False)
-    return A
-
-
-def _prefix_cheb_cores(first_rows: np.ndarray, grid: Grid):
-    """Chebyshev-coordinate analogue of the binomial prefix chain."""
+    if grid.depth == 0:
+        return TensorTrain(grid, [], coeffs[None, :], chain_basis)
     b = grid.base
-    degree = first_rows.shape[1] - 1
-    A = _cheb_dilation_cores(degree, b)
-    cores = [first_rows.reshape(b, 1, degree + 1)]
-    for _ in range(grid.depth - 1):
-        cores.append(A.copy())
-    return cores
+    if chain_basis.kind == "monomial":
+        D = dilation_cores(chain_basis, b)
+        first = np.stack([coeffs @ D[i] for i in range(b)])
+    else:
+        def f(x):
+            return _cheb.chebval(2.0 * np.asarray(x) - 1.0, coeffs)
 
-
-def _prefix_polynomial_cores(first_rows: np.ndarray, grid: Grid):
-    """Chain of binomial dilation cores below a precomputed first level.
-
-    first_rows[i] holds the monomial coefficients of the target polynomial
-    on child i of [0, 1); deeper cores dilate those coefficients onto the
-    running prefix interval.
-    """
-    b = grid.base
-    m1 = first_rows.shape[1]
-    D = dilation_cores(PolyBasis(m1 - 1, "monomial"), b)  # monomial coordinates
-    cores = [first_rows.reshape(b, 1, m1)]
-    for _ in range(grid.depth - 1):
-        cores.append(D.copy())
-    return cores
+        first = np.stack([fit_coefficients(f, chain_basis, i / b, (i + 1) / b) for i in range(b)])
+    top = TensorTrain(Grid(b, 1), [first[:, None, :]], np.eye(chain_basis.dim), chain_basis)
+    return deepen(top, grid.depth - 1)
 
 
 def encode_polynomial(
@@ -252,7 +209,8 @@ def encode_polynomial(
     """Exact train for a global polynomial; ranks at most min(deg+1, b^nu).
 
     coeffs are the coefficients of the polynomial on [0, 1), either in the
-    monomial basis or in the shifted Chebyshev basis (input_basis).
+    monomial basis or in the shifted Chebyshev basis (input_basis). The
+    chain runs in input coordinates; the leaf maps them to the leaf basis.
     """
     coeffs = np.asarray(coeffs, dtype=float).ravel()
     degree = coeffs.size - 1
@@ -260,29 +218,16 @@ def encode_polynomial(
         raise DomainError("empty coefficient vector")
     if input_basis not in ("monomial", "chebyshev"):
         raise DomainError(f"unknown input basis {input_basis!r}")
+    source = PolyBasis(degree, input_basis)
     leaf_basis = PolyBasis(degree, basis_kind)
-    if input_basis == "chebyshev" and basis_kind == "chebyshev":
+    if basis_kind == input_basis:
         local_to_leaf = np.eye(degree + 1)
-    elif input_basis == "chebyshev":
-        local_to_leaf = PolyBasis(degree, "chebyshev").to_monomial() @ leaf_basis.from_monomial()
+    elif basis_kind == "monomial":
+        local_to_leaf = source.to_monomial()
     else:
-        local_to_leaf = leaf_basis.from_monomial()
-    if grid.depth == 0:
-        return TensorTrain(grid, [], coeffs[None, :] @ local_to_leaf, leaf_basis)
-    b = grid.base
-    if input_basis == "monomial":
-        D = dilation_cores(PolyBasis(degree, "monomial"), b)
-        first = np.stack([coeffs @ D[i] for i in range(b)])
-        cores = _prefix_polynomial_cores(first, grid)
-    else:
-        def f(x):
-            return _cheb.chebval(2.0 * np.asarray(x) - 1.0, coeffs)
-
-        first = np.stack(
-            [_cheb_fit_subinterval(f, degree, i / b, (i + 1) / b) for i in range(b)]
-        )
-        cores = _prefix_cheb_cores(first, grid)
-    return TensorTrain(grid, cores, local_to_leaf, leaf_basis)
+        local_to_leaf = fit_coefficients(source.eval, leaf_basis).T
+    chain = _polynomial_chain(coeffs, source, grid)
+    return TensorTrain(grid, chain.cores, chain.leaf @ local_to_leaf, leaf_basis)
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +373,6 @@ def encode_free_knot_spline(
     m = s.degree
     basis = PolyBasis(m, basis_kind)
     grid = Grid(b, d)
-    if s.piece_count == 1:
-        return encode_polynomial(
-            _pad(s.pieces[0], m + 1), grid, basis_kind=basis_kind
-        )
     bps = [Fraction(0)] + [Fraction(i, b**lv) for i, lv in s.knots] + [Fraction(1)]
     terms = []
     for k, coeffs in enumerate(s.pieces):
@@ -450,24 +391,17 @@ def encode_free_knot_spline(
 def _localized_polynomial_train(
     mono_coeffs: np.ndarray, j: int, level: int, grid: Grid, basis: PolyBasis
 ) -> TensorTrain:
-    """Train for a polynomial supported on [j b^-level, (j+1) b^-level)."""
+    """Train for a polynomial supported on [j b^-level, (j+1) b^-level):
+    delta cores selecting the interval, then the monomial chain below it."""
     b = grid.base
-    digits = flat_to_digits(j, Grid(b, level))
     cores = []
-    for dig in digits:
+    for dig in flat_to_digits(j, Grid(b, level)):
         c = np.zeros((b, 1, 1))
         c[dig, 0, 0] = 1.0
         cores.append(c)
-    m1 = basis.dim
-    rest = grid.depth - level
-    if rest == 0:
-        leaf = _pad(mono_coeffs, m1)[None, :] @ basis.from_monomial()
-    else:
-        D = dilation_cores(PolyBasis(m1 - 1, "monomial"), b)
-        first = np.stack([_pad(mono_coeffs, m1) @ D[i] for i in range(b)])
-        cores.extend(_prefix_polynomial_cores(first, Grid(b, rest)))
-        leaf = basis.from_monomial()
-    return TensorTrain(grid, cores, leaf, basis)
+    mono = PolyBasis(basis.degree, "monomial")
+    chain = _polynomial_chain(_pad(mono_coeffs, basis.dim), mono, Grid(b, grid.depth - level))
+    return TensorTrain(grid, cores + list(chain.cores), chain.leaf @ basis.from_monomial(), basis)
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +452,6 @@ def encode_dilated(spec: WaveletSpec, target_depth: int | None = None) -> Tensor
     the shift; the remaining cores are the mother's, deepened if the target
     depth exceeds level + depth(mother).
     """
-    from .train import deepen
-
     mother = spec.mother
     b = mother.base
     d0 = mother.depth

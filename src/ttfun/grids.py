@@ -108,28 +108,10 @@ def flat_to_digits(flat: int, grid: Grid) -> tuple:
 def encode_point(x: float, grid: Grid) -> MultiIndexPoint:
     """Factor x in [0, 1) into depth-d digits and a remainder.
 
-    Digits come from repeated multiply-by-b and floor on the running
-    fractional part; boundary ties resolve downward, so a grid point gets
-    remainder 0 and belongs to the interval on its right.
+    A one-point call of encode_points, so both share one digit path.
     """
-    x = float(x)
-    if not 0.0 <= x < 1.0:
-        raise DomainError(f"x = {x} outside [0, 1)")
-    b = grid.base
-    t = x
-    digits = []
-    for _ in range(grid.depth):
-        t *= b
-        i = int(math.floor(t))
-        if i >= b:  # guard against upward rounding of t*b at the right edge
-            i = b - 1
-        digits.append(i)
-        t -= i
-    if t < 0.0:
-        t = 0.0
-    elif t >= 1.0:
-        t = math.nextafter(1.0, 0.0)
-    return MultiIndexPoint(b, tuple(digits), t)
+    digits, t = encode_points(np.array([float(x)]), grid)
+    return MultiIndexPoint(grid.base, tuple(digits[0].tolist()), float(t[0]))
 
 
 def decode_point(p: MultiIndexPoint) -> float:
@@ -145,10 +127,17 @@ def decode_point(p: MultiIndexPoint) -> float:
 
 
 def encode_points(x: np.ndarray, grid: Grid) -> tuple:
-    """Vectorized encode: returns (digits array of shape (n, d), remainders)."""
+    """Factor points in [0, 1): returns (digits array of shape (n, d), remainders).
+
+    Digits come from repeated multiply-by-b and floor on the running
+    fractional part; boundary ties resolve downward, so a grid point gets
+    remainder 0 and belongs to the interval on its right. NaN and infinite
+    points are outside [0, 1).
+    """
     x = np.asarray(x, dtype=float)
-    if np.any((x < 0.0) | (x >= 1.0)):
-        raise DomainError("points outside [0, 1)")
+    inside = (x >= 0.0) & (x < 1.0)
+    if not np.all(inside):
+        raise DomainError(f"point {float(x[~inside].flat[0])} outside [0, 1)")
     b = grid.base
     t = x.copy()
     digits = np.empty((x.size, grid.depth), dtype=np.int64)

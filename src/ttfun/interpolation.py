@@ -15,14 +15,9 @@ import numpy as np
 from scipy.fft import dct
 
 from .basis import PolyBasis
-from .encoders import (
-    _cheb_fit_subinterval,
-    _prefix_cheb_cores,
-    _prefix_polynomial_cores,
-    train_from_leaf_coefficients,
-)
+from .encoders import encode_polynomial, train_from_leaf_coefficients
 from .grids import DomainError, Grid
-from .train import TensorTrain, dilation_cores
+from .train import TensorTrain, deepen
 
 _DENSE_CAP = 2**14
 
@@ -159,17 +154,11 @@ def reinterpolate(
         raise DomainError("interpolator degree does not match target degree")
     out_basis = PolyBasis(target_degree, tt.basis.kind)
     T = power_interpolation_matrix(mbar, interp) @ out_basis.from_monomial()
-    leaf_mono = tt.leaf @ tt.basis.to_monomial()
-    extra = target_depth - tt.depth
-    grid = Grid(tt.base, target_depth)
-    if extra == 0:
-        return TensorTrain(grid, [np.array(c) for c in tt.cores], leaf_mono @ T, out_basis)
-    D = dilation_cores(PolyBasis(mbar, "monomial"), tt.base)
-    cores = [np.array(c) for c in tt.cores]
-    cores.append(np.einsum("rq,iqp->irp", leaf_mono, D))
-    for _ in range(extra - 1):
-        cores.append(D.copy())
-    return TensorTrain(grid, cores, T, out_basis)
+    mono = TensorTrain(
+        tt.grid, tt.cores, tt.leaf @ tt.basis.to_monomial(), PolyBasis(mbar, "monomial")
+    )
+    chain = deepen(mono, target_depth - tt.depth)
+    return TensorTrain(chain.grid, chain.cores, chain.leaf @ T, out_basis)
 
 
 def polynomial_interpolant_train(
@@ -192,8 +181,6 @@ def polynomial_interpolant_train(
     degree = coeffs.size - 1
     if target_degree > degree:
         raise DomainError(f"target degree {target_degree} above polynomial degree {degree}")
-    if input_basis not in ("monomial", "chebyshev"):
-        raise DomainError(f"unknown input basis {input_basis!r}")
     if interp is None:
         interp = Interpolator(target_degree)
     out_basis = PolyBasis(target_degree, basis_kind)
@@ -201,24 +188,8 @@ def polynomial_interpolant_train(
         T = cheb_interpolation_matrix(degree, interp) @ out_basis.from_monomial()
     else:
         T = power_interpolation_matrix(degree, interp) @ out_basis.from_monomial()
-    if grid.depth == 0:
-        return TensorTrain(grid, [], (coeffs @ T)[None, :], out_basis)
-    b = grid.base
-    if input_basis == "monomial":
-        D = dilation_cores(PolyBasis(degree, "monomial"), b)
-        first = np.stack([coeffs @ D[i] for i in range(b)])
-        cores = _prefix_polynomial_cores(first, grid)
-    else:
-        from numpy.polynomial import chebyshev as _chebmod
-
-        def f(x):
-            return _chebmod.chebval(2.0 * np.asarray(x) - 1.0, coeffs)
-
-        first = np.stack(
-            [_cheb_fit_subinterval(f, degree, i / b, (i + 1) / b) for i in range(b)]
-        )
-        cores = _prefix_cheb_cores(first, grid)
-    return TensorTrain(grid, cores, T, out_basis)
+    chain = encode_polynomial(coeffs, grid, input_basis=input_basis, basis_kind=input_basis)
+    return TensorTrain(grid, chain.cores, chain.leaf @ T, out_basis)
 
 
 def chebyshev_truncate(f, degree: int) -> np.ndarray:

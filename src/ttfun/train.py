@@ -15,8 +15,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import chebyshev as _cheb
+from numpy.polynomial import legendre as _leg
 from scipy.linalg import solve_triangular
 
 from .basis import PolyBasis
@@ -148,22 +151,7 @@ def _check_compatible(a: TensorTrain, b: TensorTrain):
 
 def add(a: TensorTrain, b: TensorTrain) -> TensorTrain:
     """Pointwise sum via the block-diagonal core construction."""
-    _check_compatible(a, b)
-    if a.depth == 0:
-        return TensorTrain(a.grid, [], a.leaf + b.leaf, a.basis)
-    cores = []
-    for nu, (ca, cb) in enumerate(zip(a.cores, b.cores)):
-        if nu == 0:
-            cores.append(np.concatenate([ca, cb], axis=2))
-            continue
-        _, ra1, ra2 = ca.shape
-        _, rb1, rb2 = cb.shape
-        block = np.zeros((a.base, ra1 + rb1, ra2 + rb2))
-        block[:, :ra1, :ra2] = ca
-        block[:, ra1:, ra2:] = cb
-        cores.append(block)
-    leaf = np.concatenate([a.leaf, b.leaf], axis=0)
-    return TensorTrain(a.grid, cores, leaf, a.basis)
+    return block_sum((a, b))
 
 
 def block_sum(trains) -> TensorTrain:
@@ -366,33 +354,62 @@ def deepen(tt: TensorTrain, extra: int) -> TensorTrain:
 
     Works because the polynomial leaf space is closed under b-adic
     dilation: each appended core dilates leaf coefficients onto the b
-    children of a leaf.
+    children of a leaf. This is the only place that appends dilation cores;
+    every polynomial chain is a first-level core followed by deepen.
     """
     if extra < 0:
         raise DomainError(f"extra must be >= 0, got {extra}")
     if extra == 0:
         return tt
-    A = dilation_cores(tt.basis, tt.base)  # (b, m+1, m+1) in basis coordinates
-    grid = Grid(tt.base, tt.depth + extra)
-    cores = [np.array(c) for c in tt.cores]
-    cores.append(np.einsum("rq,iqp->irp", tt.leaf, A))
-    for _ in range(extra - 1):
-        cores.append(A.copy())
-    return TensorTrain(grid, cores, np.eye(tt.basis.dim), tt.basis)
+    A = dilation_cores(tt.basis, tt.base)
+    cores = list(tt.cores) + [np.einsum("rq,iqp->irp", tt.leaf, A)] + [A] * (extra - 1)
+    return TensorTrain(Grid(tt.base, tt.depth + extra), cores, np.eye(tt.basis.dim), tt.basis)
 
 
+_FITS = {"chebyshev": (_cheb.chebfit, _cheb.chebval), "legendre": (_leg.legfit, _leg.legval)}
+
+
+def fit_coefficients(f, basis: PolyBasis, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+    """Coefficients in an orthogonal basis of f on [lo, hi) rescaled to [0, 1).
+
+    Interpolates at the m+1 Chebyshev points of the subinterval, so it is
+    exact for polynomials of degree <= m; the fit happens in the basis
+    itself, which keeps it well conditioned at any degree. A sampler that
+    returns shape (m+1, k) is fitted column by column: shape (m+1, k).
+    """
+    fit, _ = _FITS[basis.kind]
+    n = basis.dim
+    nodes = 0.5 * (1.0 - np.cos(np.pi * (np.arange(n) + 0.5) / n))
+    xs = lo + (hi - lo) * nodes
+    return fit(2.0 * nodes - 1.0, f(xs), basis.degree)
+
+
+@lru_cache(maxsize=None)
 def dilation_cores(basis: PolyBasis, base: int) -> np.ndarray:
-    """Coefficient dilation tensor A: A[i] maps a polynomial on a leaf to
-    the same polynomial on child i of that leaf, in basis coordinates."""
-    m = basis.degree
-    D = np.zeros((base, m + 1, m + 1))
-    for i in range(base):
-        for q in range(m + 1):
-            for r in range(q + 1):
-                D[i, q, r] = math.comb(q, r) * float(i) ** (q - r) * float(base) ** (-q)
-    B2M = basis.to_monomial()
-    M2B = basis.from_monomial()
-    return np.einsum("kq,iqr,rj->ikj", B2M, D, M2B)
+    """Coefficient dilation tensor A (read-only, cached): A[i] maps a
+    polynomial on a leaf to the same polynomial on child i of that leaf,
+    in basis coordinates.
+
+    Monomial coordinates use the exact binomial table C(q,r) i^(q-r) b^-q;
+    the orthogonal bases fit every basis function on every child, so no
+    ill-conditioned change of coordinates enters at high degree.
+    """
+    n = basis.dim
+    A = np.zeros((base, n, n))
+    if basis.kind == "monomial":
+        for i in range(base):
+            for q in range(n):
+                for r in range(q + 1):
+                    A[i, q, r] = math.comb(q, r) * float(i) ** (q - r) * float(base) ** (-q)
+    else:
+        _, val = _FITS[basis.kind]
+        for i in range(base):
+            for q, e in enumerate(np.eye(n)):
+                A[i, q] = fit_coefficients(
+                    lambda x: val(2.0 * np.asarray(x) - 1.0, e), basis, i / base, (i + 1) / base
+                )
+    A.setflags(write=False)
+    return A
 
 
 # -- serialization ----------------------------------------------------------

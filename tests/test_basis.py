@@ -51,3 +51,12 @@ def test_validation():
         PolyBasis(-1)
     with pytest.raises(DomainError):
         PolyBasis(2, "hermite")
+
+
+@pytest.mark.parametrize("degree", [8, 12, 30])
+def test_chebyshev_gram_closed_form_high_degree(degree):
+    basis = PolyBasis(degree, "chebyshev")
+    nodes, weights = np.polynomial.legendre.leggauss(degree + 2)
+    V = basis.eval(0.5 * (nodes + 1.0))
+    G_quad = np.einsum("s,si,sj->ij", 0.5 * weights, V, V)
+    assert np.allclose(G_quad, basis.gram(), rtol=0, atol=1e-14)

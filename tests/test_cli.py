@@ -31,6 +31,15 @@ def test_encode_polynomial_builtin(tmp_path, capsys):
     assert abs(float(stdout.split()[-1]) - 0.25) < 1e-12
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_eval_non_finite_point_exits_2(tmp_path, capsys, bad):
+    out = tmp_path / "p.json"
+    run(capsys, "encode", "poly:0,0,1", "--depth", "4", "--out", str(out))
+    code, stdout, err = run(capsys, "eval", str(out), "0.5", bad)
+    assert code == 2
+    assert err.startswith("error:") and "outside [0, 1)" in err
+
+
 def test_encode_spline_json(tmp_path, capsys):
     spec = tmp_path / "spline.json"
     doc = {

@@ -143,3 +143,24 @@ def test_lp_norm_from_leaves():
         lp_norm_from_leaves(ones, grid, 0.0)
     with pytest.raises(DomainError):
         lp_norm_from_leaves(np.ones(7), grid, 2.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_raise(bad):
+    grid = Grid(2, 4)
+    with pytest.raises(DomainError):
+        encode_point(bad, grid)
+    with pytest.raises(DomainError):
+        encode_points(np.array([0.25, bad, 0.5]), grid)
+
+
+def test_non_finite_points_do_not_reach_evaluate():
+    from ttfun.encoders import encode_polynomial
+    from ttfun.train import evaluate
+
+    tt = encode_polynomial([0.0, 0.0, 1.0], Grid(2, 4))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            evaluate(tt, [bad, 0.5])
+        with pytest.raises(DomainError):
+            evaluate(tt, bad)

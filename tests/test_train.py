@@ -274,3 +274,34 @@ def test_immutability():
         tt.cores[0][0, 0, 0] = 5.0
     with pytest.raises(ValueError):
         tt.leaf[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("input_basis", ["monomial", "chebyshev"])
+@pytest.mark.parametrize("leaf", ["legendre", "chebyshev"])
+def test_polynomial_chains_exact_to_degree_30(input_basis, leaf):
+    # deepen by 10 levels and a depth-12 encode stay at roundoff relative
+    # to sum |c| at every degree, in both orthogonal leaf bases
+    xs = QUASI[:100]
+    for deg in range(31):
+        c = np.random.default_rng(deg).standard_normal(deg + 1)
+        if input_basis == "monomial":
+            ref = np.polynomial.polynomial.polyval(xs, c)
+        else:
+            ref = np.polynomial.chebyshev.chebval(2.0 * xs - 1.0, c)
+        shallow = encode_polynomial(c, Grid(2, 2), input_basis=input_basis, basis_kind=leaf)
+        deep = encode_polynomial(c, Grid(2, 12), input_basis=input_basis, basis_kind=leaf)
+        for tt in (deepen(shallow, 10), deep):
+            err = np.abs(evaluate(tt, xs) - ref).max()
+            assert err <= 1e-12 * np.abs(c).sum(), (deg, tt.depth, err)
+
+
+def test_norm_l2_agrees_across_orthogonal_leaves():
+    rng = np.random.default_rng(30)
+    for deg in (0, 1, 5, 8, 12, 20, 30):
+        c = rng.standard_normal(deg + 1)
+        leg = norm_l2(encode_polynomial(c, Grid(2, 3), input_basis="chebyshev"))
+        cheb = norm_l2(
+            encode_polynomial(c, Grid(2, 3), input_basis="chebyshev", basis_kind="chebyshev")
+        )
+        assert cheb == pytest.approx(leg, rel=1e-12), deg
+
