@@ -14,6 +14,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,9 +48,14 @@ def _sample_f(f, xs: np.ndarray) -> np.ndarray:
     return vals
 
 
+@lru_cache(maxsize=None)
 def _gauss01(order: int):
+    """Gauss-Legendre rule on [0, 1]: (nodes, weights), read-only and cached."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
+    nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def quasi_random(n: int, seed_shift: float = 0.0) -> np.ndarray:

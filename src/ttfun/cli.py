@@ -90,23 +90,35 @@ def cmd_encode(args):
     return 0
 
 
+def _load_train_file(path) -> train.TensorTrain:
+    try:
+        return train.load_json(path)
+    except OSError as exc:
+        _fail(f"cannot read {path}: {exc}", EXIT_PARSE)
+
+
 def cmd_eval(args):
-    tt = train.load_json(args.train)
-    xs = [float(t) for t in args.x]
+    if not args.x:
+        _fail("eval needs at least one point", EXIT_PARSE)
+    try:
+        xs = [float(t) for t in args.x]
+    except ValueError as exc:
+        _fail(f"bad point: {exc}", EXIT_PARSE)
+    tt = _load_train_file(args.train)
     for x in xs:
         print(f"{x!r}\t{tt(x)!r}")
     return 0
 
 
 def cmd_ranks(args):
-    tt = train.load_json(args.train)
+    tt = _load_train_file(args.train)
     rk = ranks(tt, args.tol)
     print(json.dumps({"ranks": list(rk.ranks), "tolerance": rk.tolerance}))
     return 0
 
 
 def cmd_complexity(args):
-    tt = train.load_json(args.train)
+    tt = _load_train_file(args.train)
     if args.round is not None:
         tt = tt_round(tt, args.round)
     print(json.dumps(complexity(tt, args.zero_tol).to_json_dict()))
@@ -222,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="evaluate a train file at points")
     ev.add_argument("train")
-    ev.add_argument("x", nargs="+")
+    # REMAINDER, so that a point such as -inf is a value, not an option
+    ev.add_argument("x", nargs=argparse.REMAINDER, help="points in [0, 1)")
     ev.set_defaults(fn=cmd_eval)
 
     rk = sub.add_parser("ranks", help="numerical rank profile of a train file")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -191,7 +192,7 @@ def scale(a: TensorTrain, c: float) -> TensorTrain:
     """Pointwise scaling; ranks unchanged."""
     if a.depth == 0:
         return TensorTrain(a.grid, [], c * a.leaf, a.basis)
-    cores = [c * a.cores[0]] + [np.array(x) for x in a.cores[1:]]
+    cores = [c * a.cores[0], *a.cores[1:]]
     return TensorTrain(a.grid, cores, a.leaf, a.basis)
 
 
@@ -204,25 +205,27 @@ def _lq(M: np.ndarray):
     return R.T, Q.T
 
 
+# The sweeps below rebind slots of a caller's list and never write into a
+# core, so trains hand over their read-only cores without copying them.
+
+
 def _right_orthogonalize_arrays(cores, leaf):
     """Row-orthonormalize the leaf and cores 2..d; weight collects in core 1."""
-    cores = [np.array(c) for c in cores]
     carry, leaf = _lq(leaf)
     for nu in range(len(cores) - 1, 0, -1):
-        c = np.einsum("irs,st->irt", cores[nu], carry)
+        c = cores[nu] @ carry
         b, r1, r2 = c.shape
         carry, Q = _lq(c.transpose(1, 0, 2).reshape(r1, b * r2))
         cores[nu] = Q.reshape(Q.shape[0], b, r2).transpose(1, 0, 2)
-    cores[0] = np.einsum("irs,st->irt", cores[0], carry)
+    cores[0] = cores[0] @ carry
     return cores, leaf
 
 
 def _left_orthogonalize_arrays(cores, leaf):
     """Column-orthonormalize all cores; weight collects in the leaf."""
-    cores = [np.array(c) for c in cores]
     carry = np.ones((1, 1))
     for nu in range(len(cores)):
-        c = np.einsum("ab,ibr->iar", carry, cores[nu])
+        c = carry @ cores[nu]
         b, r1, r2 = c.shape
         Q, R = np.linalg.qr(c.transpose(1, 0, 2).reshape(r1 * b, r2))
         cores[nu] = Q.reshape(r1, b, Q.shape[1]).transpose(1, 0, 2)
@@ -243,16 +246,16 @@ def orthogonalize(tt: TensorTrain, direction: str = "right") -> TensorTrain:
     if tt.depth == 0:
         return tt
     if direction == "right":
-        cores, leaf = _right_orthogonalize_arrays(list(tt.cores), np.array(tt.leaf))
+        cores, leaf = _right_orthogonalize_arrays(list(tt.cores), tt.leaf)
     else:
-        cores, leaf = _left_orthogonalize_arrays(list(tt.cores), np.array(tt.leaf))
+        cores, leaf = _left_orthogonalize_arrays(list(tt.cores), tt.leaf)
     return TensorTrain(tt.grid, cores, leaf, tt.basis)
 
 
 def _gram_weighted(tt: TensorTrain):
     """Cores plus leaf with the basis Gram Cholesky factor absorbed."""
     L = tt.basis.gram_cholesky()
-    return [np.array(c) for c in tt.cores], tt.leaf @ L
+    return list(tt.cores), tt.leaf @ L
 
 
 def norm_l2(tt: TensorTrain) -> float:
@@ -268,9 +271,11 @@ def dot_l2(a: TensorTrain, b: TensorTrain) -> float:
     _check_compatible(a, b)
     E = np.ones((1, 1))
     for ca, cb in zip(a.cores, b.cores):
-        E = np.einsum("st,isa,itb->ab", E, ca, cb)
+        # per-digit transfer E <- sum_i ca[i]^T E cb[i], as one stacked product
+        n, r1, r2 = ca.shape
+        E = ca.reshape(n * r1, r2).T @ (E @ cb).reshape(n * r1, -1)
     G = a.basis.gram()
-    return float(np.einsum("ab,aq,bp,qp->", E, a.leaf, b.leaf, G) * a.base ** (-a.depth))
+    return float(np.sum((a.leaf.T @ E @ b.leaf) * G) * a.base ** (-a.depth))
 
 
 def singular_values(tt: TensorTrain):
@@ -286,7 +291,7 @@ def singular_values(tt: TensorTrain):
     spectra = []
     carry = np.ones((1, 1))
     for nu in range(len(cores)):
-        c = np.einsum("ab,ibr->iar", carry, cores[nu])
+        c = carry @ cores[nu]
         b, r1, r2 = c.shape
         U, S, Vt = np.linalg.svd(
             c.transpose(1, 0, 2).reshape(r1 * b, r2), full_matrices=False
@@ -320,16 +325,14 @@ def tt_round(tt: TensorTrain, tol: float) -> TensorTrain:
     if tt.depth == 0:
         return tt
     gram_L = tt.basis.gram_cholesky()
-    cores, leaf = _right_orthogonalize_arrays(
-        [np.array(c) for c in tt.cores], tt.leaf @ gram_L
-    )
+    cores, leaf = _right_orthogonalize_arrays(list(tt.cores), tt.leaf @ gram_L)
     total = np.linalg.norm(cores[0])
     if total == 0.0:
         return zero_train(tt.grid, tt.basis)
     budget = tol * total / math.sqrt(tt.depth)
     carry = np.ones((1, 1))
     for nu in range(len(cores)):
-        c = np.einsum("ab,ibr->iar", carry, cores[nu])
+        c = carry @ cores[nu]
         b, r1, r2 = c.shape
         U, S, Vt = np.linalg.svd(
             c.transpose(1, 0, 2).reshape(r1 * b, r2), full_matrices=False
@@ -428,16 +431,46 @@ def to_json_dict(tt: TensorTrain) -> dict:
     }
 
 
+def _finite_array(value, what: str) -> np.ndarray:
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{what} is not a numeric array: {exc}") from None
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{what} has non-finite entries")
+    return arr
+
+
 def from_json_dict(doc: dict) -> TensorTrain:
-    if doc.get("format") != "ttfun-train":
+    """Inverse of to_json_dict. A malformed document (missing key, core that
+    does not fill its shape, non-finite entry) raises DomainError or
+    MismatchError; the checks live here, at the file boundary, not in
+    TensorTrain, which the encoders build many times per call."""
+    if not isinstance(doc, dict) or doc.get("format") != "ttfun-train":
         raise DomainError("not a ttfun train document")
-    grid = Grid(int(doc["base"]), int(doc["depth"]))
-    basis = PolyBasis(int(doc["basis"]["degree"]), doc["basis"]["kind"])
-    cores = [
-        np.array(flat, dtype=float).reshape(shape)
-        for flat, shape in zip(doc["cores"], doc["core_shapes"])
-    ]
-    return TensorTrain(grid, cores, np.array(doc["leaf"], dtype=float), basis)
+    try:
+        grid = Grid(int(doc["base"]), int(doc["depth"]))
+        basis = PolyBasis(int(doc["basis"]["degree"]), doc["basis"]["kind"])
+        flats, shapes = list(doc["cores"]), list(doc["core_shapes"])
+        leaf = doc["leaf"]
+    except KeyError as exc:
+        raise DomainError(f"train document lacks {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"bad train document: {exc}") from None
+    if len(flats) != len(shapes):
+        raise MismatchError(f"{len(flats)} cores but {len(shapes)} core shapes")
+    cores = []
+    for nu, (flat, shape) in enumerate(zip(flats, shapes), start=1):
+        c = _finite_array(flat, f"core {nu}")
+        try:
+            dims = tuple(operator.index(n) for n in shape)
+            c = c.reshape(dims)
+        except (TypeError, ValueError):
+            dims = None
+        if c.shape != dims:
+            raise MismatchError(f"core {nu}: {c.size} entries do not fill shape {shape}")
+        cores.append(c)
+    return TensorTrain(grid, cores, _finite_array(leaf, "leaf"), basis)
 
 
 def dump_json(tt: TensorTrain, path):
@@ -447,4 +480,8 @@ def dump_json(tt: TensorTrain, path):
 
 def load_json(path) -> TensorTrain:
     with open(path) as fh:
-        return from_json_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise DomainError(f"cannot parse {path}: {exc}") from None
+    return from_json_dict(doc)

@@ -5,6 +5,7 @@ import pytest
 
 from ttfun.analysis import (
     StudyConfig,
+    _gauss01,
     fit_linear,
     fit_loglog,
     greedy_badic_knots,
@@ -203,3 +204,12 @@ def test_csv_and_json_outputs(tmp_path):
     doc = _json.loads(json_path.read_text())
     assert doc["config"]["target"] == "sawtooth"
     assert len(doc["records"]) == len(recs)
+
+
+@pytest.mark.parametrize("q", [4, 12, 30])
+def test_gauss_rule_is_cached_read_only_and_exact(q):
+    nodes, weights = np.polynomial.legendre.leggauss(q)
+    ys, ws = _gauss01(q)
+    assert _gauss01(q)[0] is ys
+    assert np.array_equal(ys, 0.5 * (nodes + 1.0)) and np.array_equal(ws, 0.5 * weights)
+    assert not ys.flags.writeable and not ws.flags.writeable

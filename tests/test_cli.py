@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from ttfun.cli import main
+from ttfun.grids import DomainError
+from ttfun.train import MismatchError, load_json
 
 
 def run(capsys, *argv):
@@ -38,6 +40,53 @@ def test_eval_non_finite_point_exits_2(tmp_path, capsys, bad):
     code, stdout, err = run(capsys, "eval", str(out), "0.5", bad)
     assert code == 2
     assert err.startswith("error:") and "outside [0, 1)" in err
+
+
+@pytest.mark.parametrize("bad", ["-inf", "-0.25"])
+def test_eval_negative_point_reaches_domain_check(tmp_path, capsys, bad):
+    out = tmp_path / "p.json"
+    run(capsys, "encode", "poly:0,0,1", "--depth", "4", "--out", str(out))
+    code, _, err = run(capsys, "eval", str(out), bad)
+    assert code == 2
+    assert err.strip() == f"error: point {float(bad)} outside [0, 1)"
+
+
+def _spoil_core_shape(doc):
+    doc["core_shapes"][1] = [2, 3, 2]
+
+
+def _drop_cores(doc):
+    del doc["cores"]
+
+
+def _nan_leaf(doc):
+    doc["leaf"][0][0] = float("nan")
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        pytest.param(_spoil_core_shape, "do not fill shape", id="core_shape"),
+        pytest.param(_drop_cores, "lacks 'cores'", id="missing_cores"),
+        pytest.param(_nan_leaf, "non-finite", id="nan_leaf"),
+        pytest.param(None, "cannot parse", id="truncated_json"),
+    ],
+)
+def test_bad_train_file_exits_2(tmp_path, capsys, spoil, message):
+    path = tmp_path / "p.json"
+    run(capsys, "encode", "poly:0,0,1", "--depth", "4", "--out", str(path))
+    if spoil is None:
+        path.write_text(path.read_text()[:40])
+    else:
+        doc = json.loads(path.read_text())
+        spoil(doc)
+        path.write_text(json.dumps(doc))
+    with pytest.raises((DomainError, MismatchError), match=message):
+        load_json(path)
+    for argv in (["eval", str(path), "0.5"], ["ranks", str(path)], ["complexity", str(path)]):
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2 and stdout == ""
+        assert err.startswith("error:") and message in err
 
 
 def test_encode_spline_json(tmp_path, capsys):

@@ -1,14 +1,17 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ttfun.analysis import greedy_badic_knots
 from ttfun.basis import PolyBasis
 from ttfun.encoders import (
     WaveletSpec,
     encode_dilated,
     encode_fixed_knot_spline,
+    encode_free_knot_spline,
     encode_polynomial,
     encode_sawtooth,
     haar_mother,
@@ -305,3 +308,41 @@ def test_norm_l2_agrees_across_orthogonal_leaves():
         )
         assert cheb == pytest.approx(leg, rel=1e-12), deg
 
+
+def _block_sum_train(n_pieces):
+    """Free-knot train of x^0.7 as stored by the encoder: dense block-sum cores."""
+    return encode_free_knot_spline(greedy_badic_knots(lambda x: x**0.7, n_pieces, 1, 2.0))
+
+
+def test_round_allocates_less_than_its_input():
+    t = _block_sum_train(128)
+    core_bytes = sum(c.nbytes for c in t.cores)
+    tracemalloc.start()
+    try:
+        tt_round(t, 1e-12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.0 * core_bytes, (peak, core_bytes)
+
+
+def test_rounding_and_rank_sweeps_leave_input_cores_untouched():
+    t = _block_sum_train(64)
+    before = [c.copy() for c in t.cores] + [t.leaf.copy()]
+    tt_round(t, 1e-12)
+    orthogonalize(t, "left")
+    orthogonalize(t, "right")
+    norm_l2(t)
+    ranks(t)
+    for a, c in zip(before, list(t.cores) + [t.leaf]):
+        assert not c.flags.writeable
+        assert np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("n_pieces", [64, 128])
+def test_block_sum_norm_dot_and_round(n_pieces):
+    t = _block_sum_train(n_pieces)
+    nrm = norm_l2(t)
+    assert math.isclose(nrm**2, dot_l2(t, t), rel_tol=1e-12)
+    residual = add(tt_round(t, 1e-6), scale(t, -1.0))
+    assert norm_l2(residual) <= 1e-6 * nrm
