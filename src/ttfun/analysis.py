@@ -29,6 +29,8 @@ from .encoders import (
 from .grids import DomainError, Grid, lp_norm_from_leaves
 from .interpolation import (
     Interpolator,
+    _fit_cells,
+    _sample,
     chebyshev_truncate,
     polynomial_interpolant_train,
     reinterpolate,
@@ -39,13 +41,6 @@ from .train import TensorTrain, evaluate
 
 _CELL_CAP = 2**20
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _sample_f(f, xs: np.ndarray) -> np.ndarray:
-    vals = np.asarray(f(xs), dtype=float)
-    if vals.shape != xs.shape:
-        vals = np.vectorize(f)(xs)
-    return vals
 
 
 @lru_cache(maxsize=None)
@@ -90,7 +85,7 @@ def lp_error(f, tt: TensorTrain, p: float, quad_order: int = 0, max_cells: int =
         tvals = tt.leaf_values(ys, max_cells=max_cells)
     else:
         tvals = evaluate(tt, xs.ravel()).reshape(cells, ys.size)
-    err = np.abs(_sample_f(f, xs) - tvals)
+    err = np.abs(_sample(f, xs) - tvals)
     if math.isinf(p):
         return float(err.max())
     leaf_norms = (err**p @ ws) ** (1.0 / p)
@@ -112,7 +107,7 @@ def rank_span_oracle(
     n_samples = samples_per_leaf if samples_per_leaf > 0 else min(max(64, 2 * rows), 8192)
     ts = quasi_random(n_samples)
     xs = (np.arange(rows)[:, None] + ts[None, :]) / rows
-    M = _sample_f(f, xs)
+    M = _sample(f, xs)
     scale = np.abs(M).max()
     if scale == 0.0:
         return 0
@@ -196,18 +191,16 @@ def leaf_lp_norms(s: PiecewisePolynomial, grid: Grid, p: float) -> np.ndarray:
 def _local_fit_and_error(f, i: int, level: int, base: int, interp, p, quad_order):
     lo = i * float(base) ** (-level)
     w = float(base) ** (-level)
-    xs = np.minimum(lo + w * interp.nodes, np.nextafter(lo + w, 0.0))
-    vals = _sample_f(f, xs)
-    coeffs = np.linalg.solve(interp.vandermonde(), vals)
+    coeffs = _fit_cells(f, np.array([lo]), w, interp)[0]
     if math.isinf(p):
         ts = quasi_random(64)
         err = float(
-            np.abs(_sample_f(f, lo + w * ts) - np.polynomial.polynomial.polyval(ts, coeffs)).max()
+            np.abs(_sample(f, lo + w * ts) - np.polynomial.polynomial.polyval(ts, coeffs)).max()
         )
     else:
         nodes, ws = _gauss01(quad_order)
         resid = np.abs(
-            _sample_f(f, lo + w * nodes) - np.polynomial.polynomial.polyval(nodes, coeffs)
+            _sample(f, lo + w * nodes) - np.polynomial.polynomial.polyval(nodes, coeffs)
         )
         err = float((w * np.sum(ws * resid**p)) ** (1.0 / p))
     return coeffs, err
@@ -341,7 +334,15 @@ def study_sobolev(cfg: StudyConfig):
 
 def _sup_error_sampled(f, tt: TensorTrain, n_points: int = 4096) -> float:
     xs = np.sort(np.concatenate([quasi_random(n_points), [0.0]]))
-    return float(np.abs(_sample_f(f, xs) - evaluate(tt, xs)).max())
+    return float(np.abs(_sample(f, xs) - evaluate(tt, xs)).max())
+
+
+# Default budgets n of study_analytic (and of `ttfun study analytic --nmax`):
+# small budgets feed the n^(1/2) track, large ones the n^(1/3) track.
+_ANALYTIC_SCHEDULE = (
+    9, 16, 25, 36, 49, 64, 100, 144, 196,
+    216, 343, 512, 729, 1000, 1331, 1728, 2197, 2744, 3000,
+)
 
 
 def study_analytic(cfg: StudyConfig):
@@ -353,13 +354,8 @@ def study_analytic(cfg: StudyConfig):
     target = get_target(cfg.target)
     f = target.sampler
     b, m = cfg.b, cfg.m
-    # small budgets feed the n^(1/2) track, large ones the n^(1/3) track
-    schedule = cfg.schedule or (
-        9, 16, 25, 36, 49, 64, 100, 144, 196,
-        216, 343, 512, 729, 1000, 1331, 1728, 2197, 2744, 3000,
-    )
     records = []
-    for n in schedule:
+    for n in cfg.schedule or _ANALYTIC_SCHEDULE:
         t0 = time.perf_counter()
         d_c = math.floor(n ** (1.0 / 3.0) / b - (m + 1) * n ** (-2.0 / 3.0))
         mbar_c = math.floor(n ** (1.0 / 3.0) - 1.0)

@@ -168,14 +168,7 @@ def cmd_study(args):
     elif args.dmax is not None:
         schedule = tuple(range(1, args.dmax + 1))
     elif args.nmax is not None:
-        schedule = tuple(
-            n
-            for n in (
-                9, 16, 25, 36, 49, 64, 100, 144, 196,
-                216, 343, 512, 729, 1000, 1331, 1728, 2197, 2744, 3000,
-            )
-            if n <= args.nmax
-        )
+        schedule = tuple(n for n in analysis._ANALYTIC_SCHEDULE if n <= args.nmax)
     cfg = analysis.StudyConfig(
         target=args.target,
         b=args.base,

@@ -44,6 +44,15 @@ class ComplexityReport:
         }
 
 
+def _cost_c(b: int, bonds, dim: int) -> int:
+    """Parameter slots of a train with bond profile bonds over a leaf of dim
+    coefficients: b r_1 + b sum r_{k-1} r_k + r_d dim."""
+    if not bonds:
+        return dim
+    inner = sum(bonds[k - 1] * bonds[k] for k in range(1, len(bonds)))
+    return b * bonds[0] + b * inner + bonds[-1] * dim
+
+
 def complexity(tt: TensorTrain, zero_tol: float = 0.0) -> ComplexityReport:
     """Exact complexity formulas applied to the stored cores.
 
@@ -56,10 +65,7 @@ def complexity(tt: TensorTrain, zero_tol: float = 0.0) -> ComplexityReport:
     b = tt.base
     dim = tt.basis.dim
     cost_n = int(sum(r))
-    if tt.depth == 0:
-        cost_c = dim
-    else:
-        cost_c = b * r[0] + b * sum(r[k - 1] * r[k] for k in range(1, tt.depth)) + r[-1] * dim
+    cost_c = _cost_c(b, r, dim)
     nnz = sum(int(np.sum(np.abs(c) > zero_tol)) for c in tt.cores)
     nnz += int(np.sum(np.abs(tt.leaf) > zero_tol))
     return ComplexityReport(cost_n, int(cost_c), int(nnz), RankProfile(tuple(r), 0.0))
@@ -150,11 +156,8 @@ def audit_bounds(instance: str, **params):
                 )
             )
         profile = [_fixed_knot_rank_bound(b, d, m, c, nu) for nu in range(1, d + 1)]
-        bound_n = sum(profile)
-        bound_c = b * profile[0] + b * sum(
-            profile[k - 1] * profile[k] for k in range(1, d)
-        ) + profile[-1] * (m + 1)
-        out.append(_rec(instance, params, "cost_N(profile)", rep.cost_n, bound_n))
+        out.append(_rec(instance, params, "cost_N(profile)", rep.cost_n, sum(profile)))
+        bound_c = _cost_c(b, profile, m + 1)
         out.append(_rec(instance, params, "cost_C(profile)", rep.cost_c, bound_c))
         if m == 0:
             # the proof's explicit constants, valid for the degree-0 profile

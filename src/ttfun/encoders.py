@@ -28,7 +28,15 @@ from numpy.polynomial.polynomial import Polynomial
 
 from .basis import PolyBasis
 from .grids import DomainError, Grid, encode_points, flat_to_digits
-from .train import TensorTrain, block_sum, deepen, dilation_cores, fit_coefficients, scale
+from .train import (
+    TensorTrain,
+    block_sum,
+    deepen,
+    dilation_cores,
+    fit_coefficients,
+    scale,
+    train_from_leaf_coefficients,
+)
 
 
 class KnotError(DomainError):
@@ -231,55 +239,6 @@ def encode_polynomial(
 
 
 # ---------------------------------------------------------------------------
-# TT-SVD from dense leaf coefficients
-# ---------------------------------------------------------------------------
-
-
-def train_from_leaf_coefficients(
-    coeff: np.ndarray, grid: Grid, basis: PolyBasis, tol: float = 0.0
-) -> TensorTrain:
-    """Sequential-SVD compression of a dense (b^d, m+1) coefficient matrix.
-
-    tol is relative to the L2 norm of the represented function (the matrix
-    is Gram-weighted during the sweep); tol = 0 keeps everything except
-    exact zero directions, reproducing the dimension-bound rank profile.
-    """
-    coeff = np.asarray(coeff, dtype=float)
-    if coeff.shape != (grid.leaf_count, basis.dim):
-        raise DomainError(f"coefficient matrix shape {coeff.shape} does not match grid/basis")
-    gram_L = basis.gram_cholesky()
-    C = coeff @ gram_L
-    b, d = grid.base, grid.depth
-    if d == 0:
-        return TensorTrain(grid, [], coeff, basis)
-    total = np.linalg.norm(C)
-    budget = tol * total / math.sqrt(d) if total > 0 else 0.0
-    cores = []
-    r = 1
-    M = C.reshape(b, -1)
-    for nu in range(d):
-        U, S, Vt = np.linalg.svd(M, full_matrices=False)
-        keep = int(np.sum(S > 0.0))
-        keep = max(keep, 1)
-        tail = 0.0
-        while keep > 1:
-            t = tail + S[keep - 1] ** 2
-            if math.sqrt(t) > budget:
-                break
-            tail = t
-            keep -= 1
-        cores.append(U[:, :keep].reshape(r, b, keep).transpose(1, 0, 2))
-        M = S[:keep, None] * Vt[:keep]
-        r = keep
-        if nu < d - 1:
-            M = M.reshape(r * b, -1)
-    from scipy.linalg import solve_triangular
-
-    leaf = solve_triangular(gram_L, M.T, lower=True, trans="T").T
-    return TensorTrain(grid, cores, leaf, basis)
-
-
-# ---------------------------------------------------------------------------
 # splines
 # ---------------------------------------------------------------------------
 
@@ -394,14 +353,21 @@ def _localized_polynomial_train(
     """Train for a polynomial supported on [j b^-level, (j+1) b^-level):
     delta cores selecting the interval, then the monomial chain below it."""
     b = grid.base
-    cores = []
-    for dig in flat_to_digits(j, Grid(b, level)):
-        c = np.zeros((b, 1, 1))
-        c[dig, 0, 0] = 1.0
-        cores.append(c)
     mono = PolyBasis(basis.degree, "monomial")
     chain = _polynomial_chain(_pad(mono_coeffs, basis.dim), mono, Grid(b, grid.depth - level))
-    return TensorTrain(grid, cores + list(chain.cores), chain.leaf @ basis.from_monomial(), basis)
+    cores = _cell_selector(j, level, b) + list(chain.cores)
+    return TensorTrain(grid, cores, chain.leaf @ basis.from_monomial(), basis)
+
+
+def _cell_selector(j: int, level: int, base: int) -> list:
+    """Delta cores (b, 1, 1) selecting the digits of the b-adic cell
+    [j b^-level, (j+1) b^-level); empty at level 0."""
+    cores = []
+    for dig in flat_to_digits(j, Grid(base, level)):
+        c = np.zeros((base, 1, 1))
+        c[dig, 0, 0] = 1.0
+        cores.append(c)
+    return cores
 
 
 # ---------------------------------------------------------------------------
@@ -463,17 +429,11 @@ def encode_dilated(spec: WaveletSpec, target_depth: int | None = None) -> Tensor
         )
     body = deepen(mother, target_depth - spec.level - d0)
     factor = 1.0 if math.isinf(spec.p) else float(b) ** (spec.level / spec.p)
-    digits = flat_to_digits(spec.shift, Grid(b, spec.level)) if spec.level else ()
-    cores = []
-    for k, dig in enumerate(digits):
-        c = np.zeros((b, 1, 1))
-        c[dig, 0, 0] = factor if k == 0 else 1.0
-        cores.append(c)
     if spec.level == 0:
-        body = scale(body, factor) if factor != 1.0 else body
-        return body
-    cores.extend(np.array(c) for c in body.cores)
-    return TensorTrain(Grid(b, target_depth), cores, body.leaf, body.basis)
+        return scale(body, factor) if factor != 1.0 else body
+    cores = _cell_selector(spec.shift, spec.level, b)
+    cores[0] *= factor
+    return TensorTrain(Grid(b, target_depth), cores + list(body.cores), body.leaf, body.basis)
 
 
 def n_term_wavelet(terms, target_depth: int | None = None) -> TensorTrain:

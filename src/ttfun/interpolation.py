@@ -15,9 +15,9 @@ import numpy as np
 from scipy.fft import dct
 
 from .basis import PolyBasis
-from .encoders import encode_polynomial, train_from_leaf_coefficients
+from .encoders import encode_polynomial
 from .grids import DomainError, Grid
-from .train import TensorTrain, deepen
+from .train import TensorTrain, deepen, train_from_leaf_coefficients
 
 _DENSE_CAP = 2**14
 
@@ -54,19 +54,38 @@ class Interpolator:
         return np.vander(self.nodes, self.degree + 1, increasing=True)
 
 
-_INSIDE = np.nextafter(1.0, 0.0)  # samplers live on the half-open interval
+def _sample(f, xs: np.ndarray) -> np.ndarray:
+    """f at the points xs, any shape: one call on the array, or one call per
+    point when f returns another shape or raises TypeError on an array
+    (scalar-only samplers such as math.exp). A non-finite sample raises
+    DomainError."""
+    try:
+        vals = np.asarray(f(xs), dtype=float)
+    except TypeError:
+        vals = None
+    if vals is None or vals.shape != xs.shape:
+        vals = np.vectorize(f, otypes=[float])(xs)
+    if not np.isfinite(vals).all():
+        raise DomainError("non-finite sample of f")
+    return vals
+
+
+def _fit_cells(f, starts: np.ndarray, w: float, interp: Interpolator) -> np.ndarray:
+    """Monomial coefficients, one row per cell, of the degree-m interpolants
+    of f on the half-open cells [start, start + w) rescaled to [0, 1).
+
+    A node at the right end is sampled just inside its cell, matching the
+    half-open convention (the one-sided limit for piecewise functions).
+    """
+    xs = np.add.outer(starts, interp.nodes * w)
+    np.minimum(xs, np.nextafter(starts + w, 0.0)[:, None], out=xs)
+    return np.linalg.solve(interp.vandermonde(), _sample(f, xs).T).T
 
 
 def interpolate_unit(f, interp: Interpolator) -> np.ndarray:
-    """Monomial coefficients of the degree-m interpolant of f on [0, 1].
-
-    A node at 1 is sampled just inside the interval, matching the half-open
-    convention (the one-sided limit for piecewise functions).
-    """
-    vals = np.asarray([f(min(t, _INSIDE)) for t in interp.nodes], dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise DomainError("non-finite sample at an interpolation node")
-    return np.linalg.solve(interp.vandermonde(), vals)
+    """Monomial coefficients of the degree-m interpolant of f on [0, 1];
+    a node at 1 is sampled just inside the interval."""
+    return _fit_cells(f, np.zeros(1), 1.0, interp)[0]
 
 
 def power_interpolation_matrix(source_degree: int, interp: Interpolator) -> np.ndarray:
@@ -118,16 +137,7 @@ def tensor_interpolate(
         )
     basis = PolyBasis(interp.degree, basis_kind)
     w = grid.leaf_width
-    starts = np.arange(grid.leaf_count) * w
-    # sample inside each half-open leaf: a node at 1 takes the left limit
-    xs = starts[:, None] + np.minimum(interp.nodes, _INSIDE)[None, :] * w
-    np.minimum(xs, np.nextafter(starts[:, None] + w, 0.0), out=xs)
-    vals = np.asarray(f(xs), dtype=float)
-    if vals.shape != xs.shape:  # non-vectorized sampler
-        vals = np.vectorize(f)(xs)
-    if not np.all(np.isfinite(vals)):
-        raise DomainError("non-finite sample during leaf interpolation")
-    mono = np.linalg.solve(interp.vandermonde(), vals.T).T
+    mono = _fit_cells(f, np.arange(grid.leaf_count) * w, w, interp)
     coeff = mono @ basis.from_monomial()
     return train_from_leaf_coefficients(coeff, grid, basis, tol=tol)
 
@@ -204,11 +214,6 @@ def chebyshev_truncate(f, degree: int) -> np.ndarray:
     K = 4 * (degree + 1)
     theta = np.pi * (np.arange(K) + 0.5) / K
     xs = 0.5 * (1.0 + np.cos(theta))
-    vals = np.asarray(f(xs), dtype=float)
-    if vals.shape != xs.shape:
-        vals = np.vectorize(f)(xs)
-    if not np.all(np.isfinite(vals)):
-        raise DomainError("non-finite sample at a Chebyshev point")
-    a = dct(vals, type=2, norm=None)[: degree + 1] / K
+    a = dct(_sample(f, xs), type=2, norm=None)[: degree + 1] / K
     a[0] *= 0.5
     return a

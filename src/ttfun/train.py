@@ -8,6 +8,10 @@ of the core chain at the digits of x with the leaf basis at the remainder.
 L2 quantities use the exact Gram matrix of the leaf basis together with the
 tensorization isometry: the function norm equals b^(-d/2) times the
 Frobenius norm of the train once the leaf is Gram-weighted.
+
+One truncated-SVD sweep, _svd_sweep, is behind tt_round, singular_values,
+ranks and orthogonalize(direction="left"); the dense TT-SVD
+train_from_leaf_coefficients shares its truncation rule.
 """
 
 from __future__ import annotations
@@ -221,17 +225,53 @@ def _right_orthogonalize_arrays(cores, leaf):
     return cores, leaf
 
 
-def _left_orthogonalize_arrays(cores, leaf):
-    """Column-orthonormalize all cores; weight collects in the leaf."""
+def _kept_rank(S: np.ndarray, budget) -> int:
+    """The truncation rule: drop the longest tail of S whose norm is at most
+    budget, keeping at least one value (exact zeros go even at budget 0);
+    budget None keeps every direction."""
+    keep = S.size
+    if budget is None:
+        return keep
+    tail = 0.0
+    while keep > 1:
+        t = tail + S[keep - 1] ** 2
+        if math.sqrt(t) > budget:
+            break
+        tail = t
+        keep -= 1
+    return keep
+
+
+def _unweighted(leaf: np.ndarray, gram_L: np.ndarray) -> np.ndarray:
+    """Undo the Gram weighting leaf @ gram_L."""
+    return solve_triangular(gram_L, leaf.T, lower=True, trans="T").T
+
+
+def _svd_sweep(tt: TensorTrain, tol=None):
+    """The one truncated-SVD sweep (TT-rounding, Oseledets 2011, Alg. 2).
+
+    Gram-weights the leaf, right-orthogonalizes, then runs the SVD of every
+    level unfolding from left to right, truncating each with a tail budget
+    of tol * ||f|| / sqrt(d) (tol None keeps every direction). Returns the
+    column-orthonormal cores, the Gram-weighted leaf (see _unweighted) and
+    the full spectrum of every level. Requires depth >= 1.
+    """
+    gram_L = tt.basis.gram_cholesky()
+    cores, leaf = _right_orthogonalize_arrays(list(tt.cores), tt.leaf @ gram_L)
+    budget = None if tol is None else tol * np.linalg.norm(cores[0]) / math.sqrt(tt.depth)
+    spectra = []
     carry = np.ones((1, 1))
     for nu in range(len(cores)):
         c = carry @ cores[nu]
         b, r1, r2 = c.shape
-        Q, R = np.linalg.qr(c.transpose(1, 0, 2).reshape(r1 * b, r2))
-        cores[nu] = Q.reshape(r1, b, Q.shape[1]).transpose(1, 0, 2)
-        carry = R
-    leaf = carry @ leaf
-    return cores, leaf
+        U, S, Vt = np.linalg.svd(
+            c.transpose(1, 0, 2).reshape(r1 * b, r2), full_matrices=False
+        )
+        keep = _kept_rank(S, budget)
+        cores[nu] = U[:, :keep].reshape(r1, b, keep).transpose(1, 0, 2)
+        carry = S[:keep, None] * Vt[:keep]
+        spectra.append(S)
+    return cores, carry @ leaf, spectra
 
 
 def orthogonalize(tt: TensorTrain, direction: str = "right") -> TensorTrain:
@@ -239,7 +279,8 @@ def orthogonalize(tt: TensorTrain, direction: str = "right") -> TensorTrain:
 
     direction="right": leaf and cores 2..d get orthonormal rows (weight in
     core 1); direction="left": cores get orthonormal columns (weight in the
-    leaf). Evaluations are unchanged up to roundoff.
+    leaf), through the untruncated SVD sweep. Evaluations are unchanged up
+    to roundoff.
     """
     if direction not in ("left", "right"):
         raise DomainError(f"direction must be 'left' or 'right', got {direction!r}")
@@ -248,21 +289,18 @@ def orthogonalize(tt: TensorTrain, direction: str = "right") -> TensorTrain:
     if direction == "right":
         cores, leaf = _right_orthogonalize_arrays(list(tt.cores), tt.leaf)
     else:
-        cores, leaf = _left_orthogonalize_arrays(list(tt.cores), tt.leaf)
+        cores, leaf, _ = _svd_sweep(tt)
+        leaf = _unweighted(leaf, tt.basis.gram_cholesky())
     return TensorTrain(tt.grid, cores, leaf, tt.basis)
-
-
-def _gram_weighted(tt: TensorTrain):
-    """Cores plus leaf with the basis Gram Cholesky factor absorbed."""
-    L = tt.basis.gram_cholesky()
-    return list(tt.cores), tt.leaf @ L
 
 
 def norm_l2(tt: TensorTrain) -> float:
     """Exact L2([0,1)) norm of the represented function."""
+    weighted = tt.leaf @ tt.basis.gram_cholesky()
     if tt.depth == 0:
-        return float(np.linalg.norm(tt.leaf @ tt.basis.gram_cholesky()))
-    cores, _ = _right_orthogonalize_arrays(*_gram_weighted(tt))
+        return float(np.linalg.norm(weighted))
+    # a QR-only right sweep: the norm collects in core 1, no SVD needed
+    cores, _ = _right_orthogonalize_arrays(list(tt.cores), weighted)
     return float(np.linalg.norm(cores[0]) * tt.base ** (-tt.depth / 2.0))
 
 
@@ -287,18 +325,7 @@ def singular_values(tt: TensorTrain):
     """
     if tt.depth == 0:
         return []
-    cores, _ = _right_orthogonalize_arrays(*_gram_weighted(tt))
-    spectra = []
-    carry = np.ones((1, 1))
-    for nu in range(len(cores)):
-        c = carry @ cores[nu]
-        b, r1, r2 = c.shape
-        U, S, Vt = np.linalg.svd(
-            c.transpose(1, 0, 2).reshape(r1 * b, r2), full_matrices=False
-        )
-        spectra.append(S)
-        carry = S[:, None] * Vt
-    return spectra
+    return _svd_sweep(tt)[2]
 
 
 def ranks(tt: TensorTrain, tol: float = 1e-10) -> RankProfile:
@@ -324,32 +351,42 @@ def tt_round(tt: TensorTrain, tol: float) -> TensorTrain:
         raise DomainError(f"tol must be >= 0, got {tol}")
     if tt.depth == 0:
         return tt
-    gram_L = tt.basis.gram_cholesky()
-    cores, leaf = _right_orthogonalize_arrays(list(tt.cores), tt.leaf @ gram_L)
-    total = np.linalg.norm(cores[0])
-    if total == 0.0:
+    cores, leaf, spectra = _svd_sweep(tt, tol)
+    if not spectra[0].any():  # the level-1 spectrum carries all of ||f||
         return zero_train(tt.grid, tt.basis)
-    budget = tol * total / math.sqrt(tt.depth)
-    carry = np.ones((1, 1))
-    for nu in range(len(cores)):
-        c = carry @ cores[nu]
-        b, r1, r2 = c.shape
-        U, S, Vt = np.linalg.svd(
-            c.transpose(1, 0, 2).reshape(r1 * b, r2), full_matrices=False
-        )
-        keep = S.size
-        tail = 0.0
-        while keep > 1:
-            t = tail + S[keep - 1] ** 2
-            if math.sqrt(t) > budget:
-                break
-            tail = t
-            keep -= 1
-        cores[nu] = U[:, :keep].reshape(r1, b, keep).transpose(1, 0, 2)
-        carry = S[:keep, None] * Vt[:keep]
-    leaf = carry @ leaf
-    leaf = solve_triangular(gram_L, leaf.T, lower=True, trans="T").T
-    return TensorTrain(tt.grid, cores, leaf, tt.basis)
+    return TensorTrain(tt.grid, cores, _unweighted(leaf, tt.basis.gram_cholesky()), tt.basis)
+
+
+def train_from_leaf_coefficients(
+    coeff: np.ndarray, grid: Grid, basis: PolyBasis, tol: float = 0.0
+) -> TensorTrain:
+    """TT-SVD (Oseledets 2011, Alg. 1) of a dense (b^d, m+1) coefficient matrix.
+
+    The dense counterpart of the rounding sweep, with its truncation rule
+    and Gram weighting: tol is relative to the L2 norm of the represented
+    function; tol = 0 keeps everything except exact zero directions,
+    reproducing the dimension-bound rank profile.
+    """
+    coeff = np.asarray(coeff, dtype=float)
+    if coeff.shape != (grid.leaf_count, basis.dim):
+        raise DomainError(f"coefficient matrix shape {coeff.shape} does not match grid/basis")
+    if tol < 0:
+        raise DomainError(f"tol must be >= 0, got {tol}")
+    b, d = grid.base, grid.depth
+    if d == 0:
+        return TensorTrain(grid, [], coeff, basis)
+    gram_L = basis.gram_cholesky()
+    M = coeff @ gram_L
+    budget = tol * np.linalg.norm(M) / math.sqrt(d)
+    cores = []
+    r = 1
+    for nu in range(d):
+        U, S, Vt = np.linalg.svd(M.reshape(r * b, -1), full_matrices=False)
+        keep = _kept_rank(S, budget)
+        cores.append(U[:, :keep].reshape(r, b, keep).transpose(1, 0, 2))
+        M = S[:keep, None] * Vt[:keep]
+        r = keep
+    return TensorTrain(grid, cores, _unweighted(M, gram_L), basis)
 
 
 def deepen(tt: TensorTrain, extra: int) -> TensorTrain:

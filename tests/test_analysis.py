@@ -213,3 +213,26 @@ def test_gauss_rule_is_cached_read_only_and_exact(q):
     assert _gauss01(q)[0] is ys
     assert np.array_equal(ys, 0.5 * (nodes + 1.0)) and np.array_equal(ws, 0.5 * weights)
     assert not ys.flags.writeable and not ws.flags.writeable
+
+
+def _nan_on_left_half(x):
+    return np.where(np.asarray(x) < 0.5, np.nan, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(
+            lambda f: lp_error(f, encode_polynomial([1, 2], Grid(2, 4)), 2.0), id="lp_error_2"
+        ),
+        pytest.param(
+            lambda f: lp_error(f, encode_polynomial([1, 2], Grid(2, 4)), math.inf),
+            id="lp_error_inf",
+        ),
+        pytest.param(lambda f: greedy_badic_knots(f, 8, 1, 2.0, with_info=True), id="greedy"),
+        pytest.param(lambda f: rank_span_oracle(f, Grid(2, 4), 2), id="rank_span_oracle"),
+    ],
+)
+def test_nan_sampler_raises_domain_error(call):
+    with pytest.raises(DomainError, match="non-finite"):
+        call(_nan_on_left_half)

@@ -223,3 +223,11 @@ def test_interpolant_cost_structure():
     c = np.random.default_rng(12).standard_normal(5)
     tt = polynomial_interpolant_train(c, Grid(2, 6), 1)
     assert complexity(tt).cost_n == 5 * 6
+
+
+def test_scalar_only_sampler_is_sampled_point_by_point():
+    c = interpolate_unit(math.exp, Interpolator(4))
+    ts = np.linspace(0.0, 1.0, 11)
+    assert np.abs(np.polynomial.polynomial.polyval(ts, c) - np.exp(ts)).max() < 1e-4
+    tt = tensor_interpolate(math.exp, Grid(2, 3), Interpolator(3))
+    assert np.abs(evaluate(tt, QUASI) - np.exp(QUASI)).max() < 1e-6

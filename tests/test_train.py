@@ -16,6 +16,7 @@ from ttfun.encoders import (
     encode_sawtooth,
     haar_mother,
     hat_mother,
+    random_fixed_knot_spline,
 )
 from ttfun.grids import DomainError, Grid
 from ttfun.train import (
@@ -33,6 +34,7 @@ from ttfun.train import (
     scale,
     singular_values,
     to_json_dict,
+    train_from_leaf_coefficients,
     tt_round,
     zero_train,
 )
@@ -346,3 +348,35 @@ def test_block_sum_norm_dot_and_round(n_pieces):
     assert math.isclose(nrm**2, dot_l2(t, t), rel_tol=1e-12)
     residual = add(tt_round(t, 1e-6), scale(t, -1.0))
     assert norm_l2(residual) <= 1e-6 * nrm
+
+
+@pytest.mark.parametrize("direction", ["left", "right"])
+def test_orthogonalize_yields_orthonormal_unfoldings(direction):
+    # a block sum: redundant bonds, so neither sweep is a no-op
+    rng = np.random.default_rng(3)
+    t = add(
+        encode_polynomial(rng.standard_normal(4), Grid(3, 4)),
+        encode_polynomial(rng.standard_normal(4), Grid(3, 4)),
+    )
+    ot = orthogonalize(t, direction)
+    assert np.abs(evaluate(ot, QUASI) - evaluate(t, QUASI)).max() < 1e-12
+    if direction == "left":
+        blocks = [c.transpose(1, 0, 2).reshape(-1, c.shape[2]) for c in ot.cores]
+    else:
+        rows = [c.transpose(1, 0, 2).reshape(c.shape[1], -1) for c in ot.cores[1:]]
+        blocks = [m.T for m in rows + [ot.leaf]]
+    for Q in blocks:
+        assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max() < 1e-12
+
+
+@pytest.mark.parametrize("b, d, m, c", [(2, 6, 2, -1), (2, 10, 1, 0), (3, 3, 3, 1), (3, 4, 2, -1)])
+def test_dense_svd_and_rounding_share_one_truncation_rule(b, d, m, c):
+    s = random_fixed_knot_spline(np.random.default_rng(40 + d), b, d, m, c)
+    basis = PolyBasis(m)
+    C = np.stack(s.pieces) @ basis.from_monomial()
+    exact = train_from_leaf_coefficients(C, Grid(b, d), basis, 0.0)
+    for tol in (0.0, 1e-12, 1e-6, 1e-3, 1e-1):
+        dense = train_from_leaf_coefficients(C, Grid(b, d), basis, tol)
+        assert dense.bond_dims == tt_round(exact, tol).bond_dims, tol
+    with pytest.raises(DomainError):
+        train_from_leaf_coefficients(C, Grid(b, d), basis, -1e-3)
