@@ -134,21 +134,28 @@ def encode_points(x: np.ndarray, grid: Grid) -> tuple:
     remainder 0 and belongs to the interval on its right. NaN and infinite
     points are outside [0, 1).
     """
-    x = np.asarray(x, dtype=float)
+    t = np.array(x, dtype=float)
+    digits = np.empty((t.size, grid.depth), dtype=np.int64)
+    for k, i in enumerate(_digit_steps(t, grid)):
+        digits[:, k] = i
+    return digits, t
+
+
+def _digit_steps(x: np.ndarray, grid: Grid):
+    """The digit rule of encode_points, one level at a time: yields the int64
+    digits of the points x at levels 1..d. Once the generator is exhausted,
+    x holds the remainders."""
     inside = (x >= 0.0) & (x < 1.0)
     if not np.all(inside):
         raise DomainError(f"point {float(x[~inside].flat[0])} outside [0, 1)")
     b = grid.base
-    t = x.copy()
-    digits = np.empty((x.size, grid.depth), dtype=np.int64)
-    for k in range(grid.depth):
+    t = x
+    for _ in range(grid.depth):
         t = t * b
-        i = np.floor(t).astype(np.int64)
-        np.minimum(i, b - 1, out=i)
-        digits[:, k] = i
+        i = np.minimum(t.astype(np.int64), b - 1)  # t >= 0: the cast is the floor
         t = t - i
-    np.clip(t, 0.0, np.nextafter(1.0, 0.0), out=t)
-    return digits, t
+        yield i
+    np.clip(t, 0.0, np.nextafter(1.0, 0.0), out=x)
 
 
 def leaf_restriction(f: Callable, grid: Grid, j) -> Callable:

@@ -49,9 +49,13 @@ class Interpolator:
         nodes = nodes.copy()
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
+        V = np.vander(nodes, self.degree + 1, increasing=True)
+        V.setflags(write=False)
+        object.__setattr__(self, "_vandermonde", V)
 
     def vandermonde(self) -> np.ndarray:
-        return np.vander(self.nodes, self.degree + 1, increasing=True)
+        """V[i, k] = nodes[i]^k, computed once; read-only."""
+        return self._vandermonde
 
 
 def _sample(f, xs: np.ndarray) -> np.ndarray:

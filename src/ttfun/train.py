@@ -5,6 +5,10 @@ A train over Grid(b, d) stores d discrete cores, core nu having shape
 coefficients over a PolyBasis. The represented function is the contraction
 of the core chain at the digits of x with the leaf basis at the remainder.
 
+evaluate sweeps chunks of at most _CHUNK points: each digit level advances
+the state v <- v C_nu[i_nu], left to right, as soon as the digit is known,
+so no digit matrix is built and the working set stays in cache.
+
 L2 quantities use the exact Gram matrix of the leaf basis together with the
 tensorization isometry: the function norm equals b^(-d/2) times the
 Frobenius norm of the train once the leaf is Gram-weighted.
@@ -28,9 +32,13 @@ from numpy.polynomial import legendre as _leg
 from scipy.linalg import solve_triangular
 
 from .basis import PolyBasis
-from .grids import DomainError, Grid, encode_points
+from .grids import DomainError, Grid, _digit_steps
 
 _FULL_GRID_CAP = 2**20
+# Most points per evaluation chunk, so that the sweep's working set stays in
+# cache. Chunks are of equal size: a one-point tail would take the BLAS
+# vector kernel, which rounds differently from the matrix kernel.
+_CHUNK = 8192
 
 
 class MismatchError(ValueError):
@@ -127,17 +135,16 @@ class TensorTrain:
 def evaluate(tt: TensorTrain, x):
     """Evaluate the represented function at x (scalar or array) in [0, 1)."""
     arr = np.asarray(x, dtype=float)
-    xs = np.atleast_1d(arr).ravel()
-    digits, y = encode_points(xs, tt.grid)
-    v = np.ones((xs.size, 1))
-    for nu, core in enumerate(tt.cores):
-        out = np.empty((xs.size, core.shape[2]))
-        for s in range(tt.base):
-            sel = digits[:, nu] == s
-            if np.any(sel):
-                out[sel] = v[sel] @ core[s]
-        v = out
-    vals = np.einsum("nr,rq,nq->n", v, tt.leaf, tt.basis.eval(y))
+    vals = []
+    for t in np.array_split(arr.ravel(), max(1, -(-arr.size // _CHUNK))):
+        t, n = t.copy(), t.size  # t becomes the remainders
+        rows = np.arange(n)
+        v = np.ones((n, 1))
+        for nu, i in enumerate(_digit_steps(t, tt.grid)):
+            w = np.matmul(v, tt.cores[nu])  # v C_nu[s] for every digit s
+            v = w.reshape(-1, w.shape[2]).take(i * n + rows, axis=0)
+        vals.append(np.einsum("nr,rq,nq->n", v, tt.leaf, tt.basis.eval(t)))
+    vals = np.concatenate(vals)
     return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
 
 

@@ -164,3 +164,31 @@ def test_non_finite_points_do_not_reach_evaluate():
             evaluate(tt, [bad, 0.5])
         with pytest.raises(DomainError):
             evaluate(tt, bad)
+
+
+def _repeated_multiply_digits(x, b, d):
+    """The digit rule written out: multiply by b, floor, clamp to b - 1."""
+    t = np.array(x, dtype=float)
+    digits = np.empty((t.size, d), dtype=np.int64)
+    for k in range(d):
+        t = t * b
+        i = np.minimum(np.floor(t).astype(np.int64), b - 1)
+        digits[:, k] = i
+        t = t - i
+    return digits, np.clip(t, 0.0, np.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize("b, d", [(2, 30), (3, 12), (5, 8), (7, 7)])
+def test_encode_points_follows_the_repeated_multiply_rule(b, d):
+    rng = np.random.default_rng(b)
+    j = rng.integers(1, d + 1, size=500)
+    on_grid = np.floor(rng.random(500) * np.power(float(b), j)) / np.power(float(b), j)
+    grid = Grid(b, d)
+    for x in (rng.random(500), on_grid, np.array([0.0, np.nextafter(1.0, 0.0)])):
+        digits, y = encode_points(x, grid)
+        want_digits, want_y = _repeated_multiply_digits(x, b, d)
+        assert np.array_equal(digits, want_digits) and np.array_equal(y, want_y)
+        p = encode_point(x[-1], grid)
+        assert p.digits == tuple(want_digits[-1]) and p.remainder == want_y[-1]
+    x.setflags(write=False)
+    encode_points(x, grid)  # the input is copied, never overwritten

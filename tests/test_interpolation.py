@@ -34,6 +34,15 @@ def test_interpolator_nodes():
         Interpolator(2, nodes=[0.0, 0.0, 1.0])
 
 
+@pytest.mark.parametrize("nodes", [None, [0.1, 0.5, 0.7, 0.95]])
+def test_vandermonde_is_cached_and_read_only(nodes):
+    it = Interpolator(3, nodes=nodes)
+    V = it.vandermonde()
+    assert V is it.vandermonde()
+    assert not V.flags.writeable
+    assert np.array_equal(V, np.vander(it.nodes, 4, increasing=True))
+
+
 def test_interpolate_unit_projection():
     q = lambda y: 2.0 * y**2 - y + 0.25
     c = interpolate_unit(q, Interpolator(2))

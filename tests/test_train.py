@@ -18,7 +18,7 @@ from ttfun.encoders import (
     hat_mother,
     random_fixed_knot_spline,
 )
-from ttfun.grids import DomainError, Grid
+from ttfun.grids import DomainError, Grid, encode_points
 from ttfun.train import (
     MismatchError,
     TensorTrain,
@@ -380,3 +380,102 @@ def test_dense_svd_and_rounding_share_one_truncation_rule(b, d, m, c):
         assert dense.bond_dims == tt_round(exact, tol).bond_dims, tol
     with pytest.raises(DomainError):
         train_from_leaf_coefficients(C, Grid(b, d), basis, -1e-3)
+
+
+def _mask_sweep(tt, x):
+    """Reference evaluation: the per-core, per-digit mask sweep over the
+    (n, d) digit matrix of encode_points."""
+    digits, y = encode_points(x, tt.grid)
+    v = np.ones((x.size, 1))
+    for nu, core in enumerate(tt.cores):
+        out = np.empty((x.size, core.shape[2]))
+        for s in range(tt.base):
+            sel = digits[:, nu] == s
+            if np.any(sel):
+                out[sel] = v[sel] @ core[s]
+        v = out
+    return np.einsum("nr,rq,nq->n", v, tt.leaf, tt.basis.eval(y))
+
+
+_SWEEP_DEPTH = {2: 30, 3: 12, 5: 8, 7: 7}
+
+
+@pytest.mark.parametrize("b", [2, 3, 5, 7])
+def test_evaluate_matches_mask_sweep_over_encode_points_digits(b):
+    rng = np.random.default_rng(b)
+    d = _SWEEP_DEPTH[b]
+    grid = Grid(b, d)
+    poly = encode_polynomial(rng.standard_normal(6), grid)
+    cores = [rng.standard_normal((b, 1 if nu == 0 else 4, 4)) / 2 for nu in range(d)]
+    rand = TensorTrain(grid, cores, rng.standard_normal((4, 3)), PolyBasis(2))
+    bitwise = 0
+    for n in (0, 1, 2, 7, 4097, 8191, 8192, 8193):
+        j = rng.integers(1, d + 1, size=n)
+        k = np.floor(rng.random(n) * np.power(float(b), j))
+        on_grid = k / np.power(float(b), j)  # b-adic points, where ties resolve downward
+        for x in (rng.random(n), on_grid):
+            digits, _ = encode_points(x, grid)
+            one_row = any(1 in np.bincount(digits[:, nu], minlength=b) for nu in range(d))
+            for tt in (poly, rand):
+                got, want = evaluate(tt, x), _mask_sweep(tt, x)
+                if not one_row:
+                    assert np.array_equal(got, want), (n, tt.bond_dims)
+                    bitwise += 1
+                else:
+                    # a one-row digit group took the BLAS vector kernel in the
+                    # reference, where the sweep multiplies the whole chunk
+                    scale = np.abs(want).max()
+                    assert np.abs(got - want).max() <= 1e-14 * scale, (n, tt.bond_dims)
+    assert bitwise >= 16
+
+
+def test_evaluate_allocates_o_chunk_memory():
+    tt = encode_polynomial(np.arange(1.0, 7.0), Grid(2, 30))
+    x = np.random.default_rng(7).random(200_000)
+    tracemalloc.start()
+    try:
+        vals = evaluate(tt, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * vals.nbytes, (peak, vals.nbytes)
+
+
+def test_evaluate_edge_shapes():
+    tt = encode_polynomial([1.0, -2.0, 3.0], Grid(3, 5))
+    x = np.random.default_rng(3).random((4, 5))
+    assert evaluate(tt, np.array([])).shape == (0,)
+    assert evaluate(tt, np.empty((0, 3))).shape == (0, 3)
+    s = evaluate(tt, np.float64(x[1, 2]))
+    assert type(s) is float and s == evaluate(tt, x[1, 2:3])[0]
+    two_d = evaluate(tt, x)
+    assert two_d.shape == x.shape
+    assert np.array_equal(two_d, evaluate(tt, x.ravel()).reshape(x.shape))
+
+
+def test_evaluate_depth_zero_train():
+    basis = PolyBasis(3)
+    leaf = np.array([[0.5, -1.0, 0.25, 2.0]])
+    tt = TensorTrain(Grid(5, 0), [], leaf, basis)
+    x = QUASI
+    assert np.abs(evaluate(tt, x) - basis.eval(x) @ leaf[0]).max() < 1e-14
+    assert evaluate(tt, 0.0) == pytest.approx(leaf[0] @ basis.eval(0.0))
+
+
+def test_evaluate_leaves_read_only_input_untouched():
+    tt = encode_polynomial([0.0, 0.0, 1.0], Grid(2, 12))
+    x = np.random.default_rng(5).random(20_000)
+    x.setflags(write=False)
+    before = x.copy()
+    vals = evaluate(tt, x)
+    assert np.array_equal(x, before)
+    assert np.abs(vals - x**2).max() < 1e-14
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.0, -0.5])
+def test_evaluate_names_a_bad_point_past_the_first_chunk(bad):
+    tt = encode_polynomial([0.0, 1.0], Grid(2, 8))
+    x = np.random.default_rng(9).random(20_000)
+    x[17_000] = bad
+    with pytest.raises(DomainError, match=f"point {bad} outside"):
+        evaluate(tt, x)
