@@ -21,9 +21,19 @@ import numpy as np
 from .complexity import complexity
 from .encoders import (
     PiecewisePolynomial,
+    WaveletSpec,
+    _affine_recoeff,
+    _pad,
+    encode_dilated,
     encode_fixed_knot_spline,
     encode_free_knot_spline,
+    encode_polynomial,
     encode_sawtooth,
+    haar_mother,
+    hat_mother,
+    n_term_wavelet,
+    random_fixed_knot_spline,
+    random_free_knot_spline,
     sawtooth_function,
 )
 from .grids import DomainError, Grid, lp_norm_from_leaves
@@ -167,8 +177,6 @@ def leaf_lp_norms(s: PiecewisePolynomial, grid: Grid, p: float) -> np.ndarray:
     """Per-leaf L^p norms of the rescaled restrictions of s."""
     if grid.depth < s.max_level:
         raise DomainError("grid depth below the finest knot level")
-    from .encoders import _affine_recoeff, _pad
-
     bp = s.breakpoints()
     w = grid.leaf_width
     out = np.empty(grid.leaf_count)
@@ -204,6 +212,11 @@ def _local_fit_and_error(f, i: int, level: int, base: int, interp, p, quad_order
         )
         err = float((w * np.sum(ws * resid**p)) ** (1.0 / p))
     return coeffs, err
+
+
+def _aggregate_local_errors(errs, p):
+    errs = np.asarray(errs, dtype=float)
+    return float(errs.max()) if math.isinf(p) else float(np.sum(errs**p) ** (1.0 / p))
 
 
 def greedy_badic_knots(
@@ -252,10 +265,8 @@ def greedy_badic_knots(
     pp = PiecewisePolynomial(base, tuple(knots), tuple(c for *_1, c in pieces))
     if not with_info:
         return pp
-    errs = np.array([e for e, *_ in pieces])
-    total = errs.max() if math.isinf(p) else (np.sum(errs**p)) ** (1.0 / p)
     info = {
-        "error": float(total),
+        "error": _aggregate_local_errors([e for e, *_ in pieces], p),
         "pieces": len(pieces),
         "max_level": pp.max_level,
         "depth_exhausted": bool(any(lv >= max_depth for _, _i, lv, _c in pieces)),
@@ -356,32 +367,26 @@ def study_analytic(cfg: StudyConfig):
     b, m = cfg.b, cfg.m
     records = []
     for n in cfg.schedule or _ANALYTIC_SCHEDULE:
-        t0 = time.perf_counter()
-        d_c = math.floor(n ** (1.0 / 3.0) / b - (m + 1) * n ** (-2.0 / 3.0))
-        mbar_c = math.floor(n ** (1.0 / 3.0) - 1.0)
-        if d_c >= 2 and mbar_c >= max(m, 1):
-            a = chebyshev_truncate(f, mbar_c)
-            tt = polynomial_interpolant_train(a, Grid(b, d_c), m, input_basis="chebyshev")
+        # (depth, truncation degree, cost kinds) of the cost_C and cost_N tracks
+        tracks = (
+            (
+                math.floor(n ** (1.0 / 3.0) / b - (m + 1) * n ** (-2.0 / 3.0)),
+                math.floor(n ** (1.0 / 3.0) - 1.0),
+                ("C", "S"),
+            ),
+            (math.floor(math.sqrt(n)), math.floor(math.sqrt(n) - 1.0), ("N",)),
+        )
+        for d, mbar, kinds in tracks:
+            if d < 2 or mbar < max(m, 1):
+                continue
+            t0 = time.perf_counter()
+            a = chebyshev_truncate(f, mbar)
+            tt = polynomial_interpolant_train(a, Grid(b, d), m, input_basis="chebyshev")
             err = _sup_error_sampled(f, tt)
             rep = complexity(tt)
             dt = time.perf_counter() - t0
-            records += _cost_rows("analytic", cfg, rep, d_c, m, err, dt, kinds=("C", "S"))
-        t0 = time.perf_counter()
-        d_n = math.floor(math.sqrt(n))
-        mbar_n = math.floor(math.sqrt(n) - 1.0)
-        if d_n >= 2 and mbar_n >= max(m, 1):
-            a = chebyshev_truncate(f, mbar_n)
-            tt = polynomial_interpolant_train(a, Grid(b, d_n), m, input_basis="chebyshev")
-            err = _sup_error_sampled(f, tt)
-            rep = complexity(tt)
-            dt = time.perf_counter() - t0
-            records += _cost_rows("analytic", cfg, rep, d_n, m, err, dt, kinds=("N",))
+            records += _cost_rows("analytic", cfg, rep, d, m, err, dt, kinds=kinds)
     return records
-
-
-def _aggregate_local_errors(errs, p):
-    errs = np.asarray(errs, dtype=float)
-    return float(errs.max()) if math.isinf(p) else float(np.sum(errs**p) ** (1.0 / p))
 
 
 def study_adaptive(cfg: StudyConfig):
@@ -495,18 +500,6 @@ def encoder_catalog():
     degrees up to 4. Polynomial instances sit at combinations where the
     unfolding spectra are resolvable at both tolerances.
     """
-    from .encoders import (
-        WaveletSpec,
-        encode_dilated,
-        encode_fixed_knot_spline,
-        encode_polynomial,
-        haar_mother,
-        hat_mother,
-        random_fixed_knot_spline,
-        random_free_knot_spline,
-        n_term_wavelet,
-    )
-
     out = []
 
     def poly_fn(c):

@@ -7,17 +7,23 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import analysis, train
 from .complexity import audit_bounds, complexity, default_audit_sweep
 from .encoders import (
     KnotError,
     PiecewisePolynomial,
+    WaveletSpec,
+    encode_dilated,
     encode_free_knot_spline,
+    encode_polynomial,
     encode_sawtooth,
     haar_mother,
     hat_mother,
 )
 from .grids import DomainError, Grid
+from .targets import get_target
 from .train import ranks, tt_round
 
 EXIT_PARSE = 2
@@ -39,12 +45,8 @@ def _load_train_spec(args) -> train.TensorTrain:
     spec = args.spec
     b, d = args.base, args.depth
     if spec == "haar":
-        from .encoders import WaveletSpec, encode_dilated
-
         return encode_dilated(WaveletSpec(haar_mother(degree=args.degree), 0, 0), d or 1)
     if spec == "hat":
-        from .encoders import WaveletSpec, encode_dilated
-
         return encode_dilated(WaveletSpec(hat_mother(degree=max(args.degree, 1)), 0, 0), d or 1)
     if spec == "sawtooth":
         return encode_sawtooth(Grid(2, d or 4), max(args.degree, 1))
@@ -53,8 +55,6 @@ def _load_train_spec(args) -> train.TensorTrain:
             coeffs = [float(t) for t in spec[5:].split(",")]
         except ValueError as exc:
             _fail(f"bad polynomial coefficients: {exc}", EXIT_PARSE)
-        from .encoders import encode_polynomial
-
         return encode_polynomial(coeffs, Grid(b, d if d is not None else 4))
     try:
         with open(spec) as fh:
@@ -75,12 +75,13 @@ def _load_train_spec(args) -> train.TensorTrain:
 
 
 def cmd_encode(args):
-    tt = _load_train_spec(args)
-    doc = train.to_json_dict(tt)
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh)
-    rk = ranks(tt)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        tt = _load_train_spec(args)
+    if not all(np.all(np.isfinite(a)) for a in (*tt.cores, tt.leaf)):
+        _fail("the encoded train has a non-finite entry", EXIT_PARSE)
+    rk = ranks(tt)  # DomainError if the train overflows in the sweep
     rep = complexity(tt)
+    train.dump_json(tt, args.out)
     print(f"wrote {args.out}")
     print(f"ranks: {list(rk.ranks)}")
     print(
@@ -179,8 +180,6 @@ def cmd_study(args):
         params=params,
     )
     try:
-        from .targets import get_target
-
         get_target(cfg.target)
     except DomainError as exc:
         _fail(str(exc), EXIT_UNKNOWN)

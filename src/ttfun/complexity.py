@@ -24,6 +24,7 @@ from .encoders import (
     random_fixed_knot_spline,
     random_free_knot_spline,
 )
+from .interpolation import polynomial_interpolant_train, reinterpolate
 
 
 @dataclass(frozen=True)
@@ -116,8 +117,6 @@ def audit_bounds(instance: str, **params):
         mbar = params.setdefault("mbar", 3)
         m = params.setdefault("m", 1)
         coeffs = rng.standard_normal(mbar + 1)
-        from .interpolation import polynomial_interpolant_train
-
         tt = polynomial_interpolant_train(coeffs, Grid(b, d), m)
         rep = complexity(tt)
         return [
@@ -213,8 +212,6 @@ def audit_bounds(instance: str, **params):
         return out
 
     if instance == "fixed_knot_interpolant":
-        from .interpolation import reinterpolate
-
         b = params.setdefault("b", 2)
         d = params.setdefault("d", 4)
         mbar = params.setdefault("mbar", 0)
@@ -259,8 +256,6 @@ def audit_bounds(instance: str, **params):
         return out
 
     if instance == "free_knot_interpolant":
-        from .interpolation import reinterpolate
-
         b = params.setdefault("b", 2)
         n_pieces = params.setdefault("N", 3)
         mbar = params.setdefault("mbar", 2)

@@ -6,13 +6,19 @@ dilated/shifted mother functions (Haar, hat, anything representable), and
 the self-similar rank-2 sawtooth family.
 
 Polynomial chains propagate the coefficient vector of the polynomial on
-the running prefix interval. Every chain is a first-level core followed by
-train.deepen, which appends the one dilation operator of its basis:
-the exact binomial table C(q,r) i^(q-r) b^-q in monomial coordinates, a
-per-child Chebyshev-node fit in the shifted Chebyshev and Legendre bases.
-Inputs and leaves in an orthogonal basis stay stable at any degree;
-interpolation.reinterpolate runs its chain in monomial coordinates, which
-are stable only to moderate degree.
+the running prefix interval. train.deepen appends them: it applies the one
+dilation operator of the basis, the exact binomial table
+C(q,r) i^(q-r) b^-q in monomial coordinates, a per-child Chebyshev-node
+fit in the shifted Chebyshev and Legendre bases. A monomial chain is
+deepen of a depth-0 train; a Chebyshev-input chain starts with a direct
+fit on each child of [0, 1). Inputs and leaves in an orthogonal basis stay
+stable at any degree; interpolation.reinterpolate runs its chain in
+monomial coordinates, which are stable only to moderate degree.
+
+One construction localizes a polynomial to a b-adic cell: encode_dilated,
+delta cores selecting the cell's digits above a deepened mother. n-term
+wavelet sums use it, and so does the free-knot spline, whose every cover
+cell is a dilated depth-0 monomial train; both are block sums of cells.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
-from numpy.polynomial.polynomial import Polynomial
 
 from .basis import PolyBasis
 from .grids import DomainError, Grid, encode_points, flat_to_digits
@@ -32,7 +37,6 @@ from .train import (
     TensorTrain,
     block_sum,
     deepen,
-    dilation_cores,
     fit_coefficients,
     scale,
     train_from_leaf_coefficients,
@@ -93,8 +97,10 @@ class PiecewisePolynomial:
         knots = tuple(_normalize_knot(int(i), int(lv), self.base) for i, lv in self.knots)
         object.__setattr__(self, "knots", knots)
         pieces = []
-        for p in self.pieces:
+        for k, p in enumerate(self.pieces):
             arr = np.ascontiguousarray(p, dtype=float).ravel()
+            if not np.all(np.isfinite(arr)):
+                raise DomainError(f"piece {k} has a non-finite coefficient")
             arr.setflags(write=False)
             pieces.append(arr)
         object.__setattr__(self, "pieces", tuple(pieces))
@@ -103,8 +109,6 @@ class PiecewisePolynomial:
                 f"{len(knots)} interior knots require {len(knots) + 1} pieces, "
                 f"got {len(self.pieces)}"
             )
-        if not self.pieces:
-            raise DomainError("at least one piece is required")
         vals = [Fraction(i, self.base**lv) for i, lv in knots]
         for v, (i, lv) in zip(vals, knots):
             if not 0 < v < 1:
@@ -178,33 +182,8 @@ class PiecewisePolynomial:
 
 
 # ---------------------------------------------------------------------------
-# polynomial chains
+# global polynomials
 # ---------------------------------------------------------------------------
-
-
-def _polynomial_chain(coeffs: np.ndarray, chain_basis: PolyBasis, grid: Grid) -> TensorTrain:
-    """Train for the polynomial with coefficients coeffs in chain_basis
-    (monomial or shifted Chebyshev).
-
-    The first core holds the polynomial on each child of [0, 1): the
-    binomial dilation of the coefficients in monomial coordinates, a direct
-    Chebyshev fit on the child otherwise; deepen appends the rest. The leaf
-    is the identity in chain_basis coordinates (the coefficient row itself
-    at depth 0), ready to be composed with a leaf map.
-    """
-    if grid.depth == 0:
-        return TensorTrain(grid, [], coeffs[None, :], chain_basis)
-    b = grid.base
-    if chain_basis.kind == "monomial":
-        D = dilation_cores(chain_basis, b)
-        first = np.stack([coeffs @ D[i] for i in range(b)])
-    else:
-        def f(x):
-            return _cheb.chebval(2.0 * np.asarray(x) - 1.0, coeffs)
-
-        first = np.stack([fit_coefficients(f, chain_basis, i / b, (i + 1) / b) for i in range(b)])
-    top = TensorTrain(Grid(b, 1), [first[:, None, :]], np.eye(chain_basis.dim), chain_basis)
-    return deepen(top, grid.depth - 1)
 
 
 def encode_polynomial(
@@ -218,12 +197,16 @@ def encode_polynomial(
 
     coeffs are the coefficients of the polynomial on [0, 1), either in the
     monomial basis or in the shifted Chebyshev basis (input_basis). The
-    chain runs in input coordinates; the leaf maps them to the leaf basis.
+    chain runs in input coordinates: deepen of the depth-0 train in
+    monomial coordinates, a Chebyshev fit on each child of [0, 1) followed
+    by deepen otherwise. The leaf maps them to the leaf basis.
     """
     coeffs = np.asarray(coeffs, dtype=float).ravel()
     degree = coeffs.size - 1
     if degree < 0:
         raise DomainError("empty coefficient vector")
+    if not np.all(np.isfinite(coeffs)):
+        raise DomainError("non-finite polynomial coefficient")
     if input_basis not in ("monomial", "chebyshev"):
         raise DomainError(f"unknown input basis {input_basis!r}")
     source = PolyBasis(degree, input_basis)
@@ -234,7 +217,16 @@ def encode_polynomial(
         local_to_leaf = source.to_monomial()
     else:
         local_to_leaf = fit_coefficients(source.eval, leaf_basis).T
-    chain = _polynomial_chain(coeffs, source, grid)
+    b = grid.base
+    if input_basis == "monomial" or grid.depth == 0:
+        chain = deepen(TensorTrain(Grid(b, 0), [], coeffs[None, :], source), grid.depth)
+    else:
+        def f(x):
+            return _cheb.chebval(2.0 * np.asarray(x) - 1.0, coeffs)
+
+        first = np.stack([fit_coefficients(f, source, i / b, (i + 1) / b) for i in range(b)])
+        top = TensorTrain(Grid(b, 1), [first[:, None, :]], np.eye(degree + 1), source)
+        chain = deepen(top, grid.depth - 1)
     return TensorTrain(grid, chain.cores, chain.leaf @ local_to_leaf, leaf_basis)
 
 
@@ -307,8 +299,13 @@ def badic_cover(start: Fraction, end: Fraction, base: int, depth: int):
 
 
 def _affine_recoeff(coeffs: np.ndarray, shift: float, scale_: float) -> np.ndarray:
-    """Coefficients of p(shift + scale * t) from those of p(t)."""
-    return Polynomial(coeffs)(Polynomial([shift, scale_])).coef
+    """Coefficients of p(shift + scale * t) from those of p(t), same length:
+    Horner's rule with coefficient arrays in place of numbers."""
+    out = np.array(coeffs[-1:], dtype=float)
+    for c in coeffs[-2::-1]:
+        out = np.convolve(out, [shift, scale_])
+        out[0] += c
+    return out
 
 
 def encode_free_knot_spline(
@@ -319,55 +316,33 @@ def encode_free_knot_spline(
 ) -> TensorTrain:
     """Exact sparse train for a free b-adic-knot spline.
 
-    Every piece is covered by at most 2d(b-1) aligned b-adic intervals;
-    each localized piece tensorizes as delta cores over the interval's
-    digits followed by a polynomial chain, and the pieces are summed
-    block-diagonally. The result is returned unrounded (its nonzero count
-    is the sparse-complexity witness); round it to expose minimal ranks.
+    Every piece is covered by at most 2d(b-1) aligned b-adic cells
+    (badic_cover). On each cell the piece is a polynomial in the cell's
+    local coordinate: a depth-0 monomial train, dilated onto the cell by
+    encode_dilated. The cells are summed block-diagonally and the summed
+    leaf is mapped to the leaf basis once. The result is returned
+    unrounded (its nonzero count is the sparse-complexity witness); round
+    it to expose minimal ranks.
     """
     b = s.base
     d = s.max_level if depth is None else depth
     if d < s.max_level:
         raise DomainError(f"depth {d} below finest knot level {s.max_level}")
-    m = s.degree
-    basis = PolyBasis(m, basis_kind)
-    grid = Grid(b, d)
-    bps = [Fraction(0)] + [Fraction(i, b**lv) for i, lv in s.knots] + [Fraction(1)]
+    mono = PolyBasis(s.degree, "monomial")
+    n = b**d
+    edges = [0] + [i * b ** (d - lv) for i, lv in s.knots] + [n]  # in units of b^-d
     terms = []
-    for k, coeffs in enumerate(s.pieces):
-        lo, hi = bps[k], bps[k + 1]
-        w = hi - lo
-        for j, level in badic_cover(lo, hi, b, d):
-            sub_lo = Fraction(j, b**level)
-            sub_w = Fraction(1, b**level)
-            local = _affine_recoeff(
-                _pad(coeffs, m + 1), float((sub_lo - lo) / w), float(sub_w / w)
-            )
-            terms.append(_localized_polynomial_train(local, j, level, grid, basis))
-    return block_sum(terms)
-
-
-def _localized_polynomial_train(
-    mono_coeffs: np.ndarray, j: int, level: int, grid: Grid, basis: PolyBasis
-) -> TensorTrain:
-    """Train for a polynomial supported on [j b^-level, (j+1) b^-level):
-    delta cores selecting the interval, then the monomial chain below it."""
-    b = grid.base
-    mono = PolyBasis(basis.degree, "monomial")
-    chain = _polynomial_chain(_pad(mono_coeffs, basis.dim), mono, Grid(b, grid.depth - level))
-    cores = _cell_selector(j, level, b) + list(chain.cores)
-    return TensorTrain(grid, cores, chain.leaf @ basis.from_monomial(), basis)
-
-
-def _cell_selector(j: int, level: int, base: int) -> list:
-    """Delta cores (b, 1, 1) selecting the digits of the b-adic cell
-    [j b^-level, (j+1) b^-level); empty at level 0."""
-    cores = []
-    for dig in flat_to_digits(j, Grid(base, level)):
-        c = np.zeros((base, 1, 1))
-        c[dig, 0, 0] = 1.0
-        cores.append(c)
-    return cores
+    for coeffs, lo, hi in zip(s.pieces, edges, edges[1:]):
+        coeffs = _pad(coeffs, mono.dim)
+        for j, level in badic_cover(Fraction(lo, n), Fraction(hi, n), b, d):
+            w = b ** (d - level)
+            # int true division rounds correctly: the exact shift and scale
+            local = _affine_recoeff(coeffs, (j * w - lo) / (hi - lo), w / (hi - lo))
+            cell = TensorTrain(Grid(b, 0), [], local[None, :], mono)
+            terms.append(encode_dilated(WaveletSpec(cell, level, j, math.inf), d))
+    total = block_sum(terms)
+    basis = PolyBasis(s.degree, basis_kind)
+    return TensorTrain(total.grid, total.cores, total.leaf @ basis.from_monomial(), basis)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +406,11 @@ def encode_dilated(spec: WaveletSpec, target_depth: int | None = None) -> Tensor
     factor = 1.0 if math.isinf(spec.p) else float(b) ** (spec.level / spec.p)
     if spec.level == 0:
         return scale(body, factor) if factor != 1.0 else body
-    cores = _cell_selector(spec.shift, spec.level, b)
+    cores = []
+    for dig in flat_to_digits(spec.shift, Grid(b, spec.level)):
+        c = np.zeros((b, 1, 1))
+        c[dig, 0, 0] = 1.0
+        cores.append(c)
     cores[0] *= factor
     return TensorTrain(Grid(b, target_depth), cores + list(body.cores), body.leaf, body.basis)
 

@@ -220,15 +220,25 @@ def _lq(M: np.ndarray):
 # core, so trains hand over their read-only cores without copying them.
 
 
+def _finite(a: np.ndarray) -> np.ndarray:
+    """a itself; DomainError if a sweep met a non-finite entry or overflowed
+    (LAPACK would otherwise fail or return a silently wrong spectrum)."""
+    if not np.all(np.isfinite(a)):
+        raise DomainError("train has a non-finite entry or overflows float64")
+    return a
+
+
 def _right_orthogonalize_arrays(cores, leaf):
-    """Row-orthonormalize the leaf and cores 2..d; weight collects in core 1."""
-    carry, leaf = _lq(leaf)
-    for nu in range(len(cores) - 1, 0, -1):
-        c = cores[nu] @ carry
-        b, r1, r2 = c.shape
-        carry, Q = _lq(c.transpose(1, 0, 2).reshape(r1, b * r2))
-        cores[nu] = Q.reshape(Q.shape[0], b, r2).transpose(1, 0, 2)
-    cores[0] = cores[0] @ carry
+    """Row-orthonormalize the leaf and cores 2..d; weight collects in core 1,
+    and so does a non-finite entry or an overflow anywhere."""
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite reports them
+        carry, leaf = _lq(leaf)
+        for nu in range(len(cores) - 1, 0, -1):
+            c = cores[nu] @ carry
+            b, r1, r2 = c.shape
+            carry, Q = _lq(c.transpose(1, 0, 2).reshape(r1, b * r2))
+            cores[nu] = Q.reshape(Q.shape[0], b, r2).transpose(1, 0, 2)
+        cores[0] = _finite(cores[0] @ carry)
     return cores, leaf
 
 
@@ -264,7 +274,7 @@ def _svd_sweep(tt: TensorTrain, tol=None):
     the full spectrum of every level. Requires depth >= 1.
     """
     gram_L = tt.basis.gram_cholesky()
-    cores, leaf = _right_orthogonalize_arrays(list(tt.cores), tt.leaf @ gram_L)
+    cores, leaf = _right_orthogonalize_arrays(list(tt.cores), _finite(tt.leaf) @ gram_L)
     budget = None if tol is None else tol * np.linalg.norm(cores[0]) / math.sqrt(tt.depth)
     spectra = []
     carry = np.ones((1, 1))
@@ -277,7 +287,7 @@ def _svd_sweep(tt: TensorTrain, tol=None):
         keep = _kept_rank(S, budget)
         cores[nu] = U[:, :keep].reshape(r1, b, keep).transpose(1, 0, 2)
         carry = S[:keep, None] * Vt[:keep]
-        spectra.append(S)
+        spectra.append(_finite(S))
     return cores, carry @ leaf, spectra
 
 
@@ -303,7 +313,7 @@ def orthogonalize(tt: TensorTrain, direction: str = "right") -> TensorTrain:
 
 def norm_l2(tt: TensorTrain) -> float:
     """Exact L2([0,1)) norm of the represented function."""
-    weighted = tt.leaf @ tt.basis.gram_cholesky()
+    weighted = _finite(tt.leaf) @ tt.basis.gram_cholesky()
     if tt.depth == 0:
         return float(np.linalg.norm(weighted))
     # a QR-only right sweep: the norm collects in core 1, no SVD needed
@@ -401,8 +411,10 @@ def deepen(tt: TensorTrain, extra: int) -> TensorTrain:
 
     Works because the polynomial leaf space is closed under b-adic
     dilation: each appended core dilates leaf coefficients onto the b
-    children of a leaf. This is the only place that appends dilation cores;
-    every polynomial chain is a first-level core followed by deepen.
+    children of a leaf. This is the only place that appends dilation cores.
+    On a depth-0 train (a single polynomial) it builds the whole chain:
+    encode_polynomial's monomial chain, and below its cell, every piece of
+    a free-knot spline.
     """
     if extra < 0:
         raise DomainError(f"extra must be >= 0, got {extra}")

@@ -105,6 +105,32 @@ def test_encode_spline_json(tmp_path, capsys):
     assert max(ranks) <= 5
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        pytest.param({"knots": [], "pieces": [[0.0, float("nan")]]}, id="nan_piece"),
+        pytest.param({"knots": [[1, 1]], "pieces": [[1.0], [float("inf")]]}, id="inf_piece"),
+        # finite entries, but the train overflows in the rank sweep
+        pytest.param({"knots": [[1, 1]], "pieces": [[1e308, 1e308]] * 2}, id="overflow_sweep"),
+        # the leaf-basis map overflows: the encoded train holds an inf
+        pytest.param({"knots": [[1, 1]], "pieces": [[1e308] * 3] * 2}, id="overflow_leaf"),
+        "poly:nan,1",
+        "poly:inf",
+        "poly:1e308,1e308",
+    ],
+)
+def test_encode_non_finite_exits_2_without_output(tmp_path, capsys, spec):
+    if isinstance(spec, dict):
+        path = tmp_path / "spline.json"
+        path.write_text(json.dumps({"base": 2, **spec}))
+        spec = str(path)
+    out = tmp_path / "o.json"
+    code, stdout, err = run(capsys, "encode", spec, "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error:")
+    assert not out.exists()
+
+
 def test_encode_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -4,12 +4,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import Polynomial
 
+from ttfun.basis import PolyBasis
+from ttfun.complexity import complexity
 from ttfun.encoders import (
     KnotError,
     MixedBaseError,
     PiecewisePolynomial,
     WaveletSpec,
+    _affine_recoeff,
     badic_cover,
     badic_from_float,
     encode_dilated,
@@ -25,9 +29,20 @@ from ttfun.encoders import (
     sawtooth_function,
     spline_space_basis,
 )
-from ttfun.grids import DomainError, Grid
-from ttfun.train import add, dot_l2, evaluate, norm_l2, ranks, scale, tt_round
-from ttfun.analysis import rank_span_oracle
+from ttfun.grids import DomainError, Grid, flat_to_digits
+from ttfun.train import (
+    TensorTrain,
+    add,
+    block_sum,
+    dilation_cores,
+    dot_l2,
+    evaluate,
+    norm_l2,
+    ranks,
+    scale,
+    tt_round,
+)
+from ttfun.analysis import greedy_badic_knots, rank_span_oracle
 
 QUASI = np.mod(0.5 + np.arange(1, 1001) * 0.6180339887498949, 1.0)
 
@@ -51,6 +66,14 @@ def test_knot_normalization_and_validation():
         PiecewisePolynomial(2, ((1, 1), (1, 1)), ([1.0], [2.0], [3.0]))
     with pytest.raises(DomainError):
         PiecewisePolynomial(2, ((1, 1),), ([1.0],))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coefficients_rejected(bad):
+    with pytest.raises(DomainError, match="non-finite"):
+        PiecewisePolynomial(2, ((1, 1),), ([1.0], [0.5, bad]))
+    with pytest.raises(DomainError, match="non-finite"):
+        encode_polynomial([bad, 1.0], Grid(2, 3))
 
 
 def test_json_round_trip():
@@ -238,6 +261,80 @@ def test_free_knot_exactness_and_ranks():
     rk = ranks(tt_round(tt, 1e-12))
     for nu, r in enumerate(rk.ranks, start=1):
         assert r <= min(2**nu, 3 * 2 ** (d - nu), 2 + 3)
+
+
+def _reference_free_knot(s, depth=None, basis_kind="legendre"):
+    """Reference construction, cell by cell: Fraction cell bounds, the
+    piece composed with the cell's affine map by the Polynomial class, delta
+    cores selecting the cell, the monomial binomial chain below it, each
+    leaf mapped to the leaf basis, and one block_sum over the cells."""
+    b, m = s.base, s.degree
+    d = s.max_level if depth is None else depth
+    basis = PolyBasis(m, basis_kind)
+    D = dilation_cores(PolyBasis(m, "monomial"), b)
+    bps = [Fraction(0)] + [Fraction(i, b**lv) for i, lv in s.knots] + [Fraction(1)]
+    terms = []
+    for k, coeffs in enumerate(s.pieces):
+        lo, hi = bps[k], bps[k + 1]
+        for j, level in badic_cover(lo, hi, b, d):
+            cell = Polynomial([float((Fraction(j, b**level) - lo) / (hi - lo)),
+                               float(Fraction(1, b**level) / (hi - lo))])
+            local = np.zeros(m + 1)
+            composed = Polynomial(np.pad(coeffs, (0, m + 1 - coeffs.size)))(cell).coef
+            local[: composed.size] = composed
+            cores = []
+            for dig in flat_to_digits(j, Grid(b, level)):
+                c = np.zeros((b, 1, 1))
+                c[dig, 0, 0] = 1.0
+                cores.append(c)
+            if level < d:
+                cores.append(np.stack([local @ D[i] for i in range(b)])[:, None, :])
+                cores += [D] * (d - level - 1)
+                leaf = np.eye(m + 1)
+            else:
+                leaf = local[None, :]
+            terms.append(TensorTrain(Grid(b, d), cores, leaf @ basis.from_monomial(), basis))
+    return block_sum(terms)
+
+
+def _free_knot_cases():
+    cases = []
+    for alpha, b, m in ((0.6, 2, 1), (0.695, 2, 2), (0.5, 3, 2)):
+        for n_pieces in (9, 27, 64):
+            f = lambda x, a=alpha: np.asarray(x, dtype=float) ** a
+            cases.append((greedy_badic_knots(f, n_pieces, m, 2.0, base=b), None))
+    rng = np.random.default_rng(11)
+    for k in range(30):
+        b, m = (2, 3)[k % 2], k % 4
+        cases.append((random_free_knot_spline(rng, b, 1 + k % 5, m, 3 + k % 3), None))
+    cases.append((PiecewisePolynomial(3, (), ([0.5, -1.0, 2.0],)), 3))  # knot-free
+    s = random_free_knot_spline(rng, 2, 4, 2, 3)
+    cases.append((s, s.max_level + 2))  # depth above the finest knot level
+    return cases
+
+
+def test_free_knot_matches_cell_by_cell_reference():
+    for s, depth in _free_knot_cases():
+        tt = encode_free_knot_spline(s, depth=depth)
+        ref = _reference_free_knot(s, depth)
+        assert tt.bond_dims == ref.bond_dims
+        a, r = complexity(tt), complexity(ref)
+        assert (a.cost_n, a.cost_c, a.cost_s) == (r.cost_n, r.cost_c, r.cost_s)
+        for x, y in zip((*tt.cores, tt.leaf), (*ref.cores, ref.leaf)):
+            assert np.abs(x - y).max() <= 1e-15 * np.abs(y).max()
+        want = evaluate(ref, QUASI)
+        assert np.abs(evaluate(tt, QUASI) - want).max() <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("degree", range(9))
+def test_affine_recoeff_is_polynomial_composition(degree):
+    rng = np.random.default_rng(degree)
+    c = rng.standard_normal(degree + 1)
+    for shift, h in ((0.0, 1.0), (0.0, 0.25), (0.375, 1.0), (rng.random(), rng.random())):
+        want = Polynomial(c)(Polynomial([shift, h])).coef
+        got = _affine_recoeff(c, shift, h)
+        assert got.size == degree + 1
+        assert np.array_equal(got, np.pad(want, (0, degree + 1 - want.size)))
 
 
 def test_free_knot_reports_offending_knot():

@@ -479,3 +479,18 @@ def test_evaluate_names_a_bad_point_past_the_first_chunk(bad):
     x[17_000] = bad
     with pytest.raises(DomainError, match=f"point {bad} outside"):
         evaluate(tt, x)
+
+
+@pytest.mark.parametrize("where", ["core", "leaf", "overflow"])
+def test_sweeps_reject_non_finite_trains(where):
+    # "overflow": finite entries, but f = 1e308 (1 + x) exceeds the float range
+    tt = encode_polynomial([1e308, 1e308] if where == "overflow" else [1.0, 2.0], Grid(2, 3))
+    cores, leaf = [c.copy() for c in tt.cores], tt.leaf.copy()
+    if where == "core":
+        cores[1][0, 0, 0] = np.nan
+    elif where == "leaf":
+        leaf[0, 0] = np.inf
+    bad = TensorTrain(tt.grid, cores, leaf, tt.basis)
+    for sweep in (ranks, norm_l2, singular_values, orthogonalize, lambda t: tt_round(t, 0.0)):
+        with pytest.raises(DomainError, match="non-finite entry or overflows"):
+            sweep(bad)
