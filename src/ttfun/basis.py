@@ -39,23 +39,34 @@ class PolyBasis:
     def eval(self, y) -> np.ndarray:
         """Basis values at points y: array of shape y.shape + (m+1,)."""
         y = np.asarray(y, dtype=float)
+        if y.ndim == 0:  # one point: the recurrence in Python floats
+            return np.array(list(self._recurrence(y.item())))
         out = np.empty(y.shape + (self.dim,))
-        if self.kind == "monomial":
-            out[..., 0] = 1.0
-            for k in range(1, self.dim):
-                out[..., k] = out[..., k - 1] * y
-            return out
-        t = 2.0 * y - 1.0
-        out[..., 0] = 1.0
-        if self.dim > 1:
-            out[..., 1] = t
-        if self.kind == "chebyshev":
-            for k in range(2, self.dim):
-                out[..., k] = 2.0 * t * out[..., k - 1] - out[..., k - 2]
-        else:
-            for k in range(2, self.dim):
-                out[..., k] = ((2 * k - 1) * t * out[..., k - 1] - (k - 1) * out[..., k - 2]) / k
+        for k, values in enumerate(self._recurrence(y)):
+            out[..., k] = values
         return out
+
+    def _recurrence(self, y):
+        """Yield basis functions 0..m at y, a float or an array; both take
+        the same IEEE operations, so a point gets the same bits either way."""
+        if self.kind == "monomial":
+            p = 1.0
+            yield p
+            for _ in range(1, self.dim):
+                p = p * y
+                yield p
+            return
+        t = 2.0 * y - 1.0
+        p0, p1 = 1.0, t
+        yield p0
+        if self.dim > 1:
+            yield p1
+        for k in range(2, self.dim):
+            if self.kind == "chebyshev":
+                p0, p1 = p1, 2.0 * t * p1 - p0
+            else:
+                p0, p1 = p1, ((2 * k - 1) * t * p1 - (k - 1) * p0) / k
+            yield p1
 
     def to_monomial(self) -> np.ndarray:
         """Matrix C with basis_k(y) = sum_j C[k, j] y^j."""

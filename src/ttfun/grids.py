@@ -16,6 +16,8 @@ import numpy as np
 
 # Flat leaf indices must stay addressable as int64 (dense sweeps use them).
 _MAX_LEAVES = 2**62
+# Remainders are clamped to the largest float below 1.
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 
 class DomainError(ValueError):
@@ -106,12 +108,10 @@ def flat_to_digits(flat: int, grid: Grid) -> tuple:
 
 
 def encode_point(x: float, grid: Grid) -> MultiIndexPoint:
-    """Factor x in [0, 1) into depth-d digits and a remainder.
-
-    A one-point call of encode_points, so both share one digit path.
-    """
-    digits, t = encode_points(np.array([float(x)]), grid)
-    return MultiIndexPoint(grid.base, tuple(digits[0].tolist()), float(t[0]))
+    """Factor x in [0, 1) into depth-d digits and a remainder (the digit
+    rule of encode_points, in Python floats)."""
+    digits, t = _point_digits(float(x), grid)
+    return MultiIndexPoint(grid.base, tuple(digits), t)
 
 
 def decode_point(p: MultiIndexPoint) -> float:
@@ -155,7 +155,25 @@ def _digit_steps(x: np.ndarray, grid: Grid):
         i = np.minimum(t.astype(np.int64), b - 1)  # t >= 0: the cast is the floor
         t = t - i
         yield i
-    np.clip(t, 0.0, np.nextafter(1.0, 0.0), out=x)
+    np.clip(t, 0.0, _BELOW_ONE, out=x)
+
+
+def _point_digits(x: float, grid: Grid) -> tuple:
+    """The digit rule of encode_points for one point, in Python floats:
+    returns (digits as a list of ints, remainder). The same IEEE operations
+    as the array rule, so both give the same bits."""
+    if not 0.0 <= x < 1.0:
+        raise DomainError(f"point {x} outside [0, 1)")
+    b = grid.base
+    digits = []
+    for _ in range(grid.depth):
+        x *= b
+        i = int(x)  # the floor, since x >= 0
+        if i == b:  # x rounded up to b: the clamp to b - 1
+            i -= 1
+        x -= i
+        digits.append(i)
+    return digits, min(x, _BELOW_ONE)
 
 
 def leaf_restriction(f: Callable, grid: Grid, j) -> Callable:

@@ -7,7 +7,10 @@ of the core chain at the digits of x with the leaf basis at the remainder.
 
 evaluate sweeps chunks of at most _CHUNK points: each digit level advances
 the state v <- v C_nu[i_nu], left to right, as soon as the digit is known,
-so no digit matrix is built and the working set stays in cache.
+so no digit matrix is built and the working set stays in cache. A single
+point (an input of size 1, whatever its shape) skips the sweep: its digits
+come from the same rule in Python floats, and a 1-D state takes one
+vector-matrix product per level, with no per-level array dispatch.
 
 L2 quantities use the exact Gram matrix of the leaf basis together with the
 tensorization isometry: the function norm equals b^(-d/2) times the
@@ -32,7 +35,7 @@ from numpy.polynomial import legendre as _leg
 from scipy.linalg import solve_triangular
 
 from .basis import PolyBasis
-from .grids import DomainError, Grid, _digit_steps
+from .grids import DomainError, Grid, _digit_steps, _point_digits
 
 _FULL_GRID_CAP = 2**20
 # Most points per evaluation chunk, so that the sweep's working set stays in
@@ -133,8 +136,20 @@ class TensorTrain:
 
 
 def evaluate(tt: TensorTrain, x):
-    """Evaluate the represented function at x (scalar or array) in [0, 1)."""
+    """Evaluate the represented function at x (scalar or array) in [0, 1).
+
+    A single point (x.size == 1, whatever its shape) takes its digits in
+    Python floats and advances a 1-D state by one vector-matrix product per
+    level; more points take the chunked batch sweep.
+    """
     arr = np.asarray(x, dtype=float)
+    if arr.size == 1:
+        digits, y = _point_digits(arr.item(), tt.grid)
+        v = np.ones(1)
+        for core, i in zip(tt.cores, digits):
+            v = v.dot(core[i])
+        val = float(v.dot(tt.leaf).dot(tt.basis.eval(y)))
+        return val if arr.ndim == 0 else np.full(arr.shape, val)
     vals = []
     for t in np.array_split(arr.ravel(), max(1, -(-arr.size // _CHUNK))):
         t, n = t.copy(), t.size  # t becomes the remainders
@@ -242,17 +257,26 @@ def _right_orthogonalize_arrays(cores, leaf):
     return cores, leaf
 
 
+def _norm(a: np.ndarray) -> float:
+    """Frobenius norm of a, summed relative to its largest entry, so that no
+    square overflows or underflows (np.linalg.norm squares unscaled)."""
+    top = float(np.max(np.abs(a), initial=0.0))
+    return top * float(np.linalg.norm(a / top)) if top > 0.0 else 0.0
+
+
 def _kept_rank(S: np.ndarray, budget) -> int:
     """The truncation rule: drop the longest tail of S whose norm is at most
     budget, keeping at least one value (exact zeros go even at budget 0);
-    budget None keeps every direction."""
+    budget None keeps every direction. The tail is summed relative to the
+    largest value, as in _norm."""
     keep = S.size
     if budget is None:
         return keep
+    top = float(S.max(initial=0.0)) or 1.0
     tail = 0.0
     while keep > 1:
-        t = tail + S[keep - 1] ** 2
-        if math.sqrt(t) > budget:
+        t = tail + (S[keep - 1] / top) ** 2
+        if top * math.sqrt(t) > budget:
             break
         tail = t
         keep -= 1
@@ -275,7 +299,7 @@ def _svd_sweep(tt: TensorTrain, tol=None):
     """
     gram_L = tt.basis.gram_cholesky()
     cores, leaf = _right_orthogonalize_arrays(list(tt.cores), _finite(tt.leaf) @ gram_L)
-    budget = None if tol is None else tol * np.linalg.norm(cores[0]) / math.sqrt(tt.depth)
+    budget = None if tol is None else tol * _norm(cores[0]) / math.sqrt(tt.depth)
     spectra = []
     carry = np.ones((1, 1))
     for nu in range(len(cores)):
@@ -315,10 +339,10 @@ def norm_l2(tt: TensorTrain) -> float:
     """Exact L2([0,1)) norm of the represented function."""
     weighted = _finite(tt.leaf) @ tt.basis.gram_cholesky()
     if tt.depth == 0:
-        return float(np.linalg.norm(weighted))
+        return _norm(weighted)
     # a QR-only right sweep: the norm collects in core 1, no SVD needed
     cores, _ = _right_orthogonalize_arrays(list(tt.cores), weighted)
-    return float(np.linalg.norm(cores[0]) * tt.base ** (-tt.depth / 2.0))
+    return _norm(cores[0]) * tt.base ** (-tt.depth / 2.0)
 
 
 def dot_l2(a: TensorTrain, b: TensorTrain) -> float:
@@ -394,7 +418,7 @@ def train_from_leaf_coefficients(
         return TensorTrain(grid, [], coeff, basis)
     gram_L = basis.gram_cholesky()
     M = coeff @ gram_L
-    budget = tol * np.linalg.norm(M) / math.sqrt(d)
+    budget = tol * _norm(M) / math.sqrt(d)
     cores = []
     r = 1
     for nu in range(d):

@@ -60,3 +60,22 @@ def test_chebyshev_gram_closed_form_high_degree(degree):
     V = basis.eval(0.5 * (nodes + 1.0))
     G_quad = np.einsum("s,si,sj->ij", 0.5 * weights, V, V)
     assert np.allclose(G_quad, basis.gram(), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["monomial", "chebyshev", "legendre"])
+def test_one_point_takes_the_same_recurrence_bitwise(kind):
+    ys = np.concatenate([np.random.default_rng(4).random(50), [0.0, 0.5, np.nextafter(1.0, 0.0)]])
+    for degree in (0, 1, 2, 7, 30):
+        basis = PolyBasis(degree, kind)
+        rows = basis.eval(ys)
+        assert np.array_equal(basis.eval(ys.reshape(-1, 1))[:, 0], rows)
+        for y, row in zip(ys, rows):
+            assert basis.eval(float(y)).shape == (degree + 1,)
+            assert basis.eval(float(y)).tobytes() == row.tobytes()
+            assert basis.eval(np.array(y)).tobytes() == row.tobytes()
+        if kind == "monomial":
+            want = np.vander(ys, degree + 1, increasing=True)
+        else:
+            val = {"chebyshev": np.polynomial.chebyshev.chebval, "legendre": np.polynomial.legendre.legval}
+            want = val[kind](2.0 * ys - 1.0, np.eye(degree + 1)).T
+        assert np.abs(rows - want).max() < 1e-13

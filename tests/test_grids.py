@@ -192,3 +192,17 @@ def test_encode_points_follows_the_repeated_multiply_rule(b, d):
         assert p.digits == tuple(want_digits[-1]) and p.remainder == want_y[-1]
     x.setflags(write=False)
     encode_points(x, grid)  # the input is copied, never overwritten
+
+
+@pytest.mark.parametrize("b, d", [(2, 30), (3, 12), (5, 8), (7, 7)])
+def test_scalar_and_array_digit_rules_agree_bitwise(b, d):
+    rng = np.random.default_rng(10 + b)
+    j = rng.integers(1, d + 1, size=300)
+    on_grid = np.floor(rng.random(300) * np.power(float(b), j)) / np.power(float(b), j)
+    x = np.concatenate([rng.random(300), on_grid, [0.0, np.nextafter(1.0, 0.0)]])
+    grid = Grid(b, d)
+    digits, y = encode_points(x, grid)
+    for k, p in enumerate(x):
+        got = encode_point(p, grid)
+        assert got.digits == tuple(digits[k].tolist())
+        assert got.remainder.hex() == float(y[k]).hex()

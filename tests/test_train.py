@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -494,3 +495,46 @@ def test_sweeps_reject_non_finite_trains(where):
     for sweep in (ranks, norm_l2, singular_values, orthogonalize, lambda t: tt_round(t, 0.0)):
         with pytest.raises(DomainError, match="non-finite entry or overflows"):
             sweep(bad)
+
+
+@pytest.mark.parametrize("s", [1e-170, 1.0, 1e200])
+def test_norm_and_rounding_are_scale_safe(s):
+    # unscaled sums of squares overflow above ~1e154 and underflow below
+    # ~1e-154, and rounding then dropped real directions
+    unit = norm_l2(encode_polynomial([1.0] * 3, Grid(2, 4)))
+    tt = encode_polynomial([s] * 3, Grid(2, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rounded = tt_round(tt, 1e-12)
+        assert rounded.bond_dims == (2, 3, 3, 3)
+        err = norm_l2(add(rounded, scale(tt, -1.0)))
+        assert err <= 1e-12 * norm_l2(tt)
+        assert abs(norm_l2(tt) - s * unit) <= 1e-14 * s * unit
+        dense = train_from_leaf_coefficients(tt.leaf_coefficients(), tt.grid, tt.basis, 1e-12)
+        assert dense.bond_dims == (2, 3, 3, 3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.0, -0.5])
+def test_single_point_route_names_a_bad_point_as_the_batch_does(bad):
+    tt = encode_polynomial([0.0, 1.0], Grid(3, 5))
+    with pytest.raises(DomainError) as batch:
+        evaluate(tt, np.array([0.25, bad, 0.5]))
+    assert str(batch.value) == f"point {bad} outside [0, 1)"
+    for x in (bad, np.array(bad), np.array([bad]), np.array([[bad]])):
+        with pytest.raises(DomainError) as single:
+            evaluate(tt, x)
+        assert str(single.value) == str(batch.value)
+
+
+@pytest.mark.parametrize("b, d, m", [(2, 30, 5), (3, 12, 3), (5, 0, 2), (7, 6, 4)])
+def test_single_point_route_matches_the_batch_sweep(b, d, m):
+    rng = np.random.default_rng(b + d)
+    tt = encode_polynomial(rng.standard_normal(m + 1), Grid(b, d))
+    x = np.concatenate([rng.random(200), [0.0, 1.0 / b, np.nextafter(1.0, 0.0)]])
+    batch = evaluate(tt, x)
+    single = np.array([evaluate(tt, float(p)) for p in x])
+    assert np.abs(single - batch).max() <= 1e-14 * np.abs(batch).max()
+    for shape in ((1,), (1, 1)):
+        out = evaluate(tt, x[:1].reshape(shape))
+        assert out.shape == shape and out.dtype == float and out.item() == single[0]
+    assert type(evaluate(tt, x[0])) is float
