@@ -143,19 +143,22 @@ def encode_points(x: np.ndarray, grid: Grid) -> tuple:
 
 def _digit_steps(x: np.ndarray, grid: Grid):
     """The digit rule of encode_points, one level at a time: yields the int64
-    digits of the points x at levels 1..d. Once the generator is exhausted,
-    x holds the remainders."""
+    digits of the points x at levels 1..d. x holds the running fraction, so
+    it must be writable; once the generator is exhausted, it holds the
+    remainders."""
     inside = (x >= 0.0) & (x < 1.0)
     if not np.all(inside):
         raise DomainError(f"point {float(x[~inside].flat[0])} outside [0, 1)")
     b = grid.base
-    t = x
+    # x is updated in place: the same IEEE operations as x * b and x - i,
+    # without a temporary per level
     for _ in range(grid.depth):
-        t = t * b
-        i = np.minimum(t.astype(np.int64), b - 1)  # t >= 0: the cast is the floor
-        t = t - i
+        np.multiply(x, b, out=x)
+        i = x.astype(np.int64)  # x >= 0: the cast is the floor
+        np.minimum(i, b - 1, out=i)
+        np.subtract(x, i, out=x)
         yield i
-    np.clip(t, 0.0, _BELOW_ONE, out=x)
+    np.clip(x, 0.0, _BELOW_ONE, out=x)
 
 
 def _point_digits(x: float, grid: Grid) -> tuple:

@@ -5,12 +5,16 @@ A train over Grid(b, d) stores d discrete cores, core nu having shape
 coefficients over a PolyBasis. The represented function is the contraction
 of the core chain at the digits of x with the leaf basis at the remainder.
 
-evaluate sweeps chunks of at most _CHUNK points: each digit level advances
-the state v <- v C_nu[i_nu], left to right, as soon as the digit is known,
-so no digit matrix is built and the working set stays in cache. A single
-point (an input of size 1, whatever its shape) skips the sweep: its digits
-come from the same rule in Python floats, and a 1-D state takes one
-vector-matrix product per level, with no per-level array dispatch.
+evaluate sweeps chunks of at most _CHUNK points (_sweep_chunk): each digit
+level advances the state v <- v C_nu[i_nu], left to right, as soon as the
+digit is known, so no digit matrix is built and the working set stays in
+cache. The points of a chunk never meet another chunk's, so an input of
+several chunks is swept on a process-wide thread pool, one worker per CPU
+the process may run on, with the bits of the serial sweep; one chunk runs
+on the caller's thread. A single point (an input of size 1, whatever its
+shape) skips the sweep: its digits come from the same rule in Python
+floats, and a 1-D state takes one vector-matrix product per level, with
+no per-level array dispatch.
 
 L2 quantities use the exact Gram matrix of the leaf basis together with the
 tensorization isometry: the function norm equals b^(-d/2) times the
@@ -26,8 +30,12 @@ from __future__ import annotations
 import json
 import math
 import operator
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -140,7 +148,9 @@ def evaluate(tt: TensorTrain, x):
 
     A single point (x.size == 1, whatever its shape) takes its digits in
     Python floats and advances a 1-D state by one vector-matrix product per
-    level; more points take the chunked batch sweep.
+    level. More points are split into chunks of at most _CHUNK points, and
+    _sweep_chunk writes each chunk's slice of the result; several chunks run
+    on the shared worker pool, with the bits of a serial sweep.
     """
     arr = np.asarray(x, dtype=float)
     if arr.size == 1:
@@ -150,17 +160,69 @@ def evaluate(tt: TensorTrain, x):
             v = v.dot(core[i])
         val = float(v.dot(tt.leaf).dot(tt.basis.eval(y)))
         return val if arr.ndim == 0 else np.full(arr.shape, val)
-    vals = []
-    for t in np.array_split(arr.ravel(), max(1, -(-arr.size // _CHUNK))):
-        t, n = t.copy(), t.size  # t becomes the remainders
-        rows = np.arange(n)
-        v = np.ones((n, 1))
-        for nu, i in enumerate(_digit_steps(t, tt.grid)):
-            w = np.matmul(v, tt.cores[nu])  # v C_nu[s] for every digit s
-            v = w.reshape(-1, w.shape[2]).take(i * n + rows, axis=0)
-        vals.append(np.einsum("nr,rq,nq->n", v, tt.leaf, tt.basis.eval(t)))
-    vals = np.concatenate(vals)
+    chunks = np.array_split(arr.ravel(), max(1, -(-arr.size // _CHUNK)))
+    vals = np.empty(arr.size)
+    outs = np.array_split(vals, len(chunks))  # chunk k fills outs[k]
+    # reading every result re-raises a chunk's DomainError, first chunk first
+    list(_chunk_map(len(chunks))(_sweep_chunk, repeat(tt), chunks, outs))
     return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
+
+
+def _sweep_chunk(tt: TensorTrain, t: np.ndarray, out: np.ndarray):
+    """Write the values of tt at the points t of one chunk into out: each
+    digit level advances the state v <- v C_nu[i_nu] of every point as soon
+    as the digit is known. t is left untouched. Each level's arrays are
+    freed before the next level's are made, so that a pool worker's heap
+    holds one level's working set."""
+    t, n = t.copy(), t.size  # t becomes the remainders
+    rows = np.arange(n)
+    v = np.ones((n, 1))
+    for nu, i in enumerate(_digit_steps(t, tt.grid)):
+        w = np.matmul(v, tt.cores[nu])  # v C_nu[s] for every digit s
+        del v
+        i *= n  # in place: i becomes the row i * n + p of point p in w
+        i += rows
+        v = w.reshape(-1, w.shape[2]).take(i, axis=0)
+        del w
+    np.einsum("nr,rq,nq->n", v, tt.leaf, tt.basis.eval(t), out=out)
+
+
+# The worker pool that evaluate shares across calls and threads: one worker
+# per CPU in the process's affinity mask, created by the first call that
+# spans more than one chunk on a machine with more than one CPU.
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _chunk_map(n_chunks: int):
+    """The map to run n_chunks chunk sweeps with: the built-in map, on the
+    caller's thread, for one chunk or one CPU; else the shared pool's map,
+    which also yields in input order."""
+    global _pool
+    if n_chunks == 1 or _cpu_count() == 1:
+        return map
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_cpu_count(), thread_name_prefix="ttfun-evaluate")
+    return _pool.map
+
+
+def _drop_pool():
+    """After fork: the child inherits the pool object but none of its worker
+    threads, so it starts over without one."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
 
 
 def zero_train(grid: Grid, basis: PolyBasis) -> TensorTrain:
@@ -283,6 +345,13 @@ def _kept_rank(S: np.ndarray, budget) -> int:
     return keep
 
 
+def _weighted_leaf(tt: TensorTrain) -> np.ndarray:
+    """The Gram-weighted leaf leaf @ L, where L L^T is the basis Gram
+    matrix; DomainError if it is not finite or overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite reports them
+        return _finite(tt.leaf @ tt.basis.gram_cholesky())
+
+
 def _unweighted(leaf: np.ndarray, gram_L: np.ndarray) -> np.ndarray:
     """Undo the Gram weighting leaf @ gram_L."""
     return solve_triangular(gram_L, leaf.T, lower=True, trans="T").T
@@ -297,8 +366,7 @@ def _svd_sweep(tt: TensorTrain, tol=None):
     column-orthonormal cores, the Gram-weighted leaf (see _unweighted) and
     the full spectrum of every level. Requires depth >= 1.
     """
-    gram_L = tt.basis.gram_cholesky()
-    cores, leaf = _right_orthogonalize_arrays(list(tt.cores), _finite(tt.leaf) @ gram_L)
+    cores, leaf = _right_orthogonalize_arrays(list(tt.cores), _weighted_leaf(tt))
     budget = None if tol is None else tol * _norm(cores[0]) / math.sqrt(tt.depth)
     spectra = []
     carry = np.ones((1, 1))
@@ -337,7 +405,7 @@ def orthogonalize(tt: TensorTrain, direction: str = "right") -> TensorTrain:
 
 def norm_l2(tt: TensorTrain) -> float:
     """Exact L2([0,1)) norm of the represented function."""
-    weighted = _finite(tt.leaf) @ tt.basis.gram_cholesky()
+    weighted = _weighted_leaf(tt)
     if tt.depth == 0:
         return _norm(weighted)
     # a QR-only right sweep: the norm collects in core 1, no SVD needed
@@ -345,16 +413,41 @@ def norm_l2(tt: TensorTrain) -> float:
     return _norm(cores[0]) * tt.base ** (-tt.depth / 2.0)
 
 
+def _scaled_matmul(A: np.ndarray, B: np.ndarray):
+    """(A @ B * 2^-e, e) with the largest |entry| in [0.5, 1); e = 0 if the
+    product is zero or not finite. Exact unless an entry becomes subnormal."""
+    P = A @ B
+    top = float(np.max(np.abs(P), initial=0.0))
+    if top == 0.0 or not math.isfinite(top):
+        return P, 0
+    e = math.frexp(top)[1]
+    return np.ldexp(P, -e), e
+
+
 def dot_l2(a: TensorTrain, b: TensorTrain) -> float:
-    """L2 inner product <a, b> over [0, 1)."""
+    """L2 inner product <a, b> over [0, 1).
+
+    Every product of the transfer is rescaled by a power of two, and the
+    exponents are summed in k, so no intermediate overflows: a result in
+    the float range comes out with the bits of the unscaled products, and
+    one beyond it raises DomainError.
+    """
     _check_compatible(a, b)
-    E = np.ones((1, 1))
-    for ca, cb in zip(a.cores, b.cores):
-        # per-digit transfer E <- sum_i ca[i]^T E cb[i], as one stacked product
-        n, r1, r2 = ca.shape
-        E = ca.reshape(n * r1, r2).T @ (E @ cb).reshape(n * r1, -1)
-    G = a.basis.gram()
-    return float(np.sum((a.leaf.T @ E @ b.leaf) * G) * a.base ** (-a.depth))
+    E, k = np.ones((1, 1)), 0
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite reports them
+        for ca, cb in zip(a.cores, b.cores):
+            # per-digit transfer E <- sum_i ca[i]^T E cb[i], as one stacked product
+            n, r1, r2 = ca.shape
+            X, e1 = _scaled_matmul(E, cb)
+            E, e2 = _scaled_matmul(ca.reshape(n * r1, r2).T, X.reshape(n * r1, -1))
+            k += e1 + e2
+        P, e1 = _scaled_matmul(a.leaf.T, E)
+        P, e2 = _scaled_matmul(P, b.leaf)
+        s = float(_finite(np.sum(P * a.basis.gram()) * a.base ** (-a.depth)))
+    try:
+        return math.ldexp(s, k + e1 + e2)
+    except OverflowError:
+        raise DomainError("the inner product overflows float64") from None
 
 
 def singular_values(tt: TensorTrain):

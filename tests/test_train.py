@@ -1,11 +1,15 @@
 import json
 import math
+import multiprocessing
+import sys
+import threading
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from ttfun import train as train_module
 from ttfun.analysis import greedy_badic_knots
 from ttfun.basis import PolyBasis
 from ttfun.encoders import (
@@ -21,8 +25,10 @@ from ttfun.encoders import (
 )
 from ttfun.grids import DomainError, Grid, encode_points
 from ttfun.train import (
+    _CHUNK,
     MismatchError,
     TensorTrain,
+    _sweep_chunk,
     add,
     block_sum,
     deepen,
@@ -538,3 +544,124 @@ def test_single_point_route_matches_the_batch_sweep(b, d, m):
         out = evaluate(tt, x[:1].reshape(shape))
         assert out.shape == shape and out.dtype == float and out.item() == single[0]
     assert type(evaluate(tt, x[0])) is float
+
+
+def _random_train(b, seed):
+    rng = np.random.default_rng(seed)
+    d = _SWEEP_DEPTH[b]
+    cores = [rng.standard_normal((b, 1 if nu == 0 else 4, 4)) / 2 for nu in range(d)]
+    return TensorTrain(Grid(b, d), cores, rng.standard_normal((4, 3)), PolyBasis(2))
+
+
+@pytest.mark.parametrize("n", [_CHUNK + 1, 3 * _CHUNK + 1, 100_000])
+@pytest.mark.parametrize("b", [2, 3, 5, 7])
+def test_pooled_evaluate_equals_the_serial_chunk_sweep(b, n):
+    tt = _random_train(b, 60 + b)
+    x = np.random.default_rng(n).random(n)
+    chunks = np.array_split(x, -(-n // _CHUNK))
+    serial = np.empty(n)
+    for t, out in zip(chunks, np.array_split(serial, len(chunks))):
+        _sweep_chunk(tt, t, out)
+    assert np.array_equal(evaluate(tt, x), serial)
+    if train_module._cpu_count() > 1:
+        assert train_module._pool is not None  # the chunks ran on the pool
+
+
+def test_evaluate_from_four_threads_at_once():
+    tt = _random_train(3, 71)
+    x = np.random.default_rng(71).random(5 * _CHUNK)
+    want = evaluate(tt, x)
+    results = [None] * 4
+    start = threading.Barrier(4, timeout=30)
+
+    def run(k):
+        start.wait()
+        results[k] = evaluate(tt, x)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for got in results:
+        assert np.array_equal(got, want)
+
+
+def _evaluate_in_child(conn, tt, x, want):
+    conn.send(np.array_equal(evaluate(tt, x), want))
+    conn.close()
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform"
+)
+def test_forked_child_evaluates_after_the_parent_made_its_pool():
+    tt = _random_train(2, 72)
+    x = np.random.default_rng(72).random(3 * _CHUNK + 1)
+    want = evaluate(tt, x)  # creates the pool in this process
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_evaluate_in_child, args=(send, tt, x, want))
+    with warnings.catch_warnings():
+        # forking a process that runs threads is the case under test
+        warnings.simplefilter("ignore", DeprecationWarning)
+        child.start()
+    send.close()
+    try:
+        assert recv.poll(timeout=60), "the forked child hung in evaluate"
+        assert recv.recv() is True
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+            child.join(timeout=10)
+    assert child.exitcode == 0
+
+
+def _unscaled_dot_l2(a, b):
+    """The transfer without rescaling: the reference for in-range inputs."""
+    E = np.ones((1, 1))
+    for ca, cb in zip(a.cores, b.cores):
+        n, r1, r2 = ca.shape
+        E = ca.reshape(n * r1, r2).T @ (E @ cb).reshape(n * r1, -1)
+    return float(np.sum((a.leaf.T @ E @ b.leaf) * a.basis.gram()) * a.base ** (-a.depth))
+
+
+def test_dot_l2_raises_when_the_inner_product_overflows():
+    u = scale(encode_polynomial([1.0, 2.0], Grid(2, 3)), 1e200)  # <u, u> ~ 4.3e400
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows float64"):
+            dot_l2(u, u)
+
+
+def test_dot_l2_rescales_a_transfer_that_overflows():
+    # core 1 carries 1e200 and the leaf 1e-200: E passes 1e400 after level 1,
+    # the function is 1 + 2x, and <f, f> = 13/3
+    t = encode_polynomial([1.0, 2.0], Grid(2, 3))
+    f = TensorTrain(t.grid, [t.cores[0] * 1e200, *t.cores[1:]], t.leaf * 1e-200, t.basis)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dot_l2(f, f) == pytest.approx(13.0 / 3.0, rel=1e-14)
+        assert dot_l2(f, t) == pytest.approx(13.0 / 3.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("b", [2, 3, 5, 7])
+def test_dot_l2_keeps_the_bits_of_the_unscaled_transfer(b):
+    u, v = _random_train(b, 80 + b), _random_train(b, 90 + b)
+    for a, c in ((u, v), (u, u), (scale(v, 1e-3), u)):
+        assert dot_l2(a, c) == _unscaled_dot_l2(a, c)
+
+
+def test_norm_l2_of_a_depth_zero_train_rejects_an_overflowing_leaf():
+    tt = TensorTrain(Grid(2, 0), [], [[1.5e308, 1.5e308]], PolyBasis(1, "monomial"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="non-finite entry or overflows"):
+            norm_l2(tt)
