@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .grids import DomainError, Grid
-from .train import RankProfile, TensorTrain, tt_round, ranks
+from .train import RankProfile, TensorTrain, _check_tol, tt_round, ranks
 from .encoders import (
     badic_cover,
     encode_fixed_knot_spline,
@@ -60,8 +60,7 @@ def complexity(tt: TensorTrain, zero_tol: float = 0.0) -> ComplexityReport:
     Entries with |entry| <= zero_tol count as zero for cost_S; the default
     0 counts structural zeros only.
     """
-    if zero_tol < 0:
-        raise DomainError(f"zero_tol must be >= 0, got {zero_tol}")
+    _check_tol(zero_tol, "zero_tol")
     r = list(tt.bond_dims)
     b = tt.base
     dim = tt.basis.dim

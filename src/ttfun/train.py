@@ -22,7 +22,13 @@ Frobenius norm of the train once the leaf is Gram-weighted.
 
 One truncated-SVD sweep, _svd_sweep, is behind tt_round, singular_values,
 ranks and orthogonalize(direction="left"); the dense TT-SVD
-train_from_leaf_coefficients shares its truncation rule.
+train_from_leaf_coefficients shares its truncation rule. Its right sweep,
+_right_orthogonalize_arrays (also behind norm_l2 and the right
+orthogonalize), opens with one exact left QR pass: from level 1 on, while
+r_nu > b r_{nu-1}, a QR cuts bond nu to b r_{nu-1}, so to at most b^nu. A
+block sum, such as a free-knot spline, stores bond ~2N at every level,
+where the rank is at most b^nu; a train with r_1 <= b, every rounded train
+among them, passes through untouched.
 """
 
 from __future__ import annotations
@@ -297,6 +303,13 @@ def _lq(M: np.ndarray):
 # core, so trains hand over their read-only cores without copying them.
 
 
+def _check_tol(tol, name: str = "tol"):
+    """DomainError unless tol >= 0; NaN fails the comparison, so it is
+    rejected too rather than read as a tolerance that keeps nothing."""
+    if not tol >= 0:
+        raise DomainError(f"{name} must be >= 0, got {tol}")
+
+
 def _finite(a: np.ndarray) -> np.ndarray:
     """a itself; DomainError if a sweep met a non-finite entry or overflowed
     (LAPACK would otherwise fail or return a silently wrong spectrum)."""
@@ -305,10 +318,31 @@ def _finite(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _left_reduce(cores, leaf):
+    """Cut the leading bonds to their dimension bound: from level 1, while
+    the unfolding (r_{nu-1} b) x r_nu has fewer rows than columns, QR it,
+    keep Q as core nu (bond r_{nu-1} b <= b^nu) and carry R into the next
+    level; exact up to roundoff. Stops at the first level that cannot
+    shrink, with no arithmetic if that is level 1."""
+    carry = None
+    for nu, core in enumerate(cores):
+        c = core if carry is None else carry @ core
+        b, r1, r2 = c.shape
+        if b * r1 >= r2:
+            cores[nu] = c
+            return cores, leaf
+        Q, carry = np.linalg.qr(c.transpose(1, 0, 2).reshape(r1 * b, r2))
+        cores[nu] = Q.reshape(r1, b, -1).transpose(1, 0, 2)
+    return cores, carry @ leaf
+
+
 def _right_orthogonalize_arrays(cores, leaf):
     """Row-orthonormalize the leaf and cores 2..d; weight collects in core 1,
-    and so does a non-finite entry or an overflow anywhere."""
+    and so does a non-finite entry or an overflow anywhere. A left QR pass
+    (_left_reduce) first cuts over-wide leading bonds to at most b^nu, so
+    the right sweep's products and LQs run at the cut bonds."""
     with np.errstate(over="ignore", invalid="ignore"):  # _finite reports them
+        cores, leaf = _left_reduce(cores, leaf)
         carry, leaf = _lq(leaf)
         for nu in range(len(cores) - 1, 0, -1):
             c = cores[nu] @ carry
@@ -360,8 +394,9 @@ def _unweighted(leaf: np.ndarray, gram_L: np.ndarray) -> np.ndarray:
 def _svd_sweep(tt: TensorTrain, tol=None):
     """The one truncated-SVD sweep (TT-rounding, Oseledets 2011, Alg. 2).
 
-    Gram-weights the leaf, right-orthogonalizes, then runs the SVD of every
-    level unfolding from left to right, truncating each with a tail budget
+    Gram-weights the leaf, right-orthogonalizes (after the left QR pass that
+    cuts over-wide leading bonds), then runs the SVD of every level
+    unfolding from left to right, truncating each with a tail budget
     of tol * ||f|| / sqrt(d) (tol None keeps every direction). Returns the
     column-orthonormal cores, the Gram-weighted leaf (see _unweighted) and
     the full spectrum of every level. Requires depth >= 1.
@@ -404,11 +439,13 @@ def orthogonalize(tt: TensorTrain, direction: str = "right") -> TensorTrain:
 
 
 def norm_l2(tt: TensorTrain) -> float:
-    """Exact L2([0,1)) norm of the represented function."""
+    """Exact L2([0,1)) norm of the represented function, from the QR sweeps
+    alone, whose cost follows the bonds cut by the left pass."""
     weighted = _weighted_leaf(tt)
     if tt.depth == 0:
         return _norm(weighted)
-    # a QR-only right sweep: the norm collects in core 1, no SVD needed
+    # a QR-only sweep (the left pass, then the right sweep): the norm
+    # collects in core 1, no SVD needed
     cores, _ = _right_orthogonalize_arrays(list(tt.cores), weighted)
     return _norm(cores[0]) * tt.base ** (-tt.depth / 2.0)
 
@@ -466,8 +503,9 @@ def ranks(tt: TensorTrain, tol: float = 1e-10) -> RankProfile:
     """Numerical ranks of the level unfoldings after orthogonalization.
 
     Per unfolding, singular values below tol times its largest singular
-    value are discarded.
+    value are discarded. tol must be >= 0 (DomainError otherwise, NaN too).
     """
+    _check_tol(tol)
     out = []
     for S in singular_values(tt):
         smax = S[0] if S.size else 0.0
@@ -481,8 +519,7 @@ def tt_round(tt: TensorTrain, tol: float) -> TensorTrain:
     Ranks never increase; tol = 0 still removes exactly redundant
     directions (zero singular values).
     """
-    if tol < 0:
-        raise DomainError(f"tol must be >= 0, got {tol}")
+    _check_tol(tol)
     if tt.depth == 0:
         return tt
     cores, leaf, spectra = _svd_sweep(tt, tol)
@@ -504,8 +541,7 @@ def train_from_leaf_coefficients(
     coeff = np.asarray(coeff, dtype=float)
     if coeff.shape != (grid.leaf_count, basis.dim):
         raise DomainError(f"coefficient matrix shape {coeff.shape} does not match grid/basis")
-    if tol < 0:
-        raise DomainError(f"tol must be >= 0, got {tol}")
+    _check_tol(tol)
     b, d = grid.base, grid.depth
     if d == 0:
         return TensorTrain(grid, [], coeff, basis)

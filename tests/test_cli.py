@@ -191,3 +191,22 @@ def test_study_json_output(tmp_path, capsys):
     assert code == 0
     doc = json.loads(j.read_text())
     assert doc["config"]["b"] == 2 and doc["records"]
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["ranks", "--tol", "nan"], "tol"),
+        (["ranks", "--tol=-1e-3"], "tol"),
+        (["complexity", "--round", "nan"], "tol"),
+        (["complexity", "--zero-tol", "nan"], "zero_tol"),
+        (["complexity", "--zero-tol=-1"], "zero_tol"),
+    ],
+    ids=["ranks-nan", "ranks-negative", "round-nan", "zero-tol-nan", "zero-tol-negative"],
+)
+def test_bad_tolerance_exits_2(tmp_path, capsys, argv, name):
+    out = tmp_path / "p.json"
+    run(capsys, "encode", "poly:1,2,3", "--depth", "5", "--out", str(out))
+    code, stdout, err = run(capsys, argv[0], str(out), *argv[1:])
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"error: {name} must be >= 0")

@@ -17,12 +17,15 @@ from ttfun.grids import Grid
 from ttfun.train import (
     TensorTrain,
     add,
+    block_sum,
     dot_l2,
     evaluate,
     from_json_dict,
     norm_l2,
+    orthogonalize,
     scale,
     to_json_dict,
+    tt_round,
 )
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -119,3 +122,41 @@ def test_json_round_trip_is_bit_exact(layout, seed, s):
     assert back.leaf.tobytes() == tt.leaf.tobytes()
     x = np.random.default_rng(seed).random(5)
     assert evaluate(back, x).tobytes() == evaluate(tt, x).tobytes()
+
+
+def _over_bonded(layout, seed, signed):
+    """Block sum of 2-4 random trains on the layout's grid and basis: bonds
+    above the dimension bound, so the left QR pass and the right sweep act."""
+    grid, _, basis = layout
+    rng = np.random.default_rng(seed)
+    terms = []
+    for _ in range(rng.integers(2, 5)):
+        bonds = rng.integers(1, 9, size=grid.depth).tolist()
+        terms.append(_train((grid, bonds, basis), int(rng.integers(2**32)), signed))
+    return block_sum(terms)
+
+
+@PROPERTY
+@given(layouts(), seeds, st.sampled_from([1e-8, 1e-4, 1e-2]))
+def test_rounding_error_is_within_the_tolerance(layout, seed, tol):
+    tt = _over_bonded(layout, seed, signed=True)
+    rounded = tt_round(tt, tol)
+    assert all(r <= s for r, s in zip(rounded.bond_dims, tt.bond_dims))
+    assert norm_l2(add(rounded, scale(tt, -1.0))) <= tol * norm_l2(tt)
+
+
+@PROPERTY
+@given(layouts(), seeds, st.sampled_from(["left", "right"]))
+def test_orthogonalize_keeps_values_and_orthonormalizes(layout, seed, direction):
+    tt = _over_bonded(layout, seed, signed=False)
+    ot = orthogonalize(tt, direction)
+    x = np.random.default_rng(seed).random(33)
+    f = evaluate(tt, x)
+    assert np.abs(evaluate(ot, x) - f).max() <= 1e-12 * np.abs(f).max()
+    if direction == "left":
+        blocks = [c.transpose(1, 0, 2).reshape(-1, c.shape[2]) for c in ot.cores]
+    else:
+        rows = [c.transpose(1, 0, 2).reshape(c.shape[1], -1) for c in ot.cores[1:]]
+        blocks = [m.T for m in rows + [ot.leaf]] if ot.depth else []
+    for Q in blocks:
+        assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max() < 1e-12

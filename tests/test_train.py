@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from ttfun import train as train_module
-from ttfun.analysis import greedy_badic_knots
+from ttfun.analysis import encoder_catalog, greedy_badic_knots
 from ttfun.basis import PolyBasis
+from ttfun.complexity import complexity
 from ttfun.encoders import (
     WaveletSpec,
     encode_dilated,
@@ -665,3 +666,131 @@ def test_norm_l2_of_a_depth_zero_train_rejects_an_overflowing_leaf():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="non-finite entry or overflows"):
             norm_l2(tt)
+
+
+def _reference_right_orthogonalize_arrays(cores, leaf):
+    """The right sweep alone, as it ran before the left QR pass opened it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        carry, leaf = train_module._lq(leaf)
+        for nu in range(len(cores) - 1, 0, -1):
+            c = cores[nu] @ carry
+            b, r1, r2 = c.shape
+            carry, Q = train_module._lq(c.transpose(1, 0, 2).reshape(r1, b * r2))
+            cores[nu] = Q.reshape(Q.shape[0], b, r2).transpose(1, 0, 2)
+        cores[0] = train_module._finite(cores[0] @ carry)
+    return cores, leaf
+
+
+@pytest.fixture
+def reference(monkeypatch):
+    """reference(fn, *args): fn(*args) with the sweeps on the reference right sweep."""
+
+    def call(fn, *args):
+        with monkeypatch.context() as m:
+            m.setattr(
+                train_module, "_right_orthogonalize_arrays", _reference_right_orthogonalize_arrays
+            )
+            return fn(*args)
+
+    return call
+
+
+def _train_with_bonds(b, bonds, seed, m=2):
+    """Random train with nonnegative entries (no cancellation) and the given bonds."""
+    rng = np.random.default_rng(seed)
+    cores = [rng.random((b, r, s)) for r, s in zip((1,) + bonds, bonds)]
+    return TensorTrain(Grid(b, len(bonds)), cores, rng.random((bonds[-1], m + 1)), PolyBasis(m))
+
+
+_NARROW_FIRST_BOND = {
+    "rounded-block-sum": lambda: tt_round(_block_sum_train(64), 1e-12),
+    "sawtooth": lambda: encode_sawtooth(Grid(2, 6), 1),
+    "polynomial-b3": lambda: encode_polynomial([0.5, -1.0, 2.0], Grid(3, 5)),
+    "random-b5": lambda: _random_train(5, 7),
+    "random-b7": lambda: _random_train(7, 7),
+    # r_2 > b r_1: the pass still stops at level 1
+    "wide-after-level-1": lambda: _train_with_bonds(2, (2, 8, 8, 3), 5),
+}
+
+
+@pytest.mark.parametrize("name", list(_NARROW_FIRST_BOND))
+def test_left_pass_keeps_the_bits_of_a_train_with_r1_at_most_b(reference, name):
+    tt = _NARROW_FIRST_BOND[name]()
+    assert tt.bond_dims[0] <= tt.base
+    for fn, args in ((tt_round, (tt, 1e-10)), (orthogonalize, (tt, "right"))):
+        got, want = fn(*args), reference(fn, *args)
+        assert got.bond_dims == want.bond_dims
+        for a, c in zip(got.cores + (got.leaf,), want.cores + (want.leaf,)):
+            assert a.tobytes() == c.tobytes()
+    assert ranks(tt) == reference(ranks, tt)
+    assert norm_l2(tt) == reference(norm_l2, tt)
+
+
+@pytest.mark.parametrize("n_pieces", [64, 128, 256])
+def test_left_pass_keeps_the_rank_profiles_of_block_sums(reference, n_pieces):
+    t = _block_sum_train(n_pieces)
+    assert t.bond_dims[0] > t.base  # the pass acts
+    assert ranks(t) == reference(ranks, t)
+    assert tt_round(t, 1e-12).bond_dims == reference(tt_round, t, 1e-12).bond_dims
+
+
+def test_left_pass_keeps_the_rank_profiles_of_the_catalog_free_knot_trains(reference):
+    free = [(name, tt) for name, _, _, tt in encoder_catalog() if name.startswith("free_")]
+    assert len(free) == 5
+    for name, tt in free:
+        assert ranks(tt) == reference(ranks, tt), name
+        assert tt_round(tt, 1e-12).bond_dims == reference(tt_round, tt, 1e-12).bond_dims, name
+
+
+def test_left_pass_that_reaches_the_leaf_keeps_values():
+    tt = _train_with_bonds(2, (3, 5, 9, 17), 11)
+    cores, leaf = train_module._left_reduce(list(tt.cores), tt.leaf)
+    reduced = TensorTrain(tt.grid, cores, leaf, tt.basis)
+    assert reduced.bond_dims == (2, 4, 8, 16)  # every level shrank, the leaf too
+    f = evaluate(tt, QUASI)
+    top = np.abs(f).max()
+    assert np.abs(evaluate(reduced, QUASI) - f).max() <= 1e-13 * top
+    for direction in ("left", "right"):
+        assert np.abs(evaluate(orthogonalize(tt, direction), QUASI) - f).max() <= 1e-12 * top
+    assert math.isclose(norm_l2(tt) ** 2, dot_l2(tt, tt), rel_tol=1e-12)
+    residual = add(tt_round(tt, 1e-8), scale(tt, -1.0))
+    assert norm_l2(residual) <= 1e-8 * norm_l2(tt)
+
+
+@pytest.mark.parametrize("n_pieces", [64, 128])
+def test_right_orthogonalize_cuts_block_sum_bonds_to_the_dimension_bound(n_pieces):
+    t = _block_sum_train(n_pieces)
+    bonds = orthogonalize(t, "right").bond_dims
+    assert all(r <= t.base**nu for nu, r in enumerate(bonds, start=1)), bonds
+
+
+def test_round_of_a_wide_block_sum_allocates_under_a_third_of_its_input():
+    t = _block_sum_train(256)
+    core_bytes = sum(c.nbytes for c in t.cores)
+    tracemalloc.start()
+    try:
+        tt_round(t, 1e-12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.3 * core_bytes, (peak, core_bytes)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1e-3])
+@pytest.mark.parametrize(
+    "call", ["tt_round", "ranks", "complexity", "train_from_leaf_coefficients"]
+)
+def test_a_nan_or_negative_tolerance_raises(call, bad):
+    # a NaN tolerance used to keep rank 1 (tt_round), count nothing (ranks,
+    # complexity) or pass unnoticed
+    tt = encode_polynomial([1, 2, 3], Grid(2, 5))
+    calls = {
+        "tt_round": lambda: tt_round(tt, bad),
+        "ranks": lambda: ranks(tt, bad),
+        "complexity": lambda: complexity(tt, zero_tol=bad),
+        "train_from_leaf_coefficients": lambda: train_from_leaf_coefficients(
+            tt.leaf_coefficients(), tt.grid, tt.basis, bad
+        ),
+    }
+    with pytest.raises(DomainError, match="must be >= 0"):
+        calls[call]()
