@@ -76,7 +76,7 @@ def lp_error(f, tt: TensorTrain, p: float, quad_order: int = 0, max_cells: int =
     cell). When b^d exceeds max_cells the quadrature cells are the leaves
     of the deepest affordable level instead.
     """
-    if p <= 0:
+    if not p > 0:  # NaN too
         raise DomainError(f"p must be positive, got {p}")
     b, d = tt.base, tt.depth
     level = d
@@ -161,7 +161,7 @@ def _unit_poly_lp(coeffs: np.ndarray, p: float) -> float:
 
 def piecewise_poly_lp_norm(s: PiecewisePolynomial, p: float) -> float:
     """||s||_p over [0, 1) by per-piece quadrature split at sign changes."""
-    if p <= 0:
+    if not p > 0:  # NaN too
         raise DomainError(f"p must be positive, got {p}")
     bp = s.breakpoints()
     if math.isinf(p):
@@ -290,6 +290,10 @@ class StudyConfig:
     schedule: tuple = ()
     seed: int = 20250811
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not self.p > 0:  # NaN too
+            raise DomainError(f"p must be positive, got {self.p}")
 
 
 @dataclass(frozen=True)

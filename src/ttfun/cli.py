@@ -164,17 +164,21 @@ def cmd_study(args):
     if args.mbar is not None:
         params["mbar"] = args.mbar
     schedule = ()
-    if args.schedule:
-        schedule = tuple(int(t) for t in args.schedule.split(","))
-    elif args.dmax is not None:
-        schedule = tuple(range(1, args.dmax + 1))
-    elif args.nmax is not None:
-        schedule = tuple(n for n in analysis._ANALYTIC_SCHEDULE if n <= args.nmax)
+    try:
+        p = float(args.p)  # "inf" included
+        if args.schedule:
+            schedule = tuple(int(t) for t in args.schedule.split(","))
+        elif args.dmax is not None:
+            schedule = tuple(range(1, args.dmax + 1))
+        elif args.nmax is not None:
+            schedule = tuple(n for n in analysis._ANALYTIC_SCHEDULE if n <= args.nmax)
+    except ValueError as exc:
+        _fail(f"bad number: {exc}", EXIT_PARSE)
     cfg = analysis.StudyConfig(
         target=args.target,
         b=args.base,
         m=args.m,
-        p=math.inf if args.p == "inf" else float(args.p),
+        p=p,
         schedule=schedule,
         seed=args.seed,
         params=params,
@@ -273,6 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # "--tol -1e-3" as "--tol=-1e-3": argparse takes -1e-3 for an option
+    # (only forms like -1 and -0.5 read as numbers to it)
+    for k in range(len(argv) - 1, 0, -1):
+        if argv[k - 1] in ("--tol", "--round", "--zero-tol", "--p") and argv[k][:1] == "-":
+            argv[k - 1 : k + 1] = [f"{argv[k - 1]}={argv[k]}"]
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

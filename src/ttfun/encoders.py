@@ -382,7 +382,7 @@ class WaveletSpec:
             raise DomainError(
                 f"shift {self.shift} outside 0..{self.mother.base ** self.level - 1}"
             )
-        if self.p <= 0:
+        if not self.p > 0:  # NaN too
             raise DomainError(f"p must be positive, got {self.p}")
 
 

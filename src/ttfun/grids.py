@@ -199,7 +199,7 @@ def lp_norm_from_leaves(leaf_norms: Sequence[float], grid: Grid, p: float) -> fl
     ||f||_p^p = b^-d sum_j ||f(b^-d (j + .))||_p^p for finite p; the max of
     the leaf norms for p = inf.
     """
-    if p <= 0:
+    if not p > 0:  # NaN too
         raise DomainError(f"p must be positive, got {p}")
     norms = np.asarray(leaf_norms, dtype=float)
     if norms.size != grid.leaf_count:

@@ -5,13 +5,14 @@ A train over Grid(b, d) stores d discrete cores, core nu having shape
 coefficients over a PolyBasis. The represented function is the contraction
 of the core chain at the digits of x with the leaf basis at the remainder.
 
-evaluate sweeps chunks of at most _CHUNK points (_sweep_chunk): each digit
-level advances the state v <- v C_nu[i_nu], left to right, as soon as the
-digit is known, so no digit matrix is built and the working set stays in
-cache. The points of a chunk never meet another chunk's, so an input of
-several chunks is swept on a process-wide thread pool, one worker per CPU
-the process may run on, with the bits of the serial sweep; one chunk runs
-on the caller's thread. A single point (an input of size 1, whatever its
+evaluate sweeps chunks of at most _CHUNK points (_sweep_chunk) left to
+right as each digit becomes known, so no digit matrix is built and the
+working set stays in cache: up to the largest level l with b^l <= n, the n
+points of a chunk share a table of one state per digit prefix; each later
+level advances v <- v C_nu[i_nu] for every point. Chunks never meet, so an
+input of several chunks is swept on a process-wide thread pool, one worker
+per CPU the process may run on, with the bits of the serial sweep; one
+chunk runs on the caller's thread. A single point (an input of size 1, whatever its
 shape) skips the sweep: its digits come from the same rule in Python
 floats, and a 1-D state takes one vector-matrix product per level, with
 no per-level array dispatch.
@@ -155,8 +156,9 @@ def evaluate(tt: TensorTrain, x):
     A single point (x.size == 1, whatever its shape) takes its digits in
     Python floats and advances a 1-D state by one vector-matrix product per
     level. More points are split into chunks of at most _CHUNK points, and
-    _sweep_chunk writes each chunk's slice of the result; several chunks run
-    on the shared worker pool, with the bits of a serial sweep.
+    _sweep_chunk writes each chunk's slice of the result (a prefix-state
+    table for the leading levels, then a per-point sweep); several chunks
+    run on the shared worker pool, with the bits of a serial sweep.
     """
     arr = np.asarray(x, dtype=float)
     if arr.size == 1:
@@ -175,15 +177,27 @@ def evaluate(tt: TensorTrain, x):
 
 
 def _sweep_chunk(tt: TensorTrain, t: np.ndarray, out: np.ndarray):
-    """Write the values of tt at the points t of one chunk into out: each
-    digit level advances the state v <- v C_nu[i_nu] of every point as soon
-    as the digit is known. t is left untouched. Each level's arrays are
-    freed before the next level's are made, so that a pool worker's heap
-    holds one level's working set."""
+    """Write the values of tt at the points t of one chunk into out.
+
+    Levels 1..l (b^l <= n = t.size, l <= d) run over digit prefixes: a
+    table of the b^nu prefix states grows by one product per level, and
+    each point accumulates its row sum_nu i_nu b^(nu-1). Each later level
+    advances every point's state v <- v C_nu[i_nu]. The table keeps the
+    per-point association, so its rows carry the per-point bits wherever
+    BLAS rounds a row alike at any row count and position. t is left
+    untouched; each level's arrays are freed before the next level's are
+    made, so a pool worker's heap holds one level's working set."""
     t, n = t.copy(), t.size  # t becomes the remainders
+    steps = _digit_steps(t, tt.grid)
+    # row i * P + p of the next table is prefix p (of P) extended by digit i
+    table, prefix, ell = np.ones((1, 1)), np.zeros(n, dtype=np.int64), 0
+    while ell < tt.depth and tt.base * len(table) <= n:
+        prefix += len(table) * next(steps)
+        table = np.matmul(table, tt.cores[ell]).reshape(-1, tt.cores[ell].shape[2])
+        ell += 1
+    v = table.take(prefix, axis=0)
     rows = np.arange(n)
-    v = np.ones((n, 1))
-    for nu, i in enumerate(_digit_steps(t, tt.grid)):
+    for nu, i in enumerate(steps, start=ell):
         w = np.matmul(v, tt.cores[nu])  # v C_nu[s] for every digit s
         del v
         i *= n  # in place: i becomes the row i * n + p of point p in w

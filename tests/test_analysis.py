@@ -22,6 +22,7 @@ from ttfun.analysis import (
 )
 from ttfun.encoders import (
     PiecewisePolynomial,
+    WaveletSpec,
     encode_polynomial,
     encode_sawtooth,
     haar_mother,
@@ -236,3 +237,20 @@ def _nan_on_left_half(x):
 def test_nan_sampler_raises_domain_error(call):
     with pytest.raises(DomainError, match="non-finite"):
         call(_nan_on_left_half)
+
+
+@pytest.mark.parametrize("p", [math.nan, 0.0, -1.0])
+def test_every_lp_entry_point_rejects_a_p_that_is_not_positive(p):
+    # a NaN p slipped past the old `p <= 0` checks and gave NaN errors
+    tt = encode_polynomial([0.0, 1.0], Grid(2, 3))
+    s = PiecewisePolynomial(2, [(1, 1)], [[0.0, 1.0], [1.0]])
+    calls = [
+        lambda: lp_error(lambda x: x, tt, p),
+        lambda: piecewise_poly_lp_norm(s, p),
+        lambda: lp_norm_from_leaves(np.ones(8), Grid(2, 3), p),
+        lambda: WaveletSpec(haar_mother(), 0, 0, p),
+        lambda: StudyConfig("sin2pi", p=p),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="p must be positive"):
+            call()

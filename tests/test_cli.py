@@ -210,3 +210,55 @@ def test_bad_tolerance_exits_2(tmp_path, capsys, argv, name):
     code, stdout, err = run(capsys, argv[0], str(out), *argv[1:])
     assert code == 2 and stdout == ""
     assert err.startswith(f"error: {name} must be >= 0")
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["ranks", "--tol", "-1e-3"], "tol"),
+        (["ranks", "--tol", "-0.5"], "tol"),
+        (["complexity", "--round", "-1e-3"], "tol"),
+        (["complexity", "--zero-tol", "-1e-3"], "zero_tol"),
+        (["complexity", "--zero-tol", "-1"], "zero_tol"),
+    ],
+    ids=["ranks-exponent", "ranks-decimal", "round-exponent", "zero-tol-exponent", "zero-tol-int"],
+)
+def test_space_separated_negative_tolerance_reaches_the_check(tmp_path, capsys, argv, name):
+    # argparse took "-1e-3" for an option and printed its usage first
+    out = tmp_path / "p.json"
+    run(capsys, "encode", "poly:1,2,3", "--depth", "5", "--out", str(out))
+    code, stdout, err = run(capsys, argv[0], str(out), *argv[1:])
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"error: {name} must be >= 0")
+
+
+def test_space_separated_tolerances_still_parse(tmp_path, capsys):
+    out = tmp_path / "p.json"
+    run(capsys, "encode", "poly:1,2,3", "--depth", "5", "--out", str(out))
+    code, stdout, _ = run(capsys, "ranks", str(out), "--tol", "1e-3")
+    assert code == 0 and json.loads(stdout)["tolerance"] == 1e-3
+    code, stdout, _ = run(capsys, "complexity", str(out), "--round", "1e-8", "--zero-tol", "0")
+    assert code == 0 and json.loads(stdout)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--schedule", "3,x"], "error: bad number"),
+        (["--schedule", "2,"], "error: bad number"),
+        (["--p", "abc"], "error: bad number"),
+        (["--p", "nan", "--schedule", "2"], "error: p must be positive"),
+        (["--p", "0", "--schedule", "2"], "error: p must be positive"),
+        (["--p", "-1e0", "--schedule", "2"], "error: p must be positive"),
+    ],
+    ids=["schedule-letter", "schedule-empty-entry", "p-letters", "p-nan", "p-zero", "p-negative"],
+)
+@pytest.mark.parametrize("kind", ["sobolev", "adaptive"])
+def test_study_malformed_number_exits_2(tmp_path, capsys, kind, argv, message):
+    csv_out = tmp_path / "s.csv"
+    code, stdout, err = run(
+        capsys, "study", kind, "--target", "sin2pi", *argv, "--csv", str(csv_out)
+    )
+    assert code == 2 and stdout == ""
+    assert err.startswith(message)
+    assert not csv_out.exists()

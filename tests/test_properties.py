@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from ttfun.basis import KINDS, PolyBasis
 from ttfun.grids import Grid
 from ttfun.train import (
+    _CHUNK,
     TensorTrain,
     add,
     block_sum,
@@ -27,6 +28,8 @@ from ttfun.train import (
     to_json_dict,
     tt_round,
 )
+
+from test_train import _reference_evaluate
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 SCALES = (1e-170, 1.0, 1e200)
@@ -74,6 +77,14 @@ def test_single_point_route_agrees_with_the_batch_sweep(layout, seed, others, k)
     single = evaluate(tt, float(x[k]))
     assert abs(single - batch[k]) <= 1e-14 * np.abs(batch).max()
     assert evaluate(tt, x[k : k + 1]).item() == single
+
+
+@PROPERTY
+@given(layouts(), seeds, st.integers(2, 3 * _CHUNK))
+def test_sweep_keeps_the_bits_of_the_per_point_sweep(layout, seed, n):
+    tt = _train(layout, seed, signed=True)
+    x = np.random.default_rng(seed).random(n)
+    assert np.array_equal(evaluate(tt, x), _reference_evaluate(tt, x))
 
 
 @PROPERTY

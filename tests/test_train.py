@@ -24,7 +24,7 @@ from ttfun.encoders import (
     hat_mother,
     random_fixed_knot_spline,
 )
-from ttfun.grids import DomainError, Grid, encode_points
+from ttfun.grids import DomainError, Grid, _digit_steps, encode_points
 from ttfun.train import (
     _CHUNK,
     MismatchError,
@@ -699,7 +699,8 @@ def _train_with_bonds(b, bonds, seed, m=2):
     """Random train with nonnegative entries (no cancellation) and the given bonds."""
     rng = np.random.default_rng(seed)
     cores = [rng.random((b, r, s)) for r, s in zip((1,) + bonds, bonds)]
-    return TensorTrain(Grid(b, len(bonds)), cores, rng.random((bonds[-1], m + 1)), PolyBasis(m))
+    leaf = rng.random((bonds[-1] if bonds else 1, m + 1))
+    return TensorTrain(Grid(b, len(bonds)), cores, leaf, PolyBasis(m))
 
 
 _NARROW_FIRST_BOND = {
@@ -794,3 +795,128 @@ def test_a_nan_or_negative_tolerance_raises(call, bad):
     }
     with pytest.raises(DomainError, match="must be >= 0"):
         calls[call]()
+
+
+def _reference_sweep_chunk(tt, t, out):
+    """The chunk sweep as it ran before the prefix-state table: every level
+    advances the state of every point."""
+    t, n = t.copy(), t.size
+    rows = np.arange(n)
+    v = np.ones((n, 1))
+    for nu, i in enumerate(_digit_steps(t, tt.grid)):
+        w = np.matmul(v, tt.cores[nu])
+        del v
+        i *= n
+        i += rows
+        v = w.reshape(-1, w.shape[2]).take(i, axis=0)
+        del w
+    np.einsum("nr,rq,nq->n", v, tt.leaf, tt.basis.eval(t), out=out)
+
+
+def _chunks(x):
+    """evaluate's chunks of x."""
+    return np.array_split(x, max(1, -(-x.size // _CHUNK)))
+
+
+def _reference_evaluate(tt, x):
+    """evaluate of a batch of points, through the reference chunk sweep."""
+    chunks = _chunks(x)
+    vals = np.empty(x.size)
+    for t, out in zip(chunks, np.array_split(vals, len(chunks))):
+        _reference_sweep_chunk(tt, t, out)
+    return vals
+
+
+def _table_levels(b, d, n):
+    """l, the levels that a chunk of n points sweeps over digit prefixes."""
+    ell = 0
+    while ell < d and b ** (ell + 1) <= n:
+        ell += 1
+    return ell
+
+
+def _dgemm_rows_keep_their_bits(tt, x):
+    """Whether this BLAS gives a row of matmul(A, C_nu) the same bits in a
+    product of b^(nu-1) rows as at any row of a product of n rows, at every
+    table level nu >= 2 of every chunk of x: the premise under which the
+    table's rows carry the bits of the per-point states. (Level 1
+    multiplies by 1, which is exact.)"""
+    rng = np.random.default_rng(0)
+    for n in {t.size for t in _chunks(x)}:
+        for nu in range(1, _table_levels(tt.base, tt.depth, n)):
+            core, P = tt.cores[nu], tt.base**nu
+            A = np.resize(rng.standard_normal((P, core.shape[1])), (n, core.shape[1]))
+            if not np.array_equal(np.matmul(A, core), np.matmul(A[:P], core)[:, np.arange(n) % P]):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("b", [2, 3, 5, 7])
+def test_prefix_table_sweep_keeps_the_bits_of_the_per_point_sweep(b):
+    rng = np.random.default_rng(80 + b)
+    d = _SWEEP_DEPTH[b]
+    narrow = {  # every n
+        "depth-0": (),
+        "below-l": (5, 8),
+        "above-l": tuple(int(r) for r in rng.integers(1, 9, size=d)),
+    }
+    wide = {  # up to 8193 points: bonds up to 64 at every level
+        "wide-below-l": (64, 33),
+        "wide-above-l": (1, 2, 3, 16, 17, 33, 64, 40, 9, 1, 64, 7)[:d],
+    }
+    k = {2: 6, 3: 4, 5: 3, 7: 2}[b]
+    for n in (2, b**k - 1, b**k, b**k + 1, 8192, 8193, 10**5):
+        x = rng.random(n)
+        trains = {**narrow, **wide} if n <= 8193 else narrow
+        for name, bonds in trains.items():
+            tt = _train_with_bonds(b, bonds, n)
+            got, want = evaluate(tt, x), _reference_evaluate(tt, x)
+            if _dgemm_rows_keep_their_bits(tt, x):
+                assert np.array_equal(got, want), (name, n)
+            else:
+                # this BLAS rounds a row differently at another row count or
+                # position, so no sweep that multiplies fewer rows keeps its
+                # bits; the narrow trains (bonds up to 8, near the benchmark
+                # trains' 6 and 9) must not meet that
+                assert name in wide, (name, n)
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (name, n)
+
+
+@pytest.mark.parametrize("b", [2, 3, 5, 7])
+def test_sweep_multiplies_each_digit_prefix_once(b, monkeypatch):
+    """The rows that reach a core product: b^(nu-1) at table level nu <= l,
+    then every point of the chunk."""
+    rows = []
+    real = np.matmul
+
+    def counting(a, c, *args, **kw):
+        rows.append(np.shape(a)[0])
+        return real(a, c, *args, **kw)
+
+    tt = _random_train(b, 90 + b)
+    x = np.random.default_rng(90).random(_CHUNK)
+    want = _reference_evaluate(tt, x)
+    monkeypatch.setattr(train_module.np, "matmul", counting)
+    _sweep_chunk(tt, x, got := np.empty(x.size))
+    monkeypatch.undo()
+    ell = _table_levels(b, tt.depth, x.size)
+    assert 1 <= ell < tt.depth
+    assert rows == [b**nu for nu in range(ell)] + [x.size] * (tt.depth - ell)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("b, d", [(2, 8), (7, 3), (5, 0)])
+def test_sweep_names_the_first_bad_point_of_a_later_chunk(b, d):
+    tt = _train_with_bonds(b, (3,) * d, 95)
+    x = np.random.default_rng(95).random(3 * _CHUNK)
+    x[_CHUNK + 5], x[_CHUNK + 9], x[2 * _CHUNK + 1] = np.nan, 1.5, -0.25
+    with pytest.raises(DomainError) as got:
+        evaluate(tt, x)
+    assert str(got.value) == "point nan outside [0, 1)"
+    with pytest.raises(DomainError) as want:
+        _reference_evaluate(tt, x)
+    assert str(got.value) == str(want.value)
+    # one point has no table level; six points have one below b = 7
+    for t in (x[_CHUNK + 5 : _CHUNK + 6], x[_CHUNK + 4 : _CHUNK + 10]):
+        with pytest.raises(DomainError, match="point nan outside"):
+            _sweep_chunk(tt, t, np.empty(t.size))
