@@ -36,7 +36,7 @@ from .encoders import (
     random_free_knot_spline,
     sawtooth_function,
 )
-from .grids import DomainError, Grid, lp_norm_from_leaves
+from .grids import DomainError, Grid, _digit_steps, lp_norm_from_leaves
 from .interpolation import (
     Interpolator,
     _fit_cells,
@@ -47,9 +47,8 @@ from .interpolation import (
     tensor_interpolate,
 )
 from .targets import get_target
-from .train import TensorTrain, evaluate
+from .train import _CHUNK, _FULL_GRID_CAP, TensorTrain, _extend_states, evaluate
 
-_CELL_CAP = 2**20
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -68,13 +67,21 @@ def quasi_random(n: int, seed_shift: float = 0.0) -> np.ndarray:
     return np.mod(seed_shift + (np.arange(1, n + 1)) * _GOLDEN, 1.0)
 
 
-def lp_error(f, tt: TensorTrain, p: float, quad_order: int = 0, max_cells: int = _CELL_CAP) -> float:
+def lp_error(
+    f, tt: TensorTrain, p: float, quad_order: int = 0, max_cells: int = _FULL_GRID_CAP
+) -> float:
     """L^p distance between a sampler and a train.
 
-    Composite Gauss-Legendre quadrature per depth-d leaf combined through
-    the isometry formula; p = inf uses dense sampling (>= 64 points per
-    cell). When b^d exceeds max_cells the quadrature cells are the leaves
-    of the deepest affordable level instead.
+    Composite Gauss-Legendre quadrature on each of the b^l cells of level
+    l = d, or of the deepest level with b^l <= max_cells, combined through
+    the isometry formula; p = inf uses dense sampling (64 points per cell).
+
+    The cells are streamed in blocks of at most train._CHUNK: each block
+    extends one prefix state to its cells' states V. At l = d its values
+    are (V @ leaf) @ phi(ys)^T, the association of leaf_values; at l < d
+    they are V @ W, where W holds the levels below l at each node's own
+    digits, then the leaf. Working memory is one block plus the per-cell
+    norms.
     """
     if not p > 0:  # NaN too
         raise DomainError(f"p must be positive, got {p}")
@@ -83,23 +90,33 @@ def lp_error(f, tt: TensorTrain, p: float, quad_order: int = 0, max_cells: int =
     while b**level > max_cells:
         level -= 1
     cells = b**level
-    grid = Grid(b, level)
     if math.isinf(p):
         ys = np.sort(np.concatenate([quasi_random(62), [0.0, 0.5]]))
     else:
         q = quad_order if quad_order > 0 else max(tt.basis.degree + 2, 6)
         ys, ws = _gauss01(q)
-    xs = (np.arange(cells)[:, None] + ys[None, :]) / cells
-    np.minimum(xs, np.nextafter(1.0, 0.0), out=xs)
-    if level == d:
-        tvals = tt.leaf_values(ys, max_cells=max_cells)
+    if level < d:
+        rem = np.array(ys)  # becomes the remainders below the cell level
+        digits = list(_digit_steps(rem, Grid(b, d - level)))
+        W = tt.basis.eval(rem) @ tt.leaf.T  # row k: the leaf at node k
+        for core, i in zip(reversed(tt.cores[level:]), reversed(digits)):
+            W = np.einsum("krs,ks->kr", core[i], W)
     else:
-        tvals = evaluate(tt, xs.ravel()).reshape(cells, ys.size)
-    err = np.abs(_sample(f, xs) - tvals)
-    if math.isinf(p):
-        return float(err.max())
-    leaf_norms = (err**p @ ws) ** (1.0 / p)
-    return lp_norm_from_leaves(leaf_norms, grid, p)
+        phi = tt.basis.eval(ys)
+    block_levels = next(k for k in range(level, -1, -1) if b**k <= _CHUNK)
+    block = b**block_levels
+    norms = np.empty(cells)
+    prefixes = _extend_states(np.ones((1, 1)), tt.cores[: level - block_levels])
+    for k, prefix in enumerate(prefixes):
+        V = _extend_states(prefix[None, :], tt.cores[level - block_levels : level])
+        vals = V @ W.T if level < d else (V @ tt.leaf) @ phi.T
+        xs = (np.arange(k * block, (k + 1) * block)[:, None] + ys[None, :]) / cells
+        np.minimum(xs, np.nextafter(1.0, 0.0), out=xs)
+        err = np.abs(_sample(f, xs) - vals)
+        norms[k * block : (k + 1) * block] = (
+            err.max(axis=1) if math.isinf(p) else (err**p @ ws) ** (1.0 / p)
+        )
+    return lp_norm_from_leaves(norms, Grid(b, level), p)
 
 
 def rank_span_oracle(

@@ -41,6 +41,14 @@ def _fail(message, code):
     raise CliError(message, code)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors reach main's `error:` line, without
+    the usage text; subcommand parsers are of the same class."""
+
+    def error(self, message):
+        raise CliError(message, EXIT_PARSE)
+
+
 def _load_train_spec(args) -> train.TensorTrain:
     spec = args.spec
     b, d = args.base, args.depth
@@ -174,6 +182,9 @@ def cmd_study(args):
             schedule = tuple(n for n in analysis._ANALYTIC_SCHEDULE if n <= args.nmax)
     except ValueError as exc:
         _fail(f"bad number: {exc}", EXIT_PARSE)
+    for n in schedule:
+        if n < 1:
+            _fail(f"schedule entry {n} is below 1", EXIT_PARSE)
     cfg = analysis.StudyConfig(
         target=args.target,
         b=args.base,
@@ -217,7 +228,7 @@ def cmd_study(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="ttfun", description=__doc__)
+    ap = _Parser(prog="ttfun", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     enc = sub.add_parser("encode", help="encode a spline JSON or builtin to a train file")
@@ -283,8 +294,8 @@ def main(argv=None) -> int:
     for k in range(len(argv) - 1, 0, -1):
         if argv[k - 1] in ("--tol", "--round", "--zero-tol", "--p") and argv[k][:1] == "-":
             argv[k - 1 : k + 1] = [f"{argv[k - 1]}={argv[k]}"]
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -138,16 +138,21 @@ class TensorTrain:
             raise DomainError(
                 f"{self.grid.leaf_count} leaves exceed the dense cap {max_cells}"
             )
-        V = np.ones((1, 1))
-        for c in self.cores:
-            # row order: flat index j*b + i, first digit most significant
-            V = np.einsum("ar,irs->ais", V, c).reshape(-1, c.shape[2])
-        return V @ self.leaf
+        return _extend_states(np.ones((1, 1)), self.cores) @ self.leaf
 
     def leaf_values(self, ys, max_cells: int = _FULL_GRID_CAP) -> np.ndarray:
         """Values f(b^-d (j + y)) on the full leaf grid: shape (b^d, len(ys))."""
         coeff = self.leaf_coefficients(max_cells=max_cells)
         return coeff @ self.basis.eval(np.asarray(ys, dtype=float)).T
+
+
+def _extend_states(V: np.ndarray, cores) -> np.ndarray:
+    """The states of every digit string of cores after each row of V: row
+    j*b + i of a level is row j extended by digit i, so the first digit is
+    the most significant."""
+    for c in cores:
+        V = np.einsum("ar,irs->ais", V, c).reshape(-1, c.shape[2])
+    return V
 
 
 def evaluate(tt: TensorTrain, x):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from ttfun.analysis import (
     leaf_lp_norms,
     lp_error,
     piecewise_poly_lp_norm,
+    quasi_random,
     rank_span_oracle,
     study_adaptive,
     study_analytic,
@@ -30,7 +32,9 @@ from ttfun.encoders import (
     sawtooth_function,
 )
 from ttfun.grids import DomainError, Grid, lp_norm_from_leaves
-from ttfun.train import evaluate, zero_train
+from ttfun.interpolation import Interpolator, _sample, reinterpolate, tensor_interpolate
+from ttfun.targets import get_target
+from ttfun.train import TensorTrain, evaluate, zero_train
 from ttfun.basis import PolyBasis
 
 
@@ -254,3 +258,115 @@ def test_every_lp_entry_point_rejects_a_p_that_is_not_positive(p):
     for call in calls:
         with pytest.raises(DomainError, match="p must be positive"):
             call()
+
+
+# ---------------------------------------------------------------------------
+# lp_error's streamed contraction against the full-grid route it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_lp_error(f, tt, p, quad_order=0, max_cells=2**20):
+    """lp_error over the whole cell grid at once: leaf_values on every leaf
+    when b^d <= max_cells, else every cell's nodes through evaluate."""
+    b, d = tt.base, tt.depth
+    level = d
+    while b**level > max_cells:
+        level -= 1
+    cells = b**level
+    if math.isinf(p):
+        ys = np.sort(np.concatenate([quasi_random(62), [0.0, 0.5]]))
+    else:
+        q = quad_order if quad_order > 0 else max(tt.basis.degree + 2, 6)
+        ys, ws = _gauss01(q)
+    xs = (np.arange(cells)[:, None] + ys[None, :]) / cells
+    np.minimum(xs, np.nextafter(1.0, 0.0), out=xs)
+    if level == d:
+        tvals = tt.leaf_values(ys, max_cells=max_cells)
+    else:
+        tvals = evaluate(tt, xs.ravel()).reshape(cells, ys.size)
+    err = np.abs(_sample(f, xs) - tvals)
+    if math.isinf(p):
+        return float(err.max())
+    return lp_norm_from_leaves((err**p @ ws) ** (1.0 / p), Grid(b, level), p)
+
+
+def _sobolev_train(d):
+    """The train study_sobolev measures at depth d (sin2pi, r=4, m=1)."""
+    f = get_target("sin2pi").sampler
+    return f, reinterpolate(tensor_interpolate(f, Grid(2, d), Interpolator(3), tol=0.0), 2 * d, 1)
+
+
+@pytest.mark.parametrize("d", range(3, 11))
+def test_lp_error_keeps_the_full_grid_bits_on_the_sobolev_trains(d):
+    f, tt = _sobolev_train(d)
+    assert lp_error(f, tt, 2.0) == _reference_lp_error(f, tt, 2.0)
+
+
+def test_lp_error_keeps_the_full_grid_bits_on_the_sawtooth_trains():
+    for d in range(1, 11):
+        tt, f = encode_sawtooth(Grid(2, d), 1), sawtooth_function(d)
+        assert lp_error(f, tt, math.inf) == _reference_lp_error(f, tt, math.inf)
+
+
+@pytest.mark.parametrize(
+    "b, d, bond, degree", [(2, 14, 33, 17), (3, 9, 17, 5), (5, 6, 9, 12), (7, 5, 33, 2)]
+)
+@pytest.mark.parametrize("p", [2.0, math.inf])
+def test_lp_error_matches_the_full_grid_on_random_trains(b, d, bond, degree, p):
+    # more than train._CHUNK cells, so the cells come in several blocks
+    rng = np.random.default_rng(100 * b + d)
+    bonds = [1] + [int(r) for r in rng.integers(1, bond + 1, size=d - 1)] + [bond]
+    cores = [
+        rng.standard_normal((b, r, s)) / math.sqrt(b * r) for r, s in zip(bonds, bonds[1:])
+    ]
+    tt = TensorTrain(Grid(b, d), cores, rng.standard_normal((bond, degree + 1)), PolyBasis(degree))
+    f = lambda x: np.cos(7.0 * x)
+    want = _reference_lp_error(f, tt, p)
+    assert lp_error(f, tt, p) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("d", [11, 12])  # dbar = 22, 24: deeper than the cells
+@pytest.mark.parametrize("p", [2.0, math.inf])
+def test_lp_error_below_the_cell_level_matches_evaluate(d, p):
+    _, tt = _sobolev_train(d)
+    g = lambda x: np.cos(2.0 * np.pi * np.asarray(x))  # an O(1) distance from the train
+    for max_cells in (2**10, 2**12):
+        want = _reference_lp_error(g, tt, p, max_cells=max_cells)
+        assert lp_error(g, tt, p, max_cells=max_cells) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_lp_error_below_the_cell_level_matches_evaluate_at_base_3():
+    rng = np.random.default_rng(33)
+    cores = [rng.standard_normal((3, 1 if nu == 0 else 5, 5)) / 4 for nu in range(12)]
+    tt = TensorTrain(Grid(3, 12), cores, rng.standard_normal((5, 4)), PolyBasis(3))
+    g = lambda x: np.exp(np.asarray(x))
+    for p in (1.0, 2.0, math.inf):
+        want = _reference_lp_error(g, tt, p, max_cells=3**7)
+        assert lp_error(g, tt, p, max_cells=3**7) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_lp_error_streams_the_cells_in_bounded_memory():
+    # the full grid held about 200 MB at d=10: 2^20 cells x 6 nodes, several arrays
+    f, tt = _sobolev_train(10)
+    lp_error(f, tt, 2.0)  # lazy set-up (quadrature rule, basis tables) outside the trace
+    tracemalloc.start()
+    try:
+        lp_error(f, tt, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6
+
+
+@pytest.mark.parametrize("p", [2.0, math.inf])
+def test_lp_error_non_finite_sample_in_a_later_block_raises(p):
+    tt = encode_polynomial([0.0, 1.0], Grid(2, 15))  # 4 blocks of 2^13 cells
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.where(np.asarray(x) < 0.8, np.asarray(x), np.nan)
+
+    with pytest.raises(DomainError, match="^non-finite sample of f$"):
+        lp_error(f, tt, p)
+    assert len(calls) == 4

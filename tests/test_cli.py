@@ -262,3 +262,38 @@ def test_study_malformed_number_exits_2(tmp_path, capsys, kind, argv, message):
     assert code == 2 and stdout == ""
     assert err.startswith(message)
     assert not csv_out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["audit", "--b", "x"], "error: argument --b: invalid int value: 'x'"),
+        (["ranks", "FILE", "--tol", "abc"], "error: argument --tol: invalid float value: 'abc'"),
+        (["encode", "poly:1", "--depth", "x", "--out", "o.json"],
+         "error: argument --depth: invalid int value: 'x'"),
+    ],
+    ids=["audit-b", "ranks-tol", "encode-depth"],
+)
+def test_argparse_type_error_prints_only_the_error(capsys, argv, message):
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert err.strip() == message  # no usage block before it
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ranks", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ttfun ranks")
+
+
+@pytest.mark.parametrize("schedule, bad", [("0", "0"), ("3,-1", "-1"), ("2,0,4", "0")])
+@pytest.mark.parametrize("kind", ["sobolev", "adaptive"])
+def test_study_schedule_entry_below_1_exits_2(tmp_path, capsys, kind, schedule, bad):
+    csv_out = tmp_path / "s.csv"
+    code, stdout, err = run(
+        capsys, "study", kind, "--target", "sin2pi", "--schedule", schedule, "--csv", str(csv_out)
+    )
+    assert code == 2 and stdout == ""
+    assert err.strip() == f"error: schedule entry {bad} is below 1"
+    assert not csv_out.exists()
