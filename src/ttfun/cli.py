@@ -171,17 +171,22 @@ def cmd_study(args):
         params["r"] = args.r
     if args.mbar is not None:
         params["mbar"] = args.mbar
-    schedule = ()
+    schedule, flag = (), None
     try:
         p = float(args.p)  # "inf" included
         if args.schedule:
             schedule = tuple(int(t) for t in args.schedule.split(","))
         elif args.dmax is not None:
             schedule = tuple(range(1, args.dmax + 1))
+            flag = f"--dmax {args.dmax}"
         elif args.nmax is not None:
             schedule = tuple(n for n in analysis._ANALYTIC_SCHEDULE if n <= args.nmax)
+            flag = f"--nmax {args.nmax}"
     except ValueError as exc:
         _fail(f"bad number: {exc}", EXIT_PARSE)
+    if flag and not schedule:
+        # an empty schedule would read as "use the default" in every study
+        _fail(f"{flag} selects no schedule entry", EXIT_PARSE)
     for n in schedule:
         if n < 1:
             _fail(f"schedule entry {n} is below 1", EXIT_PARSE)

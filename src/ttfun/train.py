@@ -25,11 +25,17 @@ One truncated-SVD sweep, _svd_sweep, is behind tt_round, singular_values,
 ranks and orthogonalize(direction="left"); the dense TT-SVD
 train_from_leaf_coefficients shares its truncation rule. Its right sweep,
 _right_orthogonalize_arrays (also behind norm_l2 and the right
-orthogonalize), opens with one exact left QR pass: from level 1 on, while
-r_nu > b r_{nu-1}, a QR cuts bond nu to b r_{nu-1}, so to at most b^nu. A
-block sum, such as a free-knot spline, stores bond ~2N at every level,
-where the rank is at most b^nu; a train with r_1 <= b, every rounded train
-among them, passes through untouched.
+orthogonalize), opens with two exact passes on a train with r_1 > b. The
+interface merge (_merge_interfaces) folds bond indices that carry the same
+function: forward, equal columns of a core merge and the matching rows of
+the next core are summed; backward, equal rows merge and the matching
+columns of the previous core are summed. It works over the nonzero entries,
+so a block sum of localized trains (a free-knot spline, an n-term wavelet
+sum, add) costs about one scan of its dense cores; a free-knot spline of
+degree m < b comes out with bond <= b^nu at every level. The left QR pass
+(_left_reduce) then cuts, from level 1 on, while r_nu > b r_{nu-1}, bond nu
+to b r_{nu-1}, so to at most b^nu. A train with r_1 <= b, every rounded
+train among them, passes through both untouched.
 """
 
 from __future__ import annotations
@@ -337,6 +343,85 @@ def _finite(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _merge_segments(ent, n_pos, n_seg, digits) -> bool:
+    """The forward half of _merge_interfaces, over arrays k = 0, 1, ... of a
+    chain: ent[k] = [pos, seg, val] lists the nonzero entries of array k,
+    whose segments seg < n_seg[k] are the bond indices to the next array,
+    and pos = i * n_pos[k] + the index to the previous one, for digit
+    i < digits[k]. Equal segments of array k (after its other index was
+    merged) merge into the first of them, and the next array's entries on
+    the merged indices are relabeled (so summed); the last array keeps its
+    segments. Updates ent, n_pos and n_seg in place and tells whether
+    anything merged. Duplicate entries are kept, not summed: a segment
+    that holds one may miss a merge, never make a wrong one."""
+    merged = False
+    for k in range(len(ent) - 1):
+        pos, seg, val = ent[k]
+        n = n_seg[k]
+        order = (seg * (digits[k] * n_pos[k]) + pos).argsort(kind="stable")
+        pos, seg, val = pos[order], seg[order], val[order]
+        # sorted segments are equal exactly when their bytes are
+        raw = np.empty((pos.size, 2), dtype=np.int64)
+        raw[:, 0], raw[:, 1] = pos, val.view(np.int64)
+        raw = raw.tobytes()
+        seen, label, reps, lo = {}, [], [], 0
+        for s, count in enumerate(np.bincount(seg, minlength=n).tolist()):
+            hi = lo + 16 * count
+            label.append(seen.setdefault(raw[lo:hi], len(seen)))
+            if label[-1] == len(reps):  # the first segment of its kind
+                reps.append(s)
+            lo = hi
+        if len(reps) == n:
+            continue
+        label = np.array(label)
+        keep = np.zeros(n, dtype=bool)
+        keep[reps] = True
+        kept = keep[seg]
+        ent[k][:] = [pos[kept], label[seg[kept]], val[kept]]
+        i, other = np.divmod(ent[k + 1][0], n)
+        ent[k + 1][0] = i * len(seen) + label[other]
+        n_seg[k] = n_pos[k + 1] = len(seen)
+        merged = True
+    return merged
+
+
+def _merge_interfaces(cores, leaf):
+    """Merge bond indices that carry identical interfaces; exact.
+
+    Forward, level by level: indices whose columns in core nu are equal
+    (after its rows were merged) carry the same function of digits 1..nu;
+    one column stays and the matching rows of core nu+1 (or of the leaf)
+    are summed. Backward, the same on the reversed chain: indices whose
+    rows in core nu+1 (or the leaf) are equal (after its columns were
+    merged) carry the same function of the later digits and the leaf
+    variable; one row stays and the matching columns of core nu are
+    summed. Runs over the nonzero entries, so a block sum of localized
+    trains costs about one scan of its dense cores. Returns cores and leaf
+    themselves when nothing merges."""
+    arrays = [*cores, leaf[None]]  # the leaf as a core with one digit
+    digits = [a.shape[0] for a in arrays]
+    rows, cols = [a.shape[1] for a in arrays], [a.shape[2] for a in arrays]
+    ent = []
+    for a in arrays:
+        flat = (a.ravel() != 0).nonzero()[0]
+        ent.append([*np.divmod(flat, a.shape[2]), a.ravel()[flat]])
+    merged = _merge_segments(ent, rows, cols, digits)
+    for e, r, c in zip(ent, rows, cols):  # segments become the rows
+        i, row = np.divmod(e[0], r)
+        e[:2] = [i * c + e[1], row]
+    cols, rows = cols[::-1], rows[::-1]
+    merged |= _merge_segments(ent[::-1], cols, rows, digits[::-1])
+    if not merged:
+        return cores, leaf
+    out = []
+    for (pos, row, val), b, r, c in zip(ent, digits, rows[::-1], cols[::-1]):
+        a = np.zeros((b, r, c))
+        i, col = np.divmod(pos, c)
+        np.add.at(a, (i, row, col), val)
+        out.append(a)
+    return out[:-1], out[-1][0]
+
+
 def _left_reduce(cores, leaf):
     """Cut the leading bonds to their dimension bound: from level 1, while
     the unfolding (r_{nu-1} b) x r_nu has fewer rows than columns, QR it,
@@ -357,10 +442,13 @@ def _left_reduce(cores, leaf):
 
 def _right_orthogonalize_arrays(cores, leaf):
     """Row-orthonormalize the leaf and cores 2..d; weight collects in core 1,
-    and so does a non-finite entry or an overflow anywhere. A left QR pass
-    (_left_reduce) first cuts over-wide leading bonds to at most b^nu, so
-    the right sweep's products and LQs run at the cut bonds."""
+    and so does a non-finite entry or an overflow anywhere. On a train with
+    r_1 > b the interface merge (_merge_interfaces) and the left QR pass
+    (_left_reduce) first cut the bonds, to at most b^nu on the leading
+    levels, so the right sweep's products and LQs run at the cut bonds."""
     with np.errstate(over="ignore", invalid="ignore"):  # _finite reports them
+        if cores[0].shape[2] > cores[0].shape[0]:  # r_1 > b: the left pass acts
+            cores, leaf = _merge_interfaces(cores, leaf)
         cores, leaf = _left_reduce(cores, leaf)
         carry, leaf = _lq(leaf)
         for nu in range(len(cores) - 1, 0, -1):
@@ -413,12 +501,12 @@ def _unweighted(leaf: np.ndarray, gram_L: np.ndarray) -> np.ndarray:
 def _svd_sweep(tt: TensorTrain, tol=None):
     """The one truncated-SVD sweep (TT-rounding, Oseledets 2011, Alg. 2).
 
-    Gram-weights the leaf, right-orthogonalizes (after the left QR pass that
-    cuts over-wide leading bonds), then runs the SVD of every level
-    unfolding from left to right, truncating each with a tail budget
-    of tol * ||f|| / sqrt(d) (tol None keeps every direction). Returns the
-    column-orthonormal cores, the Gram-weighted leaf (see _unweighted) and
-    the full spectrum of every level. Requires depth >= 1.
+    Gram-weights the leaf, right-orthogonalizes (after the interface merge
+    and the left QR pass that cut over-wide bonds), then runs the SVD of
+    every level unfolding from left to right, truncating each with a tail
+    budget of tol * ||f|| / sqrt(d) (tol None keeps every direction).
+    Returns the column-orthonormal cores, the Gram-weighted leaf (see
+    _unweighted) and the full spectrum of every level. Requires depth >= 1.
     """
     cores, leaf = _right_orthogonalize_arrays(list(tt.cores), _weighted_leaf(tt))
     budget = None if tol is None else tol * _norm(cores[0]) / math.sqrt(tt.depth)
@@ -459,11 +547,11 @@ def orthogonalize(tt: TensorTrain, direction: str = "right") -> TensorTrain:
 
 def norm_l2(tt: TensorTrain) -> float:
     """Exact L2([0,1)) norm of the represented function, from the QR sweeps
-    alone, whose cost follows the bonds cut by the left pass."""
+    alone, whose cost follows the bonds cut by the merge and the left pass."""
     weighted = _weighted_leaf(tt)
     if tt.depth == 0:
         return _norm(weighted)
-    # a QR-only sweep (the left pass, then the right sweep): the norm
+    # a QR-only sweep (the merge and the left pass, then the right sweep): the norm
     # collects in core 1, no SVD needed
     cores, _ = _right_orthogonalize_arrays(list(tt.cores), weighted)
     return _norm(cores[0]) * tt.base ** (-tt.depth / 2.0)

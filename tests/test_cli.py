@@ -297,3 +297,30 @@ def test_study_schedule_entry_below_1_exits_2(tmp_path, capsys, kind, schedule, 
     assert code == 2 and stdout == ""
     assert err.strip() == f"error: schedule entry {bad} is below 1"
     assert not csv_out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["sawtooth", "--target", "sawtooth", "--dmax", "0"], "--dmax 0"),
+        (["sawtooth", "--target", "sawtooth", "--dmax", "-3"], "--dmax -3"),
+        (["analytic", "--target", "inv_xplus2", "--nmax", "5"], "--nmax 5"),
+    ],
+    ids=["dmax-0", "dmax-negative", "nmax-below-every-budget"],
+)
+def test_study_selection_of_nothing_exits_2(tmp_path, capsys, argv, flag):
+    # an empty schedule used to run the whole default one and exit 0
+    csv_out = tmp_path / "s.csv"
+    code, stdout, err = run(capsys, "study", *argv, "--csv", str(csv_out))
+    assert code == 2 and stdout == ""
+    assert err.strip() == f"error: {flag} selects no schedule entry"
+    assert not csv_out.exists()
+
+
+def test_study_nmax_keeps_the_budgets_up_to_it(tmp_path, capsys):
+    csv_out = tmp_path / "s.csv"
+    argv = ["study", "analytic", "--target", "inv_xplus2", "--nmax", "30", "--csv", str(csv_out)]
+    assert run(capsys, *argv)[0] == 0
+    with open(csv_out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all(int(r["n"]) <= 30 for r in rows)

@@ -7,11 +7,13 @@ run checks the same examples.
 
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ttfun import train as train_module
 from ttfun.basis import KINDS, PolyBasis
 from ttfun.grids import Grid
 from ttfun.train import (
@@ -29,7 +31,7 @@ from ttfun.train import (
     tt_round,
 )
 
-from test_train import _reference_evaluate
+from test_train import _reference_evaluate, _reference_right_orthogonalize_arrays
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 SCALES = (1e-170, 1.0, 1e200)
@@ -171,3 +173,24 @@ def test_orthogonalize_keeps_values_and_orthonormalizes(layout, seed, direction)
         blocks = [m.T for m in rows + [ot.leaf]] if ot.depth else []
     for Q in blocks:
         assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max() < 1e-12
+
+
+@PROPERTY
+@given(layouts(), seeds, st.lists(st.integers(0, 2), min_size=1, max_size=2))
+def test_rounding_a_sum_with_repeated_terms_keeps_the_reference_bonds(layout, seed, pattern):
+    # terms such as [s, t, s]: the merge folds the repeats before the sweep
+    grid, _, basis = layout
+    rng = np.random.default_rng(seed)
+    distinct = [
+        _train((grid, rng.integers(1, 9, size=grid.depth).tolist(), basis), seed + k)
+        for k in range(3)
+    ]
+    tt = block_sum([distinct[k] for k in [0, *pattern, 0]])
+    rounded = tt_round(tt, 1e-12)
+    with mock.patch.object(
+        train_module, "_right_orthogonalize_arrays", _reference_right_orthogonalize_arrays
+    ):
+        assert rounded.bond_dims == tt_round(tt, 1e-12).bond_dims
+    x = rng.random(33)
+    f = evaluate(tt, x)
+    assert np.abs(evaluate(rounded, x) - f).max() <= 1e-12 * np.abs(f).max()

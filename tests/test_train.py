@@ -22,6 +22,7 @@ from ttfun.encoders import (
     encode_sawtooth,
     haar_mother,
     hat_mother,
+    n_term_wavelet,
     random_fixed_knot_spline,
 )
 from ttfun.grids import DomainError, Grid, _digit_steps, encode_points
@@ -920,3 +921,106 @@ def test_sweep_names_the_first_bad_point_of_a_later_chunk(b, d):
     for t in (x[_CHUNK + 5 : _CHUNK + 6], x[_CHUNK + 4 : _CHUNK + 10]):
         with pytest.raises(DomainError, match="point nan outside"):
             _sweep_chunk(tt, t, np.empty(t.size))
+
+
+# -- the interface merge ------------------------------------------------------
+
+
+_FREE_KNOT_SUMS = ["8", "64", "512", "sqrt-b3"]
+
+
+@pytest.fixture(scope="module")
+def free_knot_sum():
+    """free_knot_sum(name): the encoder's block sums, built once per module:
+    greedy x^0.7 (b=2, m=1) at N = name pieces, and "sqrt-b3", the base-3
+    sqrt train of the benchmark (m=2, N=81)."""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            cache[name] = (
+                encode_free_knot_spline(greedy_badic_knots(np.sqrt, 81, 2, 2.0, base=3))
+                if name == "sqrt-b3"
+                else _block_sum_train(int(name))
+            )
+        return cache[name]
+
+    yield get
+    cache.clear()
+
+
+def _wavelet_sum():
+    """Haar terms at levels 0..4 and hat terms at levels 1..3, all shifts."""
+    rng = np.random.default_rng(3)
+    haar, hat = haar_mother(degree=1), hat_mother(degree=1)
+    terms = [
+        (rng.standard_normal(), WaveletSpec(mother, level, shift))
+        for mother, levels in ((haar, range(5)), (hat, range(1, 4)))
+        for level in levels
+        for shift in range(2**level)
+    ]
+    return n_term_wavelet(terms, 7)
+
+
+def _merged(tt):
+    cores, leaf = train_module._merge_interfaces(list(tt.cores), tt.leaf)
+    return TensorTrain(tt.grid, cores, leaf, tt.basis)
+
+
+@pytest.mark.parametrize("name", [*_FREE_KNOT_SUMS, "haar-and-hat", "add-t-t"])
+def test_merged_train_keeps_values(free_knot_sum, name):
+    if name == "haar-and-hat":
+        tt = _wavelet_sum()
+    elif name == "add-t-t":
+        t = tt_round(free_knot_sum("64"), 1e-12)
+        tt = add(t, t)
+    else:
+        tt = free_knot_sum(name)
+    merged = _merged(tt)
+    assert merged.bond_dims[0] < tt.bond_dims[0]  # it merged
+    x = np.concatenate([QUASI, np.random.default_rng(5).random(800)])
+    f = evaluate(tt, x)
+    assert np.abs(evaluate(merged, x) - f).max() <= 1e-15 * np.abs(f).max()
+
+
+@pytest.mark.parametrize("name", _FREE_KNOT_SUMS)
+def test_merge_cuts_free_knot_bonds_to_the_dimension_bound(free_knot_sum, name):
+    tt = free_knot_sum(name)
+    bound = [min(r, tt.base**nu) for nu, r in enumerate(tt.bond_dims, start=1)]
+    merged = _merged(tt).bond_dims
+    assert all(r <= s for r, s in zip(merged, bound)), (merged, bound)
+
+
+def test_merge_of_add_t_t_gives_the_bonds_of_t(free_knot_sum):
+    t = tt_round(free_knot_sum("64"), 1e-12)
+    tt = add(t, t)
+    assert tt.bond_dims == tuple(2 * r for r in t.bond_dims)
+    assert _merged(tt).bond_dims == t.bond_dims
+
+
+def test_merge_returns_a_train_with_nothing_to_merge_untouched():
+    tt = _train_with_bonds(2, (3, 5, 9, 17), 11)
+    got_cores, got_leaf = train_module._merge_interfaces(list(tt.cores), tt.leaf)
+    assert got_leaf is tt.leaf
+    assert len(got_cores) == len(tt.cores)
+    assert all(a is c for a, c in zip(got_cores, tt.cores))
+
+
+@pytest.mark.parametrize("name", ["512", "sqrt-b3"])
+def test_merge_keeps_the_rank_profiles_of_the_reference_sweep(reference, free_knot_sum, name):
+    tt = free_knot_sum(name)
+    assert tt.bond_dims[0] > tt.base  # the merge acts
+    assert ranks(tt) == reference(ranks, tt)
+    assert tt_round(tt, 1e-12).bond_dims == reference(tt_round, tt, 1e-12).bond_dims
+
+
+def test_round_of_a_merged_block_sum_allocates_under_a_tenth_of_its_input(free_knot_sum):
+    t = free_knot_sum("512")
+    core_bytes = sum(c.nbytes for c in t.cores)
+    tracemalloc.start()
+    try:
+        tt_round(t, 1e-12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * core_bytes, (peak, core_bytes)
