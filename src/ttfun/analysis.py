@@ -39,7 +39,6 @@ from .encoders import (
 from .grids import DomainError, Grid, _digit_steps, lp_norm_from_leaves
 from .interpolation import (
     Interpolator,
-    _fit_cells,
     _sample,
     chebyshev_truncate,
     polynomial_interpolant_train,
@@ -213,22 +212,30 @@ def leaf_lp_norms(s: PiecewisePolynomial, grid: Grid, p: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _local_fit_and_error(f, i: int, level: int, base: int, interp, p, quad_order):
-    lo = i * float(base) ** (-level)
+def _local_fits(f, cells, level: int, base: int, interp, p, quad_order):
+    """Monomial rows of the node interpolants of f on the level-`level`
+    b-adic cells with indices `cells`, and their local L^p errors. One
+    sampler call takes every fit and error node; the stacked solve is one
+    LAPACK call per cell and the residual runs per row, so a cell's bits
+    do not depend on the batch."""
     w = float(base) ** (-level)
-    coeffs = _fit_cells(f, np.array([lo]), w, interp)[0]
+    starts = np.array(cells, dtype=float) * w
+    xs = np.add.outer(starts, interp.nodes * w)
+    np.minimum(xs, np.nextafter(starts + w, 0.0)[:, None], out=xs)
+    ts = quasi_random(64) if math.isinf(p) else _gauss01(quad_order)[0]
+    vals = _sample(f, np.concatenate([xs, starts[:, None] + w * ts], axis=1))
+    k = interp.nodes.size
+    coeffs = np.linalg.solve(interp.vandermonde(), vals[:, :k, None])[:, :, 0]
+    resid = np.abs(vals[:, k:] - np.polynomial.polynomial.polyval(ts, coeffs.T))
     if math.isinf(p):
-        ts = quasi_random(64)
-        err = float(
-            np.abs(_sample(f, lo + w * ts) - np.polynomial.polynomial.polyval(ts, coeffs)).max()
-        )
-    else:
-        nodes, ws = _gauss01(quad_order)
-        resid = np.abs(
-            _sample(f, lo + w * nodes) - np.polynomial.polynomial.polyval(nodes, coeffs)
-        )
-        err = float((w * np.sum(ws * resid**p)) ** (1.0 / p))
-    return coeffs, err
+        return coeffs, [float(e) for e in resid.max(axis=1)]
+    ws = _gauss01(quad_order)[1]
+    return coeffs, [float((w * e) ** (1.0 / p)) for e in np.sum(ws * resid**p, axis=1)]
+
+
+def _local_fit_and_error(f, i: int, level: int, base: int, interp, p, quad_order):
+    coeffs, errs = _local_fits(f, [i], level, base, interp, p, quad_order)
+    return coeffs[0], errs[0]
 
 
 def _aggregate_local_errors(errs, p):
@@ -251,8 +258,9 @@ def greedy_badic_knots(
     """Adaptive free b-adic-knot spline by worst-leaf refinement.
 
     Repeatedly splits the b-adic interval with the largest local L^p
-    interpolation error into its b children until n_pieces pieces or
-    max_depth is reached; each piece carries its local near-best (node
+    interpolation error into its b children (fitted in one batch) while
+    the count stays at most n_pieces, a split adding b - 1, and max_depth
+    is not reached; each piece carries its local near-best (node
     interpolation) polynomial. Budget or depth exhaustion is reported in
     the info dict, not raised.
     """
@@ -264,15 +272,15 @@ def greedy_badic_knots(
     coeffs, err = _local_fit_and_error(f, 0, 0, base, interp, p, quad_order)
     heap = [(-err, counter, 0, 0, coeffs)]
     frozen = []
-    while len(heap) + len(frozen) < n_pieces and heap:
+    while heap and len(heap) + len(frozen) + base - 1 <= n_pieces:
         neg_err, _, i, level, c = heapq.heappop(heap)
         if -neg_err <= 1e-15 or level >= max_depth:
             frozen.append((-neg_err, i, level, c))
             continue
-        for child in range(base):
+        children = [i * base + child for child in range(base)]
+        fits = _local_fits(f, children, level + 1, base, interp, p, quad_order)
+        for ci, cc, ce in zip(children, *fits):
             counter += 1
-            ci = i * base + child
-            cc, ce = _local_fit_and_error(f, ci, level + 1, base, interp, p, quad_order)
             heapq.heappush(heap, (-ce, counter, ci, level + 1, cc))
     pieces = frozen + [(-e, i, lv, c) for e, _, i, lv, c in heap]
     pieces.sort(key=lambda t: t[1] * base ** (max_depth - t[2]))
@@ -445,7 +453,7 @@ def study_adaptive(cfg: StudyConfig):
         records += _cost_rows("adaptive", cfg, rep, dbar, cfg.m, err, dt)
         records.append(
             ErrorRecord(
-                "adaptive", cfg.target, cfg.b, cfg.m, cfg.p, n_pieces, "pieces",
+                "adaptive", cfg.target, cfg.b, cfg.m, cfg.p, info["pieces"], "pieces",
                 dbar, cfg.m, err, dt, cfg.seed,
             )
         )
@@ -453,12 +461,9 @@ def study_adaptive(cfg: StudyConfig):
         t0 = time.perf_counter()
         du = round(math.log(n_pieces, cfg.b))
         if cfg.b**du == n_pieces:
-            locs = [
-                _local_fit_and_error(f, i, du, cfg.b, interp, cfg.p, quad_order)
-                for i in range(n_pieces)
-            ]
-            uerr = _aggregate_local_errors([e for _, e in locs], cfg.p)
-            upp = PiecewisePolynomial.uniform(cfg.b, du, [c for c, _ in locs])
+            coeffs, errs = _local_fits(f, range(n_pieces), du, cfg.b, interp, cfg.p, quad_order)
+            uerr = _aggregate_local_errors(errs, cfg.p)
+            upp = PiecewisePolynomial.uniform(cfg.b, du, coeffs)
             urep = complexity(encode_fixed_knot_spline(upp))
             dt = time.perf_counter() - t0
             records += _cost_rows("adaptive_uniform", cfg, urep, du, mbar, uerr, dt)

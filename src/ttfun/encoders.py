@@ -16,9 +16,10 @@ stable at any degree; interpolation.reinterpolate runs its chain in
 monomial coordinates, which are stable only to moderate degree.
 
 One construction localizes a polynomial to a b-adic cell: encode_dilated,
-delta cores selecting the cell's digits above a deepened mother. n-term
-wavelet sums use it, and so does the free-knot spline, whose every cover
-cell is a dilated depth-0 monomial train; both are block sums of cells.
+delta cores selecting the cell's digits above a deepened mother; n-term
+wavelet sums are block sums of such cells. The free-knot spline holds a
+dilated depth-0 monomial train per cover cell, written level by level
+into its block-diagonal cores with the bits of that block sum.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .train import (
     TensorTrain,
     block_sum,
     deepen,
+    dilation_cores,
     fit_coefficients,
     scale,
     train_from_leaf_coefficients,
@@ -318,31 +320,51 @@ def encode_free_knot_spline(
 
     Every piece is covered by at most 2d(b-1) aligned b-adic cells
     (badic_cover). On each cell the piece is a polynomial in the cell's
-    local coordinate: a depth-0 monomial train, dilated onto the cell by
-    encode_dilated. The cells are summed block-diagonally and the summed
-    leaf is mapped to the leaf basis once. The result is returned
-    unrounded (its nonzero count is the sparse-complexity witness); round
-    it to expose minimal ranks.
+    local coordinate. The cells sit block-diagonally, bond 1 down to the
+    cell's level and m+1 below, and each level's core is written once for
+    all cells: a 1 at the cell's digit above it, its local monomial row
+    through the dilation table just below, the table deeper; the leaf
+    (identity blocks, local rows of level-d cells) is mapped to the leaf
+    basis once. The result is returned unrounded (its nonzero count is the
+    sparse-complexity witness); round it to expose minimal ranks.
     """
     b = s.base
     d = s.max_level if depth is None else depth
     if d < s.max_level:
         raise DomainError(f"depth {d} below finest knot level {s.max_level}")
+    grid = Grid(b, d)
     mono = PolyBasis(s.degree, "monomial")
+    m1 = mono.dim
     n = b**d
     edges = [0] + [i * b ** (d - lv) for i, lv in s.knots] + [n]  # in units of b^-d
-    terms = []
+    cells, rows = [], []
     for coeffs, lo, hi in zip(s.pieces, edges, edges[1:]):
-        coeffs = _pad(coeffs, mono.dim)
+        coeffs = _pad(coeffs, m1)
         for j, level in badic_cover(Fraction(lo, n), Fraction(hi, n), b, d):
             w = b ** (d - level)
             # int true division rounds correctly: the exact shift and scale
-            local = _affine_recoeff(coeffs, (j * w - lo) / (hi - lo), w / (hi - lo))
-            cell = TensorTrain(Grid(b, 0), [], local[None, :], mono)
-            terms.append(encode_dilated(WaveletSpec(cell, level, j, math.inf), d))
-    total = block_sum(terms)
+            rows.append(_affine_recoeff(coeffs, (j * w - lo) / (hi - lo), w / (hi - lo)))
+            cells.append((j, level))
+    j, lv = np.array(cells, dtype=np.int64).T
+    loc = np.array(rows)
+    A = dilation_cores(mono, b)
+    span = np.arange(m1)
+    cores, at, r = [], np.zeros(len(cells), dtype=np.int64), 1  # at: cell offsets in bond r
+    for nu in range(1, d + 1):
+        width = np.where(lv >= nu, 1, m1)
+        off = np.cumsum(width) - width
+        core = np.zeros((b, r, int(width.sum())))
+        up, first, deep = lv >= nu, lv == nu - 1, lv < nu - 1
+        core[j[up] // b ** (lv[up] - nu) % b, at[up], off[up]] = 1.0
+        core[:, at[first, None], off[first, None] + span] = np.einsum("cq,iqp->icp", loc[first], A)
+        core[:, at[deep, None, None] + span[:, None], off[deep, None, None] + span] = A[:, None]
+        cores.append(core)
+        at, r = off, core.shape[2]
+    leaf = np.zeros((r, m1))
+    leaf[at[lv < d, None] + span, span] = 1.0
+    leaf[at[lv == d]] = loc[lv == d]
     basis = PolyBasis(s.degree, basis_kind)
-    return TensorTrain(total.grid, total.cores, total.leaf @ basis.from_monomial(), basis)
+    return TensorTrain(grid, cores, leaf @ basis.from_monomial(), basis)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import heapq
 import math
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 
 from ttfun.analysis import (
     StudyConfig,
+    _aggregate_local_errors,
     _gauss01,
     fit_linear,
     fit_loglog,
@@ -32,7 +34,13 @@ from ttfun.encoders import (
     sawtooth_function,
 )
 from ttfun.grids import DomainError, Grid, lp_norm_from_leaves
-from ttfun.interpolation import Interpolator, _sample, reinterpolate, tensor_interpolate
+from ttfun.interpolation import (
+    Interpolator,
+    _fit_cells,
+    _sample,
+    reinterpolate,
+    tensor_interpolate,
+)
 from ttfun.targets import get_target
 from ttfun.train import TensorTrain, evaluate, zero_train
 from ttfun.basis import PolyBasis
@@ -370,3 +378,123 @@ def test_lp_error_non_finite_sample_in_a_later_block_raises(p):
     with pytest.raises(DomainError, match="^non-finite sample of f$"):
         lp_error(f, tt, p)
     assert len(calls) == 4
+
+
+# ---------------------------------------------------------------------------
+# greedy refinement: each split fits its b children in one batch
+# ---------------------------------------------------------------------------
+
+
+def _reference_fit(f, i, level, base, interp, p, quad_order):
+    """The former one-cell fit: the interpolant from _fit_cells, then a
+    second sampler call on the error nodes."""
+    lo = i * float(base) ** (-level)
+    w = float(base) ** (-level)
+    coeffs = _fit_cells(f, np.array([lo]), w, interp)[0]
+    ts = quasi_random(64) if math.isinf(p) else _gauss01(quad_order)[0]
+    resid = np.abs(_sample(f, lo + w * ts) - np.polynomial.polynomial.polyval(ts, coeffs))
+    if math.isinf(p):
+        return coeffs, float(resid.max())
+    return coeffs, float((w * np.sum(_gauss01(quad_order)[1] * resid**p)) ** (1.0 / p))
+
+
+def _reference_greedy(f, n_pieces, degree, p, base=2, max_depth=30, quad_order=12):
+    """Worst-leaf refinement one child at a time, stopping before a split
+    would pass n_pieces: (knots, pieces, aggregated error)."""
+    interp = Interpolator(degree)
+    coeffs, err = _reference_fit(f, 0, 0, base, interp, p, quad_order)
+    heap, frozen, counter = [(-err, 0, 0, 0, coeffs)], [], 0
+    while heap and len(heap) + len(frozen) + base - 1 <= n_pieces:
+        neg_err, _, i, level, c = heapq.heappop(heap)
+        if -neg_err <= 1e-15 or level >= max_depth:
+            frozen.append((-neg_err, i, level, c))
+            continue
+        for child in range(base):
+            counter += 1
+            ci = i * base + child
+            cc, ce = _reference_fit(f, ci, level + 1, base, interp, p, quad_order)
+            heapq.heappush(heap, (-ce, counter, ci, level + 1, cc))
+    pieces = frozen + [(-e, i, lv, c) for e, _, i, lv, c in heap]
+    pieces.sort(key=lambda t: t[1] * base ** (max_depth - t[2]))
+    knots = tuple((i + 1, lv) for _, i, lv, _c in pieces[:-1])
+    return knots, [c for *_1, c in pieces], _aggregate_local_errors([e for e, *_ in pieces], p)
+
+
+def _assert_greedy_is_reference(f, n, m, p, base):
+    pp, info = greedy_badic_knots(f, n, m, p, base=base, with_info=True)
+    knots, pieces, error = _reference_greedy(f, n, m, p, base=base)
+    s = PiecewisePolynomial(base, knots, pieces)
+    assert pp.knots == s.knots and info["pieces"] == len(pieces)
+    assert all(np.array_equal(a, b) for a, b in zip(pp.pieces, s.pieces))
+    assert info["error"] == error
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize("base", [2, 3, 5])
+def test_greedy_batched_fits_are_bitwise_the_per_child_loop(base, p):
+    targets = (get_target("sqrt").sampler, lambda x: np.asarray(x) ** 0.695)
+    for f in targets:
+        for m in (0, 1, 2, 4):
+            for n in (30, 81):
+                _assert_greedy_is_reference(f, n, m, p, base)
+
+
+def test_greedy_batched_fits_are_bitwise_at_the_bench_sizes():
+    _assert_greedy_is_reference(lambda x: np.asarray(x) ** 0.695, 512, 1, 2.0, 2)
+    _assert_greedy_is_reference(get_target("sqrt").sampler, 81, 2, 2.0, 3)
+    _assert_greedy_is_reference(get_target("sin2pi").sampler, 41, 3, 2.0, 5)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize("base, schedule", [(2, (8, 32)), (3, (9, 27))])
+def test_adaptive_uniform_rows_are_bitwise_the_per_cell_fits(base, schedule, p):
+    cfg = StudyConfig("x_pow:0.6", b=base, m=1, p=p, schedule=schedule, params={"mbar": 2})
+    got = {
+        r.n: r.error for r in study_adaptive(cfg)
+        if r.study == "adaptive_uniform" and r.cost_kind == "pieces"
+    }
+    f, it = get_target("x_pow:0.6").sampler, Interpolator(2)
+    want = {}
+    for n in schedule:
+        du = round(math.log(n, base))
+        errs = [_reference_fit(f, i, du, base, it, p, 12)[1] for i in range(n)]
+        want[n] = _aggregate_local_errors(errs, p)
+    assert got == want
+
+
+@pytest.mark.parametrize("base", [2, 3])
+def test_greedy_scalar_only_sampler_gives_the_same_pieces(base):
+    for m in (1, 2):
+        a = greedy_badic_knots(math.sqrt, 27, m, 2.0, base=base)
+        b = greedy_badic_knots(np.sqrt, 27, m, 2.0, base=base)
+        assert a.knots == b.knots
+        assert all(np.array_equal(x, y) for x, y in zip(a.pieces, b.pieces))
+
+
+@pytest.mark.parametrize("p", [2.0, math.inf])
+@pytest.mark.parametrize("base", [3, 5])
+def test_greedy_nan_sampler_raises_at_any_base(base, p):
+    with pytest.raises(DomainError, match="non-finite"):
+        greedy_badic_knots(_nan_on_left_half, 9, 1, p, base=base)
+
+
+@pytest.mark.parametrize("base", [3, 5, 7])
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 28, 80, 81])
+def test_greedy_piece_count_is_the_largest_reachable_at_most_n(base, n):
+    # a split adds b - 1 pieces; it used to overshoot n_pieces at b >= 3
+    f = lambda x: np.asarray(x) ** 0.6
+    pp, info = greedy_badic_knots(f, n, 1, 2.0, base=base, with_info=True)
+    assert info["pieces"] == pp.piece_count == 1 + (n - 1) // (base - 1) * (base - 1)
+
+
+def test_greedy_piece_count_examples():
+    f = lambda x: np.asarray(x) ** 0.6
+    assert greedy_badic_knots(f, 80, 2, 2.0, base=3).piece_count == 79
+    assert greedy_badic_knots(f, 7, 1, 1.0, base=5).piece_count == 5
+    assert greedy_badic_knots(f, 81, 2, 2.0, base=3).piece_count == 81
+
+
+def test_adaptive_pieces_rows_record_the_spline_piece_count():
+    cfg = StudyConfig("x_pow:0.6", b=3, m=1, p=2.0, schedule=(8, 28), params={"mbar": 1})
+    rows = [r.n for r in study_adaptive(cfg) if r.study == "adaptive" and r.cost_kind == "pieces"]
+    assert rows == [7, 27]

@@ -326,6 +326,61 @@ def test_free_knot_matches_cell_by_cell_reference():
         assert np.abs(evaluate(tt, QUASI) - want).max() <= 1e-15 * np.abs(want).max()
 
 
+def _block_sum_free_knot(s, depth=None, basis_kind="legendre"):
+    """The former encoder, kept as an oracle: one dilated depth-0 monomial
+    train per cover cell (encode_dilated), summed by block_sum, with the
+    summed leaf mapped to the leaf basis."""
+    b = s.base
+    d = s.max_level if depth is None else depth
+    mono = PolyBasis(s.degree, "monomial")
+    n = b**d
+    edges = [0] + [i * b ** (d - lv) for i, lv in s.knots] + [n]
+    terms = []
+    for coeffs, lo, hi in zip(s.pieces, edges, edges[1:]):
+        coeffs = np.pad(coeffs, (0, mono.dim - coeffs.size))
+        for j, level in badic_cover(Fraction(lo, n), Fraction(hi, n), b, d):
+            w = b ** (d - level)
+            local = _affine_recoeff(coeffs, (j * w - lo) / (hi - lo), w / (hi - lo))
+            cell = TensorTrain(Grid(b, 0), [], local[None, :], mono)
+            terms.append(encode_dilated(WaveletSpec(cell, level, j, math.inf), d))
+    total = block_sum(terms)
+    basis = PolyBasis(s.degree, basis_kind)
+    return TensorTrain(total.grid, total.cores, total.leaf @ basis.from_monomial(), basis)
+
+
+def _level_write_cases():
+    sqrt = lambda x: np.sqrt(np.asarray(x, dtype=float))
+    x695 = lambda x: np.asarray(x, dtype=float) ** 0.695
+    return _free_knot_cases() + [
+        (greedy_badic_knots(x695, 512, 1, 2.0), None),
+        (greedy_badic_knots(sqrt, 81, 2, 2.0, base=3), None),
+        (PiecewisePolynomial(5, (), ([1.0, -2.0, 0.5, 3.0],)), None),  # knot-free, d = 0
+        (greedy_badic_knots(x695, 40, 4, 1.0, base=5), 6),  # depth above the finest knot
+    ]
+
+
+@pytest.mark.parametrize("basis_kind", ["legendre", "chebyshev", "monomial"])
+def test_free_knot_level_write_is_bitwise_the_block_sum(basis_kind):
+    for s, depth in _level_write_cases():
+        tt = encode_free_knot_spline(s, depth=depth, basis_kind=basis_kind)
+        ref = _block_sum_free_knot(s, depth, basis_kind)
+        assert tt.grid == ref.grid and tt.bond_dims == ref.bond_dims
+        for x, y in zip((*tt.cores, tt.leaf), (*ref.cores, ref.leaf)):
+            assert np.array_equal(x, y)
+
+
+def test_free_knot_encoder_builds_no_per_cell_train(monkeypatch):
+    import ttfun.encoders as enc
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-cell construction")
+
+    monkeypatch.setattr(enc, "encode_dilated", refuse)
+    monkeypatch.setattr(enc, "block_sum", refuse)
+    s = greedy_badic_knots(lambda x: np.asarray(x) ** 0.6, 64, 1, 2.0)
+    assert encode_free_knot_spline(s).bond_dims == _block_sum_free_knot(s).bond_dims
+
+
 @pytest.mark.parametrize("degree", range(9))
 def test_affine_recoeff_is_polynomial_composition(degree):
     rng = np.random.default_rng(degree)
