@@ -444,8 +444,9 @@ def study_adaptive(cfg: StudyConfig):
         err = info["error"]
         d = max(pp.max_level, 1)
         sparse = encode_free_knot_spline(pp, depth=d)
+        built = info["pieces"]  # at b >= 3 the greedy may stop short of n_pieces
         dbar = math.ceil(
-            (d * (cfg.m + 1 + 1.0 / cfg.p) + alpha * math.log(n_pieces, cfg.b)) / (cfg.m + 1)
+            (d * (cfg.m + 1 + 1.0 / cfg.p) + alpha * math.log(built, cfg.b)) / (cfg.m + 1)
         )
         dbar = max(dbar, d)
         rep = complexity(reinterpolate(sparse, dbar, cfg.m))
@@ -453,7 +454,7 @@ def study_adaptive(cfg: StudyConfig):
         records += _cost_rows("adaptive", cfg, rep, dbar, cfg.m, err, dt)
         records.append(
             ErrorRecord(
-                "adaptive", cfg.target, cfg.b, cfg.m, cfg.p, info["pieces"], "pieces",
+                "adaptive", cfg.target, cfg.b, cfg.m, cfg.p, built, "pieces",
                 dbar, cfg.m, err, dt, cfg.seed,
             )
         )

@@ -23,19 +23,18 @@ Frobenius norm of the train once the leaf is Gram-weighted.
 
 One truncated-SVD sweep, _svd_sweep, is behind tt_round, singular_values,
 ranks and orthogonalize(direction="left"); the dense TT-SVD
-train_from_leaf_coefficients shares its truncation rule. Its right sweep,
-_right_orthogonalize_arrays (also behind norm_l2 and the right
-orthogonalize), opens with two exact passes on a train with r_1 > b. The
-interface merge (_merge_interfaces) folds bond indices that carry the same
-function: forward, equal columns of a core merge and the matching rows of
-the next core are summed; backward, equal rows merge and the matching
-columns of the previous core are summed. It works over the nonzero entries,
-so a block sum of localized trains (a free-knot spline, an n-term wavelet
-sum, add) costs about one scan of its dense cores; a free-knot spline of
-degree m < b comes out with bond <= b^nu at every level. The left QR pass
-(_left_reduce) then cuts, from level 1 on, while r_nu > b r_{nu-1}, bond nu
-to b r_{nu-1}, so to at most b^nu. A train with r_1 <= b, every rounded
-train among them, passes through both untouched.
+train_from_leaf_coefficients shares its truncation rule. Rounding runs in
+three steps: one exact pass, the right LQ sweep, the SVD sweep. The exact
+pass is the interface merge (_merge_interfaces), with which the right
+sweep, _right_orthogonalize_arrays (also behind norm_l2 and the right
+orthogonalize), opens on a train with r_1 > b. It folds bond indices that
+carry the same function: forward, equal columns of a core merge and the
+matching rows of the next core are summed; backward, equal rows merge and
+the matching columns of the previous core are summed. It works over the
+nonzero entries, so a block sum of localized trains (a free-knot spline, an
+n-term wavelet sum, add) costs about one scan of its dense cores; a
+free-knot spline of degree m < b comes out with bond <= b^nu at every
+level. A train with r_1 <= b, every rounded train among them, skips it.
 """
 
 from __future__ import annotations
@@ -422,34 +421,15 @@ def _merge_interfaces(cores, leaf):
     return out[:-1], out[-1][0]
 
 
-def _left_reduce(cores, leaf):
-    """Cut the leading bonds to their dimension bound: from level 1, while
-    the unfolding (r_{nu-1} b) x r_nu has fewer rows than columns, QR it,
-    keep Q as core nu (bond r_{nu-1} b <= b^nu) and carry R into the next
-    level; exact up to roundoff. Stops at the first level that cannot
-    shrink, with no arithmetic if that is level 1."""
-    carry = None
-    for nu, core in enumerate(cores):
-        c = core if carry is None else carry @ core
-        b, r1, r2 = c.shape
-        if b * r1 >= r2:
-            cores[nu] = c
-            return cores, leaf
-        Q, carry = np.linalg.qr(c.transpose(1, 0, 2).reshape(r1 * b, r2))
-        cores[nu] = Q.reshape(r1, b, -1).transpose(1, 0, 2)
-    return cores, carry @ leaf
-
-
 def _right_orthogonalize_arrays(cores, leaf):
     """Row-orthonormalize the leaf and cores 2..d; weight collects in core 1,
     and so does a non-finite entry or an overflow anywhere. On a train with
-    r_1 > b the interface merge (_merge_interfaces) and the left QR pass
-    (_left_reduce) first cut the bonds, to at most b^nu on the leading
-    levels, so the right sweep's products and LQs run at the cut bonds."""
+    r_1 > b the interface merge (_merge_interfaces) first folds the bond
+    indices that carry the same function, so the right sweep's products and
+    LQs run at the merged bonds."""
     with np.errstate(over="ignore", invalid="ignore"):  # _finite reports them
-        if cores[0].shape[2] > cores[0].shape[0]:  # r_1 > b: the left pass acts
+        if cores[0].shape[2] > cores[0].shape[0]:  # r_1 > b
             cores, leaf = _merge_interfaces(cores, leaf)
-        cores, leaf = _left_reduce(cores, leaf)
         carry, leaf = _lq(leaf)
         for nu in range(len(cores) - 1, 0, -1):
             c = cores[nu] @ carry
@@ -502,9 +482,9 @@ def _svd_sweep(tt: TensorTrain, tol=None):
     """The one truncated-SVD sweep (TT-rounding, Oseledets 2011, Alg. 2).
 
     Gram-weights the leaf, right-orthogonalizes (after the interface merge
-    and the left QR pass that cut over-wide bonds), then runs the SVD of
-    every level unfolding from left to right, truncating each with a tail
-    budget of tol * ||f|| / sqrt(d) (tol None keeps every direction).
+    on a train with r_1 > b), then runs the SVD of every level unfolding
+    from left to right, truncating each with a tail budget of
+    tol * ||f|| / sqrt(d) (tol None keeps every direction).
     Returns the column-orthonormal cores, the Gram-weighted leaf (see
     _unweighted) and the full spectrum of every level. Requires depth >= 1.
     """
@@ -546,13 +526,13 @@ def orthogonalize(tt: TensorTrain, direction: str = "right") -> TensorTrain:
 
 
 def norm_l2(tt: TensorTrain) -> float:
-    """Exact L2([0,1)) norm of the represented function, from the QR sweeps
-    alone, whose cost follows the bonds cut by the merge and the left pass."""
+    """Exact L2([0,1)) norm of the represented function, from the right
+    sweep alone, whose cost follows the bonds left by the interface merge."""
     weighted = _weighted_leaf(tt)
     if tt.depth == 0:
         return _norm(weighted)
-    # a QR-only sweep (the merge and the left pass, then the right sweep): the norm
-    # collects in core 1, no SVD needed
+    # the right sweep alone (after the merge): the norm collects in core 1,
+    # no SVD needed
     cores, _ = _right_orthogonalize_arrays(list(tt.cores), weighted)
     return _norm(cores[0]) * tt.base ** (-tt.depth / 2.0)
 

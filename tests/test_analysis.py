@@ -498,3 +498,14 @@ def test_adaptive_pieces_rows_record_the_spline_piece_count():
     cfg = StudyConfig("x_pow:0.6", b=3, m=1, p=2.0, schedule=(8, 28), params={"mbar": 1})
     rows = [r.n for r in study_adaptive(cfg) if r.study == "adaptive" and r.cost_kind == "pieces"]
     assert rows == [7, 27]
+
+
+def test_adaptive_depth_is_sized_from_the_pieces_built():
+    # at b = 3 the greedy builds 3 and 7 pieces for 4 and 8; the depth follows
+    # the built count (sized from the requested one, it read 5 and 10)
+    cfg = StudyConfig("x_pow:0.6", b=3, m=0, p=1.0, schedule=(4, 8))
+    rows = [
+        (r.n, r.depth) for r in study_adaptive(cfg)
+        if r.study == "adaptive" and r.cost_kind == "pieces"
+    ]
+    assert rows == [(3, 4), (7, 9)]

@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from ttfun import cli
 from ttfun.cli import main
+from ttfun.complexity import AuditRecord
 from ttfun.grids import DomainError
 from ttfun.train import MismatchError, load_json
 
@@ -162,6 +164,26 @@ def test_audit_instance_and_unknown(tmp_path, capsys):
     assert code == 0 and "0 violations" in stdout
     code, _, err = run(capsys, "audit", "--instance", "bogus")
     assert code == 4 and err.startswith("error:")
+
+
+def test_audit_out_writes_every_record_deterministically(tmp_path, capsys):
+    files = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in files:
+        code, stdout, _ = run(capsys, "audit", "--out", str(out))
+        assert code == 0 and "audited 839 bounds, 0 violations" in stdout
+    doc = json.loads(files[0].read_text())
+    assert len(doc) == 839
+    assert all(set(r) == {"instance", "params", "quantity", "measured", "bound", "pass"} for r in doc)
+    assert files[0].read_bytes() == files[1].read_bytes()
+
+
+def test_audit_failing_bound_exits_1_and_names_it(monkeypatch, capsys):
+    bad = AuditRecord("fixed_knot", {"b": 2}, "rank_1", 5.0, 4.0, False)
+    monkeypatch.setattr(cli, "default_audit_sweep", lambda: [bad])
+    code, stdout, _ = run(capsys, "audit")
+    assert code == 1
+    assert "audited 1 bounds, 1 violations" in stdout
+    assert "FAIL fixed_knot rank_1: 5.0 > 4.0" in stdout.splitlines()
 
 
 def test_study_unknown_target(capsys):

@@ -139,7 +139,7 @@ def test_json_round_trip_is_bit_exact(layout, seed, s):
 
 def _over_bonded(layout, seed, signed):
     """Block sum of 2-4 random trains on the layout's grid and basis: bonds
-    above the dimension bound, so the left QR pass and the right sweep act."""
+    above the dimension bound, so the interface merge and the right sweep act."""
     grid, _, basis = layout
     rng = np.random.default_rng(seed)
     terms = []
