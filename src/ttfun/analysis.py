@@ -319,6 +319,10 @@ class StudyConfig:
     def __post_init__(self):
         if not self.p > 0:  # NaN too
             raise DomainError(f"p must be positive, got {self.p}")
+        if self.m < 0:
+            raise DomainError(f"m must be >= 0, got {self.m}")
+        if self.b < 2:
+            raise DomainError(f"base must be >= 2, got {self.b}")
 
 
 @dataclass(frozen=True)

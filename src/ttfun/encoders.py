@@ -18,8 +18,8 @@ monomial coordinates, which are stable only to moderate degree.
 One construction localizes a polynomial to a b-adic cell: encode_dilated,
 delta cores selecting the cell's digits above a deepened mother; n-term
 wavelet sums are block sums of such cells. The free-knot spline holds a
-dilated depth-0 monomial train per cover cell, written level by level
-into its block-diagonal cores with the bits of that block sum.
+dilated depth-0 monomial train per cover cell, written level by level as
+the entries of its block-diagonal cores, with the bits of that block sum.
 """
 
 from __future__ import annotations
@@ -321,12 +321,15 @@ def encode_free_knot_spline(
     Every piece is covered by at most 2d(b-1) aligned b-adic cells
     (badic_cover). On each cell the piece is a polynomial in the cell's
     local coordinate. The cells sit block-diagonally, bond 1 down to the
-    cell's level and m+1 below, and each level's core is written once for
-    all cells: a 1 at the cell's digit above it, its local monomial row
-    through the dilation table just below, the table deeper; the leaf
-    (identity blocks, local rows of level-d cells) is mapped to the leaf
-    basis once. The result is returned unrounded (its nonzero count is the
-    sparse-complexity witness); round it to expose minimal ranks.
+    cell's level and m+1 below, and each level's entries are written once
+    for all cells: a 1 at the cell's digit above it, its local monomial row
+    through the dilation table just below, the table deeper. The cores are
+    held as these entries (TensorTrain._from_entries), with the bytes of
+    the block sum once read as arrays; rounding reads the entries and never
+    writes the mostly zero dense cores. The leaf (identity blocks, local
+    rows of level-d cells) is mapped to the leaf basis once. The result is
+    returned unrounded (its nonzero count is the sparse-complexity
+    witness); round it to expose minimal ranks.
     """
     b = s.base
     d = s.max_level if depth is None else depth
@@ -349,22 +352,32 @@ def encode_free_knot_spline(
     loc = np.array(rows)
     A = dilation_cores(mono, b)
     span = np.arange(m1)
-    cores, at, r = [], np.zeros(len(cells), dtype=np.int64), 1  # at: cell offsets in bond r
+    shapes, entries = [], []
+    at, r = np.zeros(len(cells), dtype=np.int64), 1  # at: cell offsets in bond r
     for nu in range(1, d + 1):
         width = np.where(lv >= nu, 1, m1)
         off = np.cumsum(width) - width
-        core = np.zeros((b, r, int(width.sum())))
+        c = int(width.sum())
         up, first, deep = lv >= nu, lv == nu - 1, lv < nu - 1
-        core[j[up] // b ** (lv[up] - nu) % b, at[up], off[up]] = 1.0
-        core[:, at[first, None], off[first, None] + span] = np.einsum("cq,iqp->icp", loc[first], A)
-        core[:, at[deep, None, None] + span[:, None], off[deep, None, None] + span] = A[:, None]
-        cores.append(core)
-        at, r = off, core.shape[2]
+        # the three writes: (digit, row, column) index arrays that broadcast
+        # to the shape of their values
+        digit = np.arange(b)[:, None, None]
+        writes = [
+            (j[up] // b ** (lv[up] - nu) % b, at[up], off[up], np.ones(np.count_nonzero(up))),
+            (digit, at[first, None], off[first, None] + span,
+             np.einsum("cq,iqp->icp", loc[first], A)),
+            (digit[..., None], at[deep, None, None] + span[:, None], off[deep, None, None] + span,
+             A[:, None].repeat(np.count_nonzero(deep), axis=1)),
+        ]
+        flat = [((i * r + row) * c + col).ravel() for i, row, col, _ in writes]
+        shapes.append((b, r, c))
+        entries.append((np.concatenate(flat), np.concatenate([v.ravel() for *_, v in writes])))
+        at, r = off, c
     leaf = np.zeros((r, m1))
     leaf[at[lv < d, None] + span, span] = 1.0
     leaf[at[lv == d]] = loc[lv == d]
     basis = PolyBasis(s.degree, basis_kind)
-    return TensorTrain(grid, cores, leaf @ basis.from_monomial(), basis)
+    return TensorTrain._from_entries(grid, shapes, entries, leaf @ basis.from_monomial(), basis)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ import numpy as np
 
 from .grids import DomainError
 
+_P = np.polynomial.polynomial
+
 
 @dataclass(frozen=True)
 class Target:
@@ -64,6 +66,36 @@ def _inv_xplus2_seminorm(k: int, p: float) -> float:
     return val ** (1.0 / p)
 
 
+def _roots_inside(q: np.ndarray) -> list:
+    """The real zeros of the polynomial q (coefficients, lowest first) in (0, 1)."""
+    roots = _P.polyroots(q) if np.any(q[1:]) else []
+    return sorted(r.real for r in roots if abs(r.imag) < 1e-12 and 0 < r.real < 1)
+
+
+def _poly_seminorm(c: np.ndarray, k: int, p: float) -> float:
+    """||f^(k)||_p on [0, 1) for the polynomial f with coefficients c. For
+    p = inf, the max of |f^(k)| over the ends and the critical points; for
+    finite p, the sum over the pieces between the zeros of f^(k), on each
+    of which it keeps its sign: exact for an integer p (the antiderivative
+    of f^(k)^p), by quadrature of a smooth integrand otherwise."""
+    der = _P.polyder(c, k) if k < c.size else np.zeros(1)
+    if math.isinf(p):
+        xs = np.array([0.0, 1.0, *_roots_inside(_P.polyder(der))])
+        return float(np.abs(_P.polyval(xs, der)).max())
+    edges = [0.0, *_roots_inside(der), 1.0]
+    if float(p).is_integer():
+        anti = _P.polyint(_P.polypow(der, int(p)))
+        val = sum(abs(_P.polyval(hi, anti) - _P.polyval(lo, anti)) for lo, hi in zip(edges, edges[1:]))
+    else:
+        from scipy.integrate import quad
+
+        val = sum(
+            quad(lambda x: abs(_P.polyval(x, der)) ** p, lo, hi)[0]
+            for lo, hi in zip(edges, edges[1:])
+        )
+    return float(val) ** (1.0 / p)
+
+
 def _x_pow(alpha: float):
     def f(x):
         return np.asarray(x, dtype=float) ** alpha
@@ -97,23 +129,10 @@ def get_target(name: str) -> Target:
         )
     if base == "poly":
         coeffs = np.array([float(t) for t in arg.split(",")], dtype=float)
-
-        def seminorm(k, p, c=coeffs):
-            der = np.polynomial.polynomial.polyder(c, k) if k <= c.size - 1 else np.zeros(1)
-            if math.isinf(p):
-                xs = np.linspace(0.0, 1.0, 4097)
-                return float(np.abs(np.polynomial.polynomial.polyval(xs, der)).max())
-            from scipy.integrate import quad
-
-            val, _ = quad(
-                lambda x: abs(np.polynomial.polynomial.polyval(x, der)) ** p, 0.0, 1.0
-            )
-            return val ** (1.0 / p)
-
         return Target(
             name,
-            lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), coeffs),
-            sobolev_seminorm=seminorm,
+            lambda x: _P.polyval(np.asarray(x, dtype=float), coeffs),
+            sobolev_seminorm=lambda k, p: _poly_seminorm(coeffs, k, p),
             rho=math.inf,
         )
     if base == "x_pow" or base == "sqrt":

@@ -21,20 +21,28 @@ L2 quantities use the exact Gram matrix of the leaf basis together with the
 tensorization isometry: the function norm equals b^(-d/2) times the
 Frobenius norm of the train once the leaf is Gram-weighted.
 
+A block sum of localized trains (a free-knot spline, an n-term wavelet sum,
+add) has block-diagonal cores that are almost all zeros. Its producers
+build it from its entries (TensorTrain._from_entries): every core's shape
+and the flat index and value of each entry written. The dense cores are
+written on their first read (evaluate, dot_l2, deepen, scale, JSON), with
+the bytes of a dense write; the rounding sweeps and cost_S read the entries.
+
 One truncated-SVD sweep, _svd_sweep, is behind tt_round, singular_values,
 ranks and orthogonalize(direction="left"); the dense TT-SVD
 train_from_leaf_coefficients shares its truncation rule. Rounding runs in
 three steps: one exact pass, the right LQ sweep, the SVD sweep. The exact
 pass is the interface merge (_merge_interfaces), with which the right
-sweep, _right_orthogonalize_arrays (also behind norm_l2 and the right
-orthogonalize), opens on a train with r_1 > b. It folds bond indices that
+sweep (_right_orthogonalize, also behind norm_l2 and the right
+orthogonalize) opens on a train with r_1 > b. It folds bond indices that
 carry the same function: forward, equal columns of a core merge and the
 matching rows of the next core are summed; backward, equal rows merge and
 the matching columns of the previous core are summed. It works over the
-nonzero entries, so a block sum of localized trains (a free-knot spline, an
-n-term wavelet sum, add) costs about one scan of its dense cores; a
-free-knot spline of degree m < b comes out with bond <= b^nu at every
-level. A train with r_1 <= b, every rounded train among them, skips it.
+nonzero entries, taken from a train built from entries without writing its
+dense cores, so rounding a block sum costs about one pass over its
+nonzeros; a free-knot spline of degree m < b comes out with bond <= b^nu at
+every level. A train with r_1 <= b, every rounded train among them, skips
+it.
 """
 
 from __future__ import annotations
@@ -91,27 +99,74 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+_cores_lock = threading.Lock()  # writes the dense cores of trains built from entries
+
+
 class TensorTrain:
-    """Immutable TT representation of a function in V_{b,d,m}."""
+    """Immutable TT representation of a function in V_{b,d,m}.
+
+    A producer of block-diagonal cores (the free-knot encoder, block_sum)
+    builds the train from its entries instead (_from_entries): each core's
+    shape and the flat index and value of every entry it wrote. cores then
+    writes the dense arrays on first read, once per train, with the bytes
+    of the dense write; the interface merge and cost_S read the entries
+    (_core_entries), so rounding such a train never makes it dense."""
 
     def __init__(self, grid: Grid, cores, leaf, basis: PolyBasis):
-        cores = [np.asarray(c, dtype=float) for c in cores]
-        leaf = np.asarray(leaf, dtype=float)
-        if len(cores) != grid.depth:
-            raise MismatchError(f"expected {grid.depth} cores, got {len(cores)}")
+        cores = tuple(_frozen(c) for c in cores)
+        self._init(grid, [c.shape for c in cores], leaf, basis)
+        self._cores, self._entries = cores, None
+
+    @classmethod
+    def _from_entries(cls, grid: Grid, shapes, entries, leaf, basis: PolyBasis):
+        """The train whose core nu has shape shapes[nu] and, at the distinct
+        flat indices entries[nu][0], the values entries[nu][1] (zero
+        elsewhere)."""
+        tt = cls.__new__(cls)
+        tt._init(grid, [tuple(s) for s in shapes], leaf, basis)
+        tt._cores, tt._entries = None, []
+        for flat, val in entries:
+            order = np.argsort(flat, kind="stable")
+            tt._entries.append((flat[order], np.asarray(val, dtype=float)[order]))
+        return tt
+
+    def _init(self, grid, shapes, leaf, basis):
+        if len(shapes) != grid.depth:
+            raise MismatchError(f"expected {grid.depth} cores, got {len(shapes)}")
         r = 1
-        for nu, c in enumerate(cores, start=1):
-            if c.ndim != 3 or c.shape[0] != grid.base:
-                raise MismatchError(f"core {nu} has shape {c.shape}, want (b, r, r')")
-            if c.shape[1] != r:
-                raise MismatchError(f"core {nu} left rank {c.shape[1]} != {r}")
-            r = c.shape[2]
+        for nu, s in enumerate(shapes, start=1):
+            if len(s) != 3 or s[0] != grid.base:
+                raise MismatchError(f"core {nu} has shape {s}, want (b, r, r')")
+            if s[1] != r:
+                raise MismatchError(f"core {nu} left rank {s[1]} != {r}")
+            r = s[2]
+        leaf = _frozen(leaf)
         if leaf.ndim != 2 or leaf.shape != (r, basis.dim):
             raise MismatchError(f"leaf shape {leaf.shape}, want ({r}, {basis.dim})")
-        self.grid = grid
-        self.cores = tuple(_frozen(c) for c in cores)
-        self.leaf = _frozen(leaf)
-        self.basis = basis
+        self.grid, self._shapes, self.leaf, self.basis = grid, tuple(shapes), leaf, basis
+
+    @property
+    def cores(self) -> tuple:
+        """The read-only dense cores; a train built from entries writes them
+        on first read (under a lock, so concurrent readers share one write)."""
+        if self._cores is None:
+            with _cores_lock:
+                if self._cores is None:
+                    out = []
+                    for shape, (flat, val) in zip(self._shapes, self._entries):
+                        a = np.zeros(math.prod(shape))
+                        a[flat] = val
+                        out.append(_frozen(a.reshape(shape)))
+                    self._cores = tuple(out)
+        return self._cores
+
+    def _core_entries(self) -> list:
+        """Per core, (flat indices, values) of its entries in index order:
+        the producer's for a train built from entries; for dense cores,
+        every entry, with None for the indices 0, 1, ..."""
+        if self._entries is not None:
+            return self._entries
+        return [(None, c.ravel()) for c in self._cores]
 
     # -- structure ---------------------------------------------------------
     @property
@@ -125,7 +180,7 @@ class TensorTrain:
     @property
     def bond_dims(self) -> tuple:
         """Representation ranks (r_1, ..., r_d) of the stored cores."""
-        return tuple(c.shape[2] for c in self.cores)
+        return tuple(s[2] for s in self._shapes)
 
     def __repr__(self):
         return (
@@ -246,9 +301,9 @@ def _chunk_map(n_chunks: int):
 
 def _drop_pool():
     """After fork: the child inherits the pool object but none of its worker
-    threads, so it starts over without one."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+    threads, so it starts over without one, and with fresh locks."""
+    global _pool, _pool_lock, _cores_lock
+    _pool, _pool_lock, _cores_lock = None, threading.Lock(), threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -287,23 +342,23 @@ def block_sum(trains) -> TensorTrain:
     if first.depth == 0:
         leaf = np.sum([t.leaf for t in trains], axis=0)
         return TensorTrain(first.grid, [], leaf, first.basis)
-    cores = []
+    # each train's entries at its block's offsets; level 1 has one row
+    entries = [t._core_entries() for t in trains]
+    shapes, out = [], []
     for nu in range(first.depth):
-        parts = [t.cores[nu] for t in trains]
-        if nu == 0:
-            cores.append(np.concatenate(parts, axis=2))
-            continue
-        r1 = sum(c.shape[1] for c in parts)
-        r2 = sum(c.shape[2] for c in parts)
-        block = np.zeros((first.base, r1, r2))
-        o1 = o2 = 0
-        for c in parts:
-            block[:, o1 : o1 + c.shape[1], o2 : o2 + c.shape[2]] = c
-            o1 += c.shape[1]
-            o2 += c.shape[2]
-        cores.append(block)
+        parts = [(e[nu], t._shapes[nu]) for e, t in zip(entries, trains)]
+        r1 = 1 if nu == 0 else sum(s[1] for _, s in parts)
+        r2 = sum(s[2] for _, s in parts)
+        flats, o1, o2 = [], 0, 0
+        for (flat, val), (_, r, c) in parts:
+            flat = np.arange(val.size) if flat is None else flat
+            i, row = np.divmod(flat // c, r)
+            flats.append((i * r1 + o1 + row) * r2 + o2 + flat % c)
+            o1, o2 = o1 + (r if nu else 0), o2 + c
+        shapes.append((first.base, r1, r2))
+        out.append((np.concatenate(flats), np.concatenate([v for (_, v), _ in parts])))
     leaf = np.concatenate([t.leaf for t in trains], axis=0)
-    return TensorTrain(first.grid, cores, leaf, first.basis)
+    return TensorTrain._from_entries(first.grid, shapes, out, leaf, first.basis)
 
 
 def scale(a: TensorTrain, c: float) -> TensorTrain:
@@ -394,16 +449,24 @@ def _merge_interfaces(cores, leaf):
     rows in core nu+1 (or the leaf) are equal (after its columns were
     merged) carry the same function of the later digits and the leaf
     variable; one row stays and the matching columns of core nu are
-    summed. Runs over the nonzero entries, so a block sum of localized
-    trains costs about one scan of its dense cores. Returns cores and leaf
-    themselves when nothing merges."""
-    arrays = [*cores, leaf[None]]  # the leaf as a core with one digit
-    digits = [a.shape[0] for a in arrays]
-    rows, cols = [a.shape[1] for a in arrays], [a.shape[2] for a in arrays]
+    summed. Runs over the nonzero entries (_merge_entries). Returns cores
+    and leaf themselves when nothing merges."""
+    merged = _merge_entries([c.shape for c in cores], [(None, c.ravel()) for c in cores], leaf)
+    return merged or (cores, leaf)
+
+
+def _merge_entries(shapes, entries, leaf):
+    """_merge_interfaces on cores given by their shapes and their entries,
+    (flat indices, values) in index order as _core_entries gives them; None
+    when nothing merges. Zero values are dropped, so the merged arrays have
+    the bits of a merge over a scan of the dense cores."""
+    shapes = [*shapes, (1, *leaf.shape)]  # the leaf as a core with one digit
+    digits, rows, cols = (list(n) for n in zip(*shapes))
     ent = []
-    for a in arrays:
-        flat = (a.ravel() != 0).nonzero()[0]
-        ent.append([*np.divmod(flat, a.shape[2]), a.ravel()[flat]])
+    for (flat, val), c in zip([*entries, (None, leaf.ravel())], cols):
+        nz = val != 0
+        flat = nz.nonzero()[0] if flat is None else flat[nz]
+        ent.append([*np.divmod(flat, c), val[nz]])
     merged = _merge_segments(ent, rows, cols, digits)
     for e, r, c in zip(ent, rows, cols):  # segments become the rows
         i, row = np.divmod(e[0], r)
@@ -411,7 +474,7 @@ def _merge_interfaces(cores, leaf):
     cols, rows = cols[::-1], rows[::-1]
     merged |= _merge_segments(ent[::-1], cols, rows, digits[::-1])
     if not merged:
-        return cores, leaf
+        return None
     out = []
     for (pos, row, val), b, r, c in zip(ent, digits, rows[::-1], cols[::-1]):
         a = np.zeros((b, r, c))
@@ -430,13 +493,29 @@ def _right_orthogonalize_arrays(cores, leaf):
     with np.errstate(over="ignore", invalid="ignore"):  # _finite reports them
         if cores[0].shape[2] > cores[0].shape[0]:  # r_1 > b
             cores, leaf = _merge_interfaces(cores, leaf)
-        carry, leaf = _lq(leaf)
-        for nu in range(len(cores) - 1, 0, -1):
-            c = cores[nu] @ carry
-            b, r1, r2 = c.shape
-            carry, Q = _lq(c.transpose(1, 0, 2).reshape(r1, b * r2))
-            cores[nu] = Q.reshape(Q.shape[0], b, r2).transpose(1, 0, 2)
-        cores[0] = _finite(cores[0] @ carry)
+        return _lq_sweep(cores, leaf)
+
+
+def _right_orthogonalize(tt: TensorTrain, leaf):
+    """_right_orthogonalize_arrays of tt's cores with leaf for its own. A
+    train built from entries with r_1 > b merges from its entries, so its
+    dense cores are never written (unless nothing merges)."""
+    if tt._entries is None or tt.bond_dims[0] <= tt.base:
+        return _right_orthogonalize_arrays(list(tt.cores), leaf)
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite reports them
+        merged = _merge_entries(tt._shapes, tt._entries, leaf)
+        return _lq_sweep(*(merged or (list(tt.cores), leaf)))
+
+
+def _lq_sweep(cores, leaf):
+    """The right sweep of _right_orthogonalize_arrays after its merge."""
+    carry, leaf = _lq(leaf)
+    for nu in range(len(cores) - 1, 0, -1):
+        c = cores[nu] @ carry
+        b, r1, r2 = c.shape
+        carry, Q = _lq(c.transpose(1, 0, 2).reshape(r1, b * r2))
+        cores[nu] = Q.reshape(Q.shape[0], b, r2).transpose(1, 0, 2)
+    cores[0] = _finite(cores[0] @ carry)
     return cores, leaf
 
 
@@ -488,7 +567,7 @@ def _svd_sweep(tt: TensorTrain, tol=None):
     Returns the column-orthonormal cores, the Gram-weighted leaf (see
     _unweighted) and the full spectrum of every level. Requires depth >= 1.
     """
-    cores, leaf = _right_orthogonalize_arrays(list(tt.cores), _weighted_leaf(tt))
+    cores, leaf = _right_orthogonalize(tt, _weighted_leaf(tt))
     budget = None if tol is None else tol * _norm(cores[0]) / math.sqrt(tt.depth)
     spectra = []
     carry = np.ones((1, 1))
@@ -518,7 +597,7 @@ def orthogonalize(tt: TensorTrain, direction: str = "right") -> TensorTrain:
     if tt.depth == 0:
         return tt
     if direction == "right":
-        cores, leaf = _right_orthogonalize_arrays(list(tt.cores), tt.leaf)
+        cores, leaf = _right_orthogonalize(tt, tt.leaf)
     else:
         cores, leaf, _ = _svd_sweep(tt)
         leaf = _unweighted(leaf, tt.basis.gram_cholesky())
@@ -533,7 +612,7 @@ def norm_l2(tt: TensorTrain) -> float:
         return _norm(weighted)
     # the right sweep alone (after the merge): the norm collects in core 1,
     # no SVD needed
-    cores, _ = _right_orthogonalize_arrays(list(tt.cores), weighted)
+    cores, _ = _right_orthogonalize(tt, weighted)
     return _norm(cores[0]) * tt.base ** (-tt.depth / 2.0)
 
 

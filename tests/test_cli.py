@@ -346,3 +346,25 @@ def test_study_nmax_keeps_the_budgets_up_to_it(tmp_path, capsys):
     with open(csv_out) as fh:
         rows = list(csv.DictReader(fh))
     assert rows and all(int(r["n"]) <= 30 for r in rows)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sobolev", "--target", "sin2pi", "--m", "-1", "--schedule", "3"], "m must be >= 0, got -1"),
+        (["adaptive", "--target", "x_pow:0.6", "--m", "-1", "--schedule", "8"],
+         "m must be >= 0, got -1"),
+        (["sobolev", "--target", "sin2pi", "--m", "-2", "--schedule", "3"], "m must be >= 0, got -2"),
+        (["sawtooth", "--target", "sawtooth", "--m", "-3"], "m must be >= 0, got -3"),
+        (["sawtooth", "--target", "sawtooth", "--base", "1"], "base must be >= 2, got 1"),
+    ],
+    ids=["sobolev-m-1", "adaptive-m-1", "sobolev-m-2", "sawtooth-m-3", "base-1"],
+)
+def test_study_degree_or_base_out_of_range_exits_2(tmp_path, capsys, argv, message):
+    # m = -1 used to end in a ZeroDivisionError traceback (exit 1), m = -2 in
+    # a message about depths, and sawtooth ran at m = -3 and exited 0
+    csv_out = tmp_path / "s.csv"
+    code, stdout, err = run(capsys, "study", *argv, "--csv", str(csv_out))
+    assert code == 2 and stdout == ""
+    assert err.strip() == f"error: {message}"
+    assert not csv_out.exists()

@@ -1,5 +1,8 @@
 import json
 import math
+import sys
+import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -40,9 +43,10 @@ from ttfun.train import (
     norm_l2,
     ranks,
     scale,
+    singular_values,
     tt_round,
 )
-from ttfun.analysis import greedy_badic_knots, rank_span_oracle
+from ttfun.analysis import encoder_catalog, greedy_badic_knots, rank_span_oracle
 
 QUASI = np.mod(0.5 + np.arange(1, 1001) * 0.6180339887498949, 1.0)
 
@@ -326,10 +330,10 @@ def test_free_knot_matches_cell_by_cell_reference():
         assert np.abs(evaluate(tt, QUASI) - want).max() <= 1e-15 * np.abs(want).max()
 
 
-def _block_sum_free_knot(s, depth=None, basis_kind="legendre"):
+def _block_sum_free_knot(s, depth=None, basis_kind="legendre", summed=block_sum):
     """The former encoder, kept as an oracle: one dilated depth-0 monomial
-    train per cover cell (encode_dilated), summed by block_sum, with the
-    summed leaf mapped to the leaf basis."""
+    train per cover cell (encode_dilated), summed by block_sum (or by
+    summed), with the summed leaf mapped to the leaf basis."""
     b = s.base
     d = s.max_level if depth is None else depth
     mono = PolyBasis(s.degree, "monomial")
@@ -343,7 +347,7 @@ def _block_sum_free_knot(s, depth=None, basis_kind="legendre"):
             local = _affine_recoeff(coeffs, (j * w - lo) / (hi - lo), w / (hi - lo))
             cell = TensorTrain(Grid(b, 0), [], local[None, :], mono)
             terms.append(encode_dilated(WaveletSpec(cell, level, j, math.inf), d))
-    total = block_sum(terms)
+    total = summed(terms)
     basis = PolyBasis(s.degree, basis_kind)
     return TensorTrain(total.grid, total.cores, total.leaf @ basis.from_monomial(), basis)
 
@@ -379,6 +383,177 @@ def test_free_knot_encoder_builds_no_per_cell_train(monkeypatch):
     monkeypatch.setattr(enc, "block_sum", refuse)
     s = greedy_badic_knots(lambda x: np.asarray(x) ** 0.6, 64, 1, 2.0)
     assert encode_free_knot_spline(s).bond_dims == _block_sum_free_knot(s).bond_dims
+
+
+# ---------------------------------------------------------------------------
+# block-diagonal trains held as their entries
+# ---------------------------------------------------------------------------
+
+
+def _dense_block_sum(trains):
+    """block_sum as it wrote its cores before the entry form: each train's
+    blocks assigned into np.zeros at their offsets, level 1 concatenated."""
+    trains = list(trains)
+    first = trains[0]
+    cores = []
+    for nu in range(first.depth):
+        parts = [t.cores[nu] for t in trains]
+        if nu == 0:
+            cores.append(np.concatenate(parts, axis=2))
+            continue
+        r1, r2 = sum(c.shape[1] for c in parts), sum(c.shape[2] for c in parts)
+        block = np.zeros((first.base, r1, r2))
+        o1 = o2 = 0
+        for c in parts:
+            block[:, o1 : o1 + c.shape[1], o2 : o2 + c.shape[2]] = c
+            o1, o2 = o1 + c.shape[1], o2 + c.shape[2]
+        cores.append(block)
+    leaf = np.concatenate([t.leaf for t in trains], axis=0)
+    return TensorTrain(first.grid, cores, leaf, first.basis)
+
+
+def _wavelet_terms():
+    """Signed Haar and hat terms at levels 0..3, all shifts, at depth 6."""
+    rng = np.random.default_rng(4)
+    haar, hat = haar_mother(degree=1), hat_mother(degree=1)
+    return [
+        scale(encode_dilated(WaveletSpec(mother, level, shift), 6), rng.standard_normal())
+        for mother in (haar, hat)
+        for level in range(4)
+        for shift in range(2**level)
+    ]
+
+
+def _entry_form_cases():
+    """name -> (make, dense): make() builds a train in entry form, dense()
+    the dense write of the same train as it was made before the entry form."""
+    x07 = lambda x: np.asarray(x, dtype=float) ** 0.7
+    splines = {name: s for name, s, _, _ in encoder_catalog() if name.startswith("free_")}
+    splines.update({f"x07-N{n}": greedy_badic_knots(x07, n, 1, 2.0) for n in (64, 128, 256, 512)})
+    splines["sqrt-b3"] = greedy_badic_knots(np.sqrt, 81, 2, 2.0, base=3)
+    cases = {
+        name: (lambda s=s: encode_free_knot_spline(s),
+               lambda s=s: _block_sum_free_knot(s, summed=_dense_block_sum))
+        for name, s in splines.items()
+    }
+    terms = _wavelet_terms()
+    cases["wavelet-block-sum"] = (lambda: block_sum(terms), lambda: _dense_block_sum(terms))
+    # add hands over the entries of a train in entry form, with and without a dense one
+    cases["add-entries-dense"] = (
+        lambda: add(block_sum(terms[:9]), terms[9]),
+        lambda: _dense_block_sum([_dense_block_sum(terms[:9]), terms[9]]),
+    )
+    cases["add-entries-entries"] = (
+        lambda: add(block_sum(terms[:9]), block_sum(terms[9:])),
+        lambda: _dense_block_sum([_dense_block_sum(terms[:9]), _dense_block_sum(terms[9:])]),
+    )
+    # a sum and its copy with -0.0 for every zero: the bytes keep the signs,
+    # and the merge folds the two as a scan of the dense cores does
+    t = _dense_block_sum(terms[3:7])
+    signed = TensorTrain(t.grid, [np.where(c == 0, -0.0, c) for c in t.cores], t.leaf, t.basis)
+    cases["add-signed-zeros"] = (lambda: add(t, signed), lambda: _dense_block_sum([t, signed]))
+    return cases
+
+
+_ENTRY_FORM_NAMES = [
+    *(f"free_b{b}_N{n}_m{m}" for b, n, m in ((2, 2, 1), (2, 3, 2), (2, 4, 1), (3, 2, 1), (3, 3, 2))),
+    *(f"x07-N{n}" for n in (64, 128, 256, 512)),
+    "sqrt-b3", "wavelet-block-sum", "add-entries-dense", "add-entries-entries", "add-signed-zeros",
+]
+
+
+@pytest.fixture(scope="module")
+def entry_form():
+    """entry_form(name): (a fresh train in entry form, the dense write),
+    the dense write built once per module."""
+    cases, dense = _entry_form_cases(), {}
+    assert sorted(cases) == sorted(_ENTRY_FORM_NAMES)
+
+    def get(name):
+        make, write = cases[name]
+        if name not in dense:
+            dense[name] = write()
+        return make(), dense[name]
+
+    yield get
+    dense.clear()
+
+
+@pytest.mark.parametrize("name", _ENTRY_FORM_NAMES)
+def test_entry_form_cores_are_the_bytes_of_the_dense_write(entry_form, name):
+    tt, ref = entry_form(name)
+    assert tt._cores is None  # in entry form until the first read
+    assert tt.grid == ref.grid and tt.bond_dims == ref.bond_dims
+    assert tt.cores is tt.cores  # written once, then cached
+    for x, y in zip((*tt.cores, tt.leaf), (*ref.cores, ref.leaf)):
+        assert not x.flags.writeable
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _sweep_results(tt):
+    rounded = tt_round(tt, 1e-12)
+    rep = complexity(tt)
+    return (
+        [a.tobytes() for a in (*rounded.cores, rounded.leaf)],
+        rounded.bond_dims,
+        ranks(tt),
+        norm_l2(tt),
+        [S.tobytes() for S in singular_values(tt)],
+        (rep.cost_n, rep.cost_c, rep.cost_s, rep.ranks),
+        complexity(tt, 1e-3),
+    )
+
+
+@pytest.mark.parametrize("name", _ENTRY_FORM_NAMES)
+def test_entry_form_sweeps_give_the_bits_of_the_dense_rebuild(entry_form, name):
+    tt, _ = entry_form(name)
+    got = _sweep_results(tt)
+    if tt.bond_dims[0] > tt.base:  # the merge reads the entries
+        assert tt._cores is None
+    assert got == _sweep_results(TensorTrain(tt.grid, tt.cores, tt.leaf, tt.basis))
+
+
+def test_free_knot_encode_and_round_never_write_the_dense_block_sum():
+    s = greedy_badic_knots(lambda x: np.asarray(x, dtype=float) ** 0.7, 512, 1, 2.0)
+    tracemalloc.start()
+    try:
+        tt = encode_free_knot_spline(s)
+        rounded = tt_round(tt, 1e-12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    dense_bytes = 8 * sum(math.prod(shape) for shape in tt._shapes)
+    assert dense_bytes > 150 * 2**20  # the dense cores: about 160 MiB
+    assert peak <= 24 * 2**20, peak  # about 8 MiB measured
+    want = s(QUASI)
+    assert np.abs(evaluate(rounded, QUASI) - want).max() <= 1e-9 * np.abs(want).max()
+
+
+def test_entry_form_cores_are_written_once_under_concurrent_reads():
+    # more readers than cores, switching often: a second write of the cores
+    # would hand some reader another tuple
+    s = greedy_badic_knots(np.sqrt, 64, 1, 2.0)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            tt = encode_free_knot_spline(s)
+            barrier = threading.Barrier(8, timeout=10)
+            seen = []
+
+            def read():
+                barrier.wait()
+                seen.append(tt.cores)
+
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert len(seen) == 8 and all(c is seen[0] for c in seen)
+    finally:
+        sys.setswitchinterval(switch)
 
 
 @pytest.mark.parametrize("degree", range(9))

@@ -47,8 +47,6 @@ def _reference(name, k, p):
 @pytest.mark.parametrize("name", ["sin2pi", "exp", "inv_xplus2", "poly"])
 def test_closed_form_seminorms_match_quadrature(name, p):
     target = get_target("poly:" + ",".join(map(str, POLY)) if name == "poly" else name)
-    # the poly sup is itself sampled on 4097 points
-    rel = 1e-6 if name == "poly" and math.isinf(p) else 1e-8
     for k in range(5):
         got, want = target.sobolev_seminorm(k, p), _reference(name, k, p)
-        assert math.isclose(got, want, rel_tol=rel), (k, got, want)
+        assert math.isclose(got, want, rel_tol=1e-8), (k, got, want)

@@ -321,7 +321,8 @@ def test_norm_l2_agrees_across_orthogonal_leaves():
 
 
 def _block_sum_train(n_pieces):
-    """Free-knot train of x^0.7 as stored by the encoder: dense block-sum cores."""
+    """Free-knot train of x^0.7 as the encoder builds it: a block sum held as
+    its entries."""
     return encode_free_knot_spline(greedy_badic_knots(lambda x: x**0.7, n_pieces, 1, 2.0))
 
 
@@ -682,11 +683,19 @@ def _reference_right_orthogonalize_arrays(cores, leaf):
     return cores, leaf
 
 
+def _dense(tt):
+    """tt rebuilt from its dense cores: a train in entry form merges from
+    its entries, never through _right_orthogonalize_arrays."""
+    return TensorTrain(tt.grid, tt.cores, tt.leaf, tt.basis)
+
+
 @pytest.fixture
 def reference(monkeypatch):
-    """reference(fn, *args): fn(*args) with the sweeps on the reference right sweep."""
+    """reference(fn, *args): fn(*args) with the sweeps on the reference right
+    sweep, every train among args rebuilt from its dense cores (_dense)."""
 
     def call(fn, *args):
+        args = [_dense(a) if isinstance(a, TensorTrain) else a for a in args]
         with monkeypatch.context() as m:
             m.setattr(
                 train_module, "_right_orthogonalize_arrays", _reference_right_orthogonalize_arrays
@@ -992,6 +1001,18 @@ def test_merge_of_add_t_t_gives_the_bonds_of_t(free_knot_sum):
     tt = add(t, t)
     assert tt.bond_dims == tuple(2 * r for r in t.bond_dims)
     assert _merged(tt).bond_dims == t.bond_dims
+
+
+def test_merge_reads_a_signed_zero_as_zero():
+    w = _dense(_wavelet_sum())
+    flip = lambda a: np.where(a == 0, -0.0, a)
+    signed = TensorTrain(w.grid, [flip(c) for c in w.cores], flip(w.leaf), w.basis)
+    want = _merged(add(w, w)).bond_dims
+    tt = add(w, signed)  # in entry form, -0.0 kept
+    assert any(np.signbit(c).any() for c in tt.cores)
+    assert _merged(_dense(tt)).bond_dims == want
+    cores, _ = train_module._merge_entries(tt._shapes, tt._core_entries(), tt.leaf)
+    assert tuple(c.shape[2] for c in cores) == want
 
 
 def test_merge_returns_a_train_with_nothing_to_merge_untouched():
