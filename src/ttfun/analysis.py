@@ -361,6 +361,8 @@ def study_sobolev(cfg: StudyConfig):
     target = get_target(cfg.target)
     f = target.sampler
     r = int(cfg.params.get("r", 4))
+    if r < cfg.m + 1:  # dbar = ceil(d r / (m+1)) would fall below d
+        raise DomainError(f"r must be >= m + 1 = {cfg.m + 1}, got {r}")
     mbar = r - 1
     schedule = cfg.schedule or tuple(range(3, 11))
     records = []
@@ -433,11 +435,15 @@ def study_adaptive(cfg: StudyConfig):
     target = get_target(cfg.target)
     f = target.sampler
     mbar = int(cfg.params.get("mbar", max(cfg.m, 1)))
+    if mbar < cfg.m:  # the spline is re-interpolated at degree m
+        raise DomainError(f"mbar must be >= m = {cfg.m}, got {mbar}")
     max_depth = int(cfg.params.get("max_depth", 30))
     quad_order = int(cfg.params.get("quad_order", 12))
     alpha = target.besov_alpha(cfg.p) if target.besov_alpha else mbar + 1.0
     interp = Interpolator(mbar)
     schedule = cfg.schedule or (8, 16, 32, 64, 128, 256)
+    if min(schedule) < 2:  # one piece is the depth-0 uniform train, of no cost
+        raise DomainError(f"schedule entry {min(schedule)} is below 2 pieces")
     records = []
     for n_pieces in schedule:
         t0 = time.perf_counter()
@@ -615,8 +621,8 @@ def fit_linear(x, y):
     """Least-squares line: returns (slope, intercept, r_squared)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.size < 2:
-        raise DomainError("need at least two points to fit")
+    if np.unique(x).size < 2:
+        raise DomainError("need at least two distinct x to fit")
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))

@@ -52,18 +52,20 @@ class _Parser(argparse.ArgumentParser):
 def _load_train_spec(args) -> train.TensorTrain:
     spec = args.spec
     b, d = args.base, args.depth
+    builtin_depth = {"haar": 1, "hat": 1}.get(spec, 4) if d is None else d
     if spec == "haar":
-        return encode_dilated(WaveletSpec(haar_mother(degree=args.degree), 0, 0), d or 1)
+        return encode_dilated(WaveletSpec(haar_mother(degree=args.degree), 0, 0), builtin_depth)
     if spec == "hat":
-        return encode_dilated(WaveletSpec(hat_mother(degree=max(args.degree, 1)), 0, 0), d or 1)
+        mother = hat_mother(degree=max(args.degree, 1))
+        return encode_dilated(WaveletSpec(mother, 0, 0), builtin_depth)
     if spec == "sawtooth":
-        return encode_sawtooth(Grid(2, d or 4), max(args.degree, 1))
+        return encode_sawtooth(Grid(2, builtin_depth), max(args.degree, 1))
     if spec.startswith("poly:"):
         try:
             coeffs = [float(t) for t in spec[5:].split(",")]
         except ValueError as exc:
             _fail(f"bad polynomial coefficients: {exc}", EXIT_PARSE)
-        return encode_polynomial(coeffs, Grid(b, d if d is not None else 4))
+        return encode_polynomial(coeffs, Grid(b, builtin_depth))
     try:
         with open(spec) as fh:
             doc = json.load(fh)
@@ -210,7 +212,8 @@ def cmd_study(args):
         analysis.write_json(records, cfg, args.json_out)
     for kind in sorted({r.cost_kind for r in records} - {"pieces"}):
         sub = [r for r in records if r.cost_kind == kind and r.error > 1e-12]
-        if len(sub) < 2:
+        if len({r.n for r in sub}) < 2:
+            # a repeated schedule entry gives one x: there is no line to fit
             continue
         if args.kind == "analytic":
             # exponential regime: fit log error against the schedule root

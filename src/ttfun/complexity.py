@@ -102,6 +102,10 @@ def _fixed_knot_rank_bound(b, d, m, c, nu) -> int:
     return min((m - c) * b ** (d - nu) + (c + 1), b**nu)
 
 
+# The least value of each audit parameter (N pieces, continuity c >= -1).
+_AUDIT_MINIMA = {"b": 2, "d": 0, "dbar": 0, "m": 0, "mbar": 0, "N": 1, "c": -1, "seed": 0}
+
+
 def audit_bounds(instance: str, **params):
     """Measured-versus-bound records for one named construction.
 
@@ -110,6 +114,9 @@ def audit_bounds(instance: str, **params):
     from the proofs; the degree-0 fixed-knot rows carry the cost constants
     (the regime the proof computes), degree-m rows audit the rank bounds.
     """
+    for key, low in _AUDIT_MINIMA.items():
+        if params.get(key, low) < low:
+            raise DomainError(f"{key} must be >= {low}, got {params[key]}")
     rng = np.random.default_rng(int(params.pop("seed", 7)))
     if instance == "poly_interpolant":
         b = params.setdefault("b", 2)
@@ -188,7 +195,7 @@ def audit_bounds(instance: str, **params):
         d = params.setdefault("d", 6)
         s = random_free_knot_spline(rng, b, n_pieces, m, d)
         d_eff = max(s.max_level, 1)
-        tt = encode_free_knot_spline(s)
+        tt = encode_free_knot_spline(s, depth=d_eff)
         rep = complexity(tt)
         out = [
             _rec(

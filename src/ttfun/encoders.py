@@ -582,9 +582,15 @@ def random_fixed_knot_spline(
 def random_free_knot_spline(
     rng: np.random.Generator, base: int, pieces: int, degree: int, max_level: int
 ) -> PiecewisePolynomial:
-    """Random piecewise polynomial with distinct random b-adic knots."""
+    """Random piecewise polynomial with distinct random b-adic knots at
+    levels 1..max_level, which hold b^max_level - 1 of them."""
     if pieces < 1:
         raise DomainError("need at least one piece")
+    room = base**max_level - 1 if max_level >= 1 else 0
+    if pieces - 1 > room:
+        raise DomainError(
+            f"{pieces} pieces need {pieces - 1} distinct knots; levels 1..{max_level} hold {room}"
+        )
     knots = set()
     while len(knots) < pieces - 1:
         lv = int(rng.integers(1, max_level + 1))

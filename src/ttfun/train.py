@@ -28,21 +28,19 @@ and the flat index and value of each entry written. The dense cores are
 written on their first read (evaluate, dot_l2, deepen, scale, JSON), with
 the bytes of a dense write; the rounding sweeps and cost_S read the entries.
 
-One truncated-SVD sweep, _svd_sweep, is behind tt_round, singular_values,
-ranks and orthogonalize(direction="left"); the dense TT-SVD
-train_from_leaf_coefficients shares its truncation rule. Rounding runs in
-three steps: one exact pass, the right LQ sweep, the SVD sweep. The exact
-pass is the interface merge (_merge_interfaces), with which the right
-sweep (_right_orthogonalize, also behind norm_l2 and the right
-orthogonalize) opens on a train with r_1 > b. It folds bond indices that
-carry the same function: forward, equal columns of a core merge and the
-matching rows of the next core are summed; backward, equal rows merge and
-the matching columns of the previous core are summed. It works over the
-nonzero entries, taken from a train built from entries without writing its
-dense cores, so rounding a block sum costs about one pass over its
-nonzeros; a free-knot spline of degree m < b comes out with bond <= b^nu at
-every level. A train with r_1 <= b, every rounded train among them, skips
-it.
+One right sweep, _right_orthogonalize, is behind tt_round, ranks,
+singular_values, norm_l2 and both orthogonalize directions; the truncated
+SVD sweep _svd_sweep runs after it in all but norm_l2 and the right
+orthogonalize, and the dense TT-SVD train_from_leaf_coefficients shares its
+truncation rule. On a train with r_1 > b the right sweep opens with one
+exact pass, the interface merge (_merge_entries), which folds bond indices
+that carry the same function: forward, equal columns of a core merge and
+the matching rows of the next core are summed; backward, equal rows merge
+and the matching columns of the previous core are summed. It reads every
+train through its entries (_core_entries), so rounding a block sum costs
+about one pass over its nonzeros and never writes its dense cores; a
+free-knot spline of degree m < b comes out with bond <= b^nu at every
+level. A train with r_1 <= b, every rounded train among them, skips it.
 """
 
 from __future__ import annotations
@@ -378,8 +376,8 @@ def _lq(M: np.ndarray):
     return R.T, Q.T
 
 
-# The sweeps below rebind slots of a caller's list and never write into a
-# core, so trains hand over their read-only cores without copying them.
+# The sweeps below rebind slots of a list of a train's read-only cores and
+# never write into a core, so the cores are not copied.
 
 
 def _check_tol(tol, name: str = "tol"):
@@ -398,7 +396,7 @@ def _finite(a: np.ndarray) -> np.ndarray:
 
 
 def _merge_segments(ent, n_pos, n_seg, digits) -> bool:
-    """The forward half of _merge_interfaces, over arrays k = 0, 1, ... of a
+    """The forward half of _merge_entries, over arrays k = 0, 1, ... of a
     chain: ent[k] = [pos, seg, val] lists the nonzero entries of array k,
     whose segments seg < n_seg[k] are the bond indices to the next array,
     and pos = i * n_pos[k] + the index to the previous one, for digit
@@ -439,8 +437,9 @@ def _merge_segments(ent, n_pos, n_seg, digits) -> bool:
     return merged
 
 
-def _merge_interfaces(cores, leaf):
-    """Merge bond indices that carry identical interfaces; exact.
+def _merge_entries(tt: TensorTrain, leaf):
+    """Merge the bond indices of tt (with leaf for its own) that carry
+    identical interfaces; exact. None when nothing merges.
 
     Forward, level by level: indices whose columns in core nu are equal
     (after its rows were merged) carry the same function of digits 1..nu;
@@ -449,21 +448,14 @@ def _merge_interfaces(cores, leaf):
     rows in core nu+1 (or the leaf) are equal (after its columns were
     merged) carry the same function of the later digits and the leaf
     variable; one row stays and the matching columns of core nu are
-    summed. Runs over the nonzero entries (_merge_entries). Returns cores
-    and leaf themselves when nothing merges."""
-    merged = _merge_entries([c.shape for c in cores], [(None, c.ravel()) for c in cores], leaf)
-    return merged or (cores, leaf)
-
-
-def _merge_entries(shapes, entries, leaf):
-    """_merge_interfaces on cores given by their shapes and their entries,
-    (flat indices, values) in index order as _core_entries gives them; None
-    when nothing merges. Zero values are dropped, so the merged arrays have
-    the bits of a merge over a scan of the dense cores."""
-    shapes = [*shapes, (1, *leaf.shape)]  # the leaf as a core with one digit
+    summed. Runs over the nonzero entries of tt._core_entries(), so a train
+    built from entries is merged without writing its dense cores. Zero
+    values are dropped, so the merged arrays have the same bits whether tt
+    holds its cores dense or as entries."""
+    shapes = [*tt._shapes, (1, *leaf.shape)]  # the leaf as a core with one digit
     digits, rows, cols = (list(n) for n in zip(*shapes))
     ent = []
-    for (flat, val), c in zip([*entries, (None, leaf.ravel())], cols):
+    for (flat, val), c in zip([*tt._core_entries(), (None, leaf.ravel())], cols):
         nz = val != 0
         flat = nz.nonzero()[0] if flat is None else flat[nz]
         ent.append([*np.divmod(flat, c), val[nz]])
@@ -484,38 +476,23 @@ def _merge_entries(shapes, entries, leaf):
     return out[:-1], out[-1][0]
 
 
-def _right_orthogonalize_arrays(cores, leaf):
-    """Row-orthonormalize the leaf and cores 2..d; weight collects in core 1,
-    and so does a non-finite entry or an overflow anywhere. On a train with
-    r_1 > b the interface merge (_merge_interfaces) first folds the bond
-    indices that carry the same function, so the right sweep's products and
-    LQs run at the merged bonds."""
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite reports them
-        if cores[0].shape[2] > cores[0].shape[0]:  # r_1 > b
-            cores, leaf = _merge_interfaces(cores, leaf)
-        return _lq_sweep(cores, leaf)
-
-
 def _right_orthogonalize(tt: TensorTrain, leaf):
-    """_right_orthogonalize_arrays of tt's cores with leaf for its own. A
-    train built from entries with r_1 > b merges from its entries, so its
-    dense cores are never written (unless nothing merges)."""
-    if tt._entries is None or tt.bond_dims[0] <= tt.base:
-        return _right_orthogonalize_arrays(list(tt.cores), leaf)
+    """Row-orthonormalize leaf (tt's own or a weighted copy) and cores 2..d
+    of tt; weight collects in core 1, and so does a non-finite entry or an
+    overflow anywhere. On a train with r_1 > b the interface merge
+    (_merge_entries) first folds the bond indices that carry the same
+    function, so the LQ sweep runs at the merged bonds, and a train built
+    from entries writes its dense cores only when nothing merges."""
     with np.errstate(over="ignore", invalid="ignore"):  # _finite reports them
-        merged = _merge_entries(tt._shapes, tt._entries, leaf)
-        return _lq_sweep(*(merged or (list(tt.cores), leaf)))
-
-
-def _lq_sweep(cores, leaf):
-    """The right sweep of _right_orthogonalize_arrays after its merge."""
-    carry, leaf = _lq(leaf)
-    for nu in range(len(cores) - 1, 0, -1):
-        c = cores[nu] @ carry
-        b, r1, r2 = c.shape
-        carry, Q = _lq(c.transpose(1, 0, 2).reshape(r1, b * r2))
-        cores[nu] = Q.reshape(Q.shape[0], b, r2).transpose(1, 0, 2)
-    cores[0] = _finite(cores[0] @ carry)
+        merged = _merge_entries(tt, leaf) if tt.bond_dims[0] > tt.base else None
+        cores, leaf = merged or (list(tt.cores), leaf)
+        carry, leaf = _lq(leaf)
+        for nu in range(len(cores) - 1, 0, -1):
+            c = cores[nu] @ carry
+            b, r1, r2 = c.shape
+            carry, Q = _lq(c.transpose(1, 0, 2).reshape(r1, b * r2))
+            cores[nu] = Q.reshape(Q.shape[0], b, r2).transpose(1, 0, 2)
+        cores[0] = _finite(cores[0] @ carry)
     return cores, leaf
 
 
@@ -560,12 +537,12 @@ def _unweighted(leaf: np.ndarray, gram_L: np.ndarray) -> np.ndarray:
 def _svd_sweep(tt: TensorTrain, tol=None):
     """The one truncated-SVD sweep (TT-rounding, Oseledets 2011, Alg. 2).
 
-    Gram-weights the leaf, right-orthogonalizes (after the interface merge
-    on a train with r_1 > b), then runs the SVD of every level unfolding
-    from left to right, truncating each with a tail budget of
-    tol * ||f|| / sqrt(d) (tol None keeps every direction).
-    Returns the column-orthonormal cores, the Gram-weighted leaf (see
-    _unweighted) and the full spectrum of every level. Requires depth >= 1.
+    Gram-weights the leaf, right-orthogonalizes (_right_orthogonalize),
+    then runs the SVD of every level unfolding from left to right,
+    truncating each with a tail budget of tol * ||f|| / sqrt(d) (tol None
+    keeps every direction). Returns the column-orthonormal cores, the
+    Gram-weighted leaf (see _unweighted) and the full spectrum of every
+    level. Requires depth >= 1.
     """
     cores, leaf = _right_orthogonalize(tt, _weighted_leaf(tt))
     budget = None if tol is None else tol * _norm(cores[0]) / math.sqrt(tt.depth)
@@ -610,9 +587,7 @@ def norm_l2(tt: TensorTrain) -> float:
     weighted = _weighted_leaf(tt)
     if tt.depth == 0:
         return _norm(weighted)
-    # the right sweep alone (after the merge): the norm collects in core 1,
-    # no SVD needed
-    cores, _ = _right_orthogonalize(tt, weighted)
+    cores, _ = _right_orthogonalize(tt, weighted)  # the norm collects in core 1
     return _norm(cores[0]) * tt.base ** (-tt.depth / 2.0)
 
 

@@ -200,6 +200,9 @@ def test_fit_helpers():
     assert slope == pytest.approx(-2.0, abs=1e-12)
     with pytest.raises(DomainError):
         fit_linear([1.0], [1.0])
+    # two equal x used to reach np.polyfit and its RankWarning
+    with pytest.raises(DomainError, match="two distinct x"):
+        fit_linear([1.0, 1.0], [1.0, 2.0])
 
 
 def test_csv_and_json_outputs(tmp_path):

@@ -1,8 +1,13 @@
+import contextlib
 import csv
+import io
 import json
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttfun import cli
 from ttfun.cli import main
@@ -161,6 +166,9 @@ def test_ranks_and_complexity_commands(tmp_path, capsys):
 
 def test_audit_instance_and_unknown(tmp_path, capsys):
     code, stdout, _ = run(capsys, "audit", "--instance", "fixed_knot", "--b", "3", "--d", "3", "--m", "0")
+    assert code == 0 and "0 violations" in stdout
+    # one piece at d = 0 is one polynomial; the audit used to index past its ranks
+    code, stdout, _ = run(capsys, "audit", "--instance", "free_knot", "--pieces", "1", "--d", "0")
     assert code == 0 and "0 violations" in stdout
     code, _, err = run(capsys, "audit", "--instance", "bogus")
     assert code == 4 and err.startswith("error:")
@@ -357,14 +365,146 @@ def test_study_nmax_keeps_the_budgets_up_to_it(tmp_path, capsys):
         (["sobolev", "--target", "sin2pi", "--m", "-2", "--schedule", "3"], "m must be >= 0, got -2"),
         (["sawtooth", "--target", "sawtooth", "--m", "-3"], "m must be >= 0, got -3"),
         (["sawtooth", "--target", "sawtooth", "--base", "1"], "base must be >= 2, got 1"),
+        (["sobolev", "--target", "sin2pi", "--r", "1", "--schedule", "3"],
+         "r must be >= m + 1 = 2, got 1"),
+        (["sobolev", "--target", "sin2pi", "--r", "0", "--schedule", "3"],
+         "r must be >= m + 1 = 2, got 0"),
+        (["adaptive", "--target", "x_pow:0.6", "--mbar", "0", "--schedule", "8"],
+         "mbar must be >= m = 1, got 0"),
+        (["adaptive", "--target", "x_pow:0.6", "--schedule", "1"],
+         "schedule entry 1 is below 2 pieces"),
     ],
-    ids=["sobolev-m-1", "adaptive-m-1", "sobolev-m-2", "sawtooth-m-3", "base-1"],
+    ids=[
+        "sobolev-m-1", "adaptive-m-1", "sobolev-m-2", "sawtooth-m-3", "base-1",
+        "sobolev-r-1", "sobolev-r-0", "adaptive-mbar-0", "adaptive-one-piece",
+    ],
 )
 def test_study_degree_or_base_out_of_range_exits_2(tmp_path, capsys, argv, message):
     # m = -1 used to end in a ZeroDivisionError traceback (exit 1), m = -2 in
-    # a message about depths, and sawtooth ran at m = -3 and exited 0
+    # a message about depths, and sawtooth ran at m = -3 and exited 0; r and
+    # mbar out of range were reported as a depth or degree mismatch, and one
+    # piece as an "invalid record"
     csv_out = tmp_path / "s.csv"
     code, stdout, err = run(capsys, "study", *argv, "--csv", str(csv_out))
     assert code == 2 and stdout == ""
     assert err.strip() == f"error: {message}"
     assert not csv_out.exists()
+
+
+def test_study_repeated_schedule_entry_fits_no_line(capsys):
+    # "1,1" gives two rows at one n: the fit used to end in a RankWarning traceback
+    code, stdout, err = run(capsys, "study", "sobolev", "--target", "sin2pi", "--schedule", "1,1")
+    assert code == 0 and err == ""
+    assert "slope" not in stdout and "recorded" in stdout
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["free_knot", "--pieces", "10", "--d", "2"],
+         "10 pieces need 9 distinct knots; levels 1..2 hold 3"),
+        (["free_knot", "--d", "0"], "3 pieces need 2 distinct knots; levels 1..0 hold 0"),
+        (["free_knot_interpolant", "--d", "0"],
+         "3 pieces need 2 distinct knots; levels 1..0 hold 0"),
+        (["fixed_knot", "--b", "1"], "b must be >= 2, got 1"),
+        (["free_knot", "--seed", "-1"], "seed must be >= 0, got -1"),
+    ],
+    ids=["more-pieces-than-knots", "free-knot-d-0", "interpolant-d-0", "b-1", "seed-negative"],
+)
+def test_audit_instance_out_of_range_exits_4_at_once(capsys, argv, message):
+    # ten pieces at d = 2 used to spin forever, d = 0 ended in a ValueError
+    # traceback, and a negative seed in one from numpy
+    t0 = time.perf_counter()
+    code, stdout, err = run(capsys, "audit", "--instance", *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 4 and stdout == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("spec", ["haar", "hat", "sawtooth"])
+def test_encode_builtin_at_depth_0_exits_2(tmp_path, capsys, spec):
+    # depth 0 used to read as "no depth given" and encode at the default
+    out = tmp_path / "t.json"
+    code, stdout, err = run(capsys, "encode", spec, "--depth", "0", "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert not out.exists()
+
+
+# -- no traceback at the boundary: every numeric option over small, signed and
+# non-finite values. An exception escaping main is what prints a traceback.
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+INTS = st.integers(-2, 4).map(str)
+FLOATS = st.sampled_from(["nan", "inf", "-inf", "-1", "-1e-3", "0", "0.5", "1e-8", "2"])
+
+
+def _options(draw, spec):
+    """--name value pairs for a drawn subset of spec's (name, strategy)."""
+    argv = []
+    for name, values in spec:
+        if draw(st.booleans()):
+            argv += [f"--{name}", draw(values)]
+    return argv
+
+
+def _no_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, code, out.getvalue(), err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    if code:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: "), argv
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from(["haar", "hat", "sawtooth", "poly:1,-2", "poly:0.5"]))
+def test_encode_options_never_end_in_a_traceback(tmp_path_factory, data, spec):
+    out = tmp_path_factory.mktemp("encode") / "t.json"
+    options = [("base", INTS), ("depth", st.integers(-1, 6).map(str)), ("degree", INTS)]
+    _no_traceback(["encode", spec, *_options(data.draw, options), "--out", str(out)])
+
+
+_AUDIT_OPTIONS = [
+    ("b", INTS), ("d", INTS), ("dbar", INTS), ("m", INTS), ("mbar", INTS),
+    ("pieces", st.integers(-1, 9).map(str)), ("c", INTS), ("seed", INTS),
+]
+
+
+_AUDIT_INSTANCES = ["free_knot", "free_knot_interpolant", "fixed_knot", "sawtooth", "poly_interpolant"]
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from(_AUDIT_INSTANCES))
+def test_audit_options_never_end_in_a_traceback(data, instance):
+    _no_traceback(["audit", "--instance", instance, *_options(data.draw, _AUDIT_OPTIONS)])
+
+
+_STUDY_TARGETS = {
+    "sobolev": "sin2pi", "analytic": "inv_xplus2", "adaptive": "x_pow:0.6", "sawtooth": "sawtooth",
+}
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from(sorted(_STUDY_TARGETS)))
+def test_study_options_never_end_in_a_traceback(data, kind):
+    # sobolev re-interpolates depth d to about 4d: d <= 2 keeps it near 50 ms
+    entries = st.integers(-1, {"analytic": 30, "sobolev": 2}.get(kind, 4))
+    schedule = ",".join(map(str, data.draw(st.lists(entries, min_size=1, max_size=2))))
+    options = [
+        ("base", st.integers(-1, 3).map(str)), ("m", INTS), ("p", FLOATS),
+        ("r", INTS), ("mbar", INTS), ("seed", INTS),
+    ]
+    argv = ["study", kind, "--target", _STUDY_TARGETS[kind], "--schedule", schedule]
+    _no_traceback([*argv, *_options(data.draw, options)])
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from(["ranks", "complexity"]))
+def test_ranks_and_complexity_options_never_end_in_a_traceback(tmp_path_factory, data, command):
+    path = tmp_path_factory.getbasetemp() / "poly.json"
+    if not path.exists():
+        assert main(["encode", "poly:1,-2,3", "--depth", "4", "--out", str(path)]) == 0
+    options = [("tol", FLOATS)] if command == "ranks" else [("zero-tol", FLOATS), ("round", FLOATS)]
+    _no_traceback([command, str(path), *_options(data.draw, options)])

@@ -267,6 +267,20 @@ def test_free_knot_exactness_and_ranks():
         assert r <= min(2**nu, 3 * 2 ** (d - nu), 2 + 3)
 
 
+@pytest.mark.parametrize(
+    "base, pieces, max_level, room",
+    [(2, 10, 2, 3), (3, 10, 2, 8), (2, 2, 0, 0), (2, 3, -1, 0)],
+)
+def test_random_free_knot_spline_needs_room_for_its_knots(base, pieces, max_level, room):
+    # levels 1..max_level hold b^max_level - 1 distinct knots; asking for
+    # more used to spin forever, and max_level < 1 to fail in rng.integers
+    rng = np.random.default_rng(0)
+    with pytest.raises(DomainError, match=f"need {pieces - 1} distinct knots; .* hold {room}$"):
+        random_free_knot_spline(rng, base, pieces, 1, max_level)
+    full = random_free_knot_spline(rng, base, room + 1, 1, max_level)  # every knot taken
+    assert full.piece_count == room + 1
+
+
 def _reference_free_knot(s, depth=None, basis_kind="legendre"):
     """Reference construction, cell by cell: Fraction cell bounds, the
     piece composed with the cell's affine map by the Polynomial class, delta

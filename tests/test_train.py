@@ -670,8 +670,10 @@ def test_norm_l2_of_a_depth_zero_train_rejects_an_overflowing_leaf():
             norm_l2(tt)
 
 
-def _reference_right_orthogonalize_arrays(cores, leaf):
-    """The right sweep alone, without the interface merge that opens it."""
+def _reference_right_orthogonalize(tt, leaf):
+    """The right sweep alone over tt's dense cores, without the interface
+    merge that opens train._right_orthogonalize."""
+    cores = list(tt.cores)
     with np.errstate(over="ignore", invalid="ignore"):
         carry, leaf = train_module._lq(leaf)
         for nu in range(len(cores) - 1, 0, -1):
@@ -684,22 +686,18 @@ def _reference_right_orthogonalize_arrays(cores, leaf):
 
 
 def _dense(tt):
-    """tt rebuilt from its dense cores: a train in entry form merges from
-    its entries, never through _right_orthogonalize_arrays."""
+    """tt rebuilt from its dense cores, not held as its entries."""
     return TensorTrain(tt.grid, tt.cores, tt.leaf, tt.basis)
 
 
 @pytest.fixture
 def reference(monkeypatch):
     """reference(fn, *args): fn(*args) with the sweeps on the reference right
-    sweep, every train among args rebuilt from its dense cores (_dense)."""
+    sweep."""
 
     def call(fn, *args):
-        args = [_dense(a) if isinstance(a, TensorTrain) else a for a in args]
         with monkeypatch.context() as m:
-            m.setattr(
-                train_module, "_right_orthogonalize_arrays", _reference_right_orthogonalize_arrays
-            )
+            m.setattr(train_module, "_right_orthogonalize", _reference_right_orthogonalize)
             return fn(*args)
 
     return call
@@ -968,7 +966,7 @@ def _wavelet_sum():
 
 
 def _merged(tt):
-    cores, leaf = train_module._merge_interfaces(list(tt.cores), tt.leaf)
+    cores, leaf = train_module._merge_entries(tt, tt.leaf)
     return TensorTrain(tt.grid, cores, leaf, tt.basis)
 
 
@@ -1011,16 +1009,12 @@ def test_merge_reads_a_signed_zero_as_zero():
     tt = add(w, signed)  # in entry form, -0.0 kept
     assert any(np.signbit(c).any() for c in tt.cores)
     assert _merged(_dense(tt)).bond_dims == want
-    cores, _ = train_module._merge_entries(tt._shapes, tt._core_entries(), tt.leaf)
-    assert tuple(c.shape[2] for c in cores) == want
+    assert _merged(tt).bond_dims == want
 
 
-def test_merge_returns_a_train_with_nothing_to_merge_untouched():
+def test_merge_returns_none_with_nothing_to_merge():
     tt = _train_with_bonds(2, (3, 5, 9, 17), 11)
-    got_cores, got_leaf = train_module._merge_interfaces(list(tt.cores), tt.leaf)
-    assert got_leaf is tt.leaf
-    assert len(got_cores) == len(tt.cores)
-    assert all(a is c for a, c in zip(got_cores, tt.cores))
+    assert train_module._merge_entries(tt, tt.leaf) is None
 
 
 @pytest.mark.parametrize("name", ["512", "sqrt-b3"])
