@@ -206,6 +206,8 @@ def cmd_study(args):
     except DomainError as exc:
         _fail(str(exc), EXIT_UNKNOWN)
     records = analysis.STUDIES[args.kind](cfg)
+    if not records:
+        _fail(f"the {args.kind} study records no rows for this schedule", EXIT_PARSE)
     if args.csv:
         analysis.write_csv(records, args.csv)
     if args.json_out:

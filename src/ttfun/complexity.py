@@ -4,6 +4,15 @@ cost_N counts rank indices, cost_C counts parameter slots, cost_S counts
 nonzero parameters. All three are properties of the representation at
 hand; after rounding they upper-bound the minimal cost over all
 representations of the same function.
+
+The audit is one table, _AUDITS: per instance, one auditor, which builds a
+random member of the family and returns (quantity, measured, bound) rows,
+and the default parameters. The bounds come from the constructions of arXiv
+2007.00128: the rank profiles of fixed-knot and free-knot splines and of
+the levels that re-interpolation appends, the costs of a profile (_cost_c),
+the proof's explicit degree-0 constants, the free-knot cover's 2 d (b - 1)
+cells per piece, and the closed forms of the polynomial interpolant and of
+the sawtooth.
 """
 
 from __future__ import annotations
@@ -92,217 +101,148 @@ class AuditRecord:
         }
 
 
-def _rec(instance, params, quantity, measured, bound) -> AuditRecord:
-    return AuditRecord(instance, dict(params), quantity, float(measured), float(bound), bool(measured <= bound))
+def _fixed_knot_profile(b, d, m, c) -> list:
+    """Rank bounds at levels 1..d of a degree-m spline of continuity c (c >= m: one polynomial)."""
+    top = lambda nu: m + 1 if c >= m else (m - c) * b ** (d - nu) + (c + 1)
+    return [min(top(nu), b**nu) for nu in range(1, d + 1)]
 
 
-def _fixed_knot_rank_bound(b, d, m, c, nu) -> int:
-    if c >= m:  # globally polynomial
-        return min(m + 1, b**nu)
-    return min((m - c) * b ** (d - nu) + (c + 1), b**nu)
+def _free_knot_profile(b, d, m, n_pieces) -> list:
+    """Rank bounds at levels 1..d of a degree-m spline of n_pieces b-adic pieces."""
+    return [min(b**nu, (m + 1) * b ** (d - nu), m + n_pieces) for nu in range(1, d + 1)]
 
+
+def _reinterpolation_tail(b, d, dbar, m, mbar) -> list:
+    """Rank bounds of a degree-mbar train at the levels d+1..dbar that reinterpolate adds."""
+    return [min((m + 1) * b ** (dbar - nu), mbar + 1) for nu in range(d + 1, dbar + 1)]
+
+
+def _rank_rows(tt, bounds) -> list:
+    """One rank_nu_<nu> row per level of tt against its bound."""
+    levels = zip(ranks(tt), bounds, strict=True)
+    return [(f"rank_nu_{nu}", r, bound) for nu, (r, bound) in enumerate(levels, 1)]
+
+
+def _degree0_bounds(b, n_pieces, m):
+    """The proof's explicit cost_N and cost_C bounds for degree 0 on n_pieces cells."""
+    return 2 * b / (b - 1) * math.sqrt(n_pieces), max(2 * b**2 / (b**2 - 1), m + 1) * n_pieces
+
+
+def _audit_poly_interpolant(rng, b, d, mbar, m):
+    tt = polynomial_interpolant_train(rng.standard_normal(mbar + 1), Grid(b, d), m)
+    rep = complexity(tt)
+    return [
+        ("cost_N", rep.cost_n, (mbar + 1) * d),
+        ("cost_C", rep.cost_c, b * (mbar + 1) ** 2 * d + b * (m + 1)),
+        ("cost_S<=cost_C", rep.cost_s, rep.cost_c),
+    ]
+
+
+def _audit_fixed_knot(rng, b, d, m, c):
+    s = random_fixed_knot_spline(rng, b, d, m, c)
+    # continuity shows up as roundoff-small singular values; audit the
+    # rounded representation, not the tol=0 construction
+    tt = tt_round(encode_fixed_knot_spline(s), 1e-12)
+    rep = complexity(tt)
+    profile = _fixed_knot_profile(b, d, m, c)
+    rows = _rank_rows(tt, profile) + [
+        ("cost_N(profile)", rep.cost_n, sum(profile)),
+        ("cost_C(profile)", rep.cost_c, _cost_c(b, profile, m + 1)),
+    ]
+    if m == 0:
+        bound_n, bound_c = _degree0_bounds(b, b**d, m)
+        rows += [("cost_N", rep.cost_n, bound_n), ("cost_C", rep.cost_c, bound_c)]
+    return rows + [("cost_S<=cost_C", rep.cost_s, rep.cost_c)]
+
+
+def _audit_fixed_knot_interpolant(rng, b, d, mbar, m, c, dbar):
+    dbar = max(dbar, d)
+    s = random_fixed_knot_spline(rng, b, d, mbar, c)
+    itt = reinterpolate(tt_round(encode_fixed_knot_spline(s), 1e-12), dbar, m)
+    rep = complexity(itt)
+    bounds = _fixed_knot_profile(b, d, mbar, c) + _reinterpolation_tail(b, d, dbar, m, mbar)
+    rows = _rank_rows(itt, bounds)
+    if mbar == 0:
+        # the degree-0 constants plus the re-interpolation tail
+        bound_n, bound_c = _degree0_bounds(b, b**d, m)
+        rows += [
+            ("cost_N", rep.cost_n, bound_n + (dbar - d) * (mbar + 1)),
+            ("cost_C", rep.cost_c, bound_c + (dbar - d) * b * (mbar + 1) ** 2 + b * (m + 1)),
+        ]
+    return rows + [("cost_S<=cost_C", rep.cost_s, rep.cost_c)]
+
+
+def _audit_free_knot(rng, b, N, m, d):
+    s = random_free_knot_spline(rng, b, N, m, d)
+    d_eff = max(s.max_level, 1)
+    tt = encode_free_knot_spline(s, depth=d_eff)
+    bps = [Fraction(0)] + [Fraction(i, b**lv) for i, lv in s.knots] + [Fraction(1)]
+    rows = [("cost_S", complexity(tt).cost_s, 4 * b**3 * (m + 1) ** 3 * d_eff**2 * N)]
+    rows += [
+        (f"subintervals_piece_{k}", len(badic_cover(lo, hi, b, d_eff)), 2 * d_eff * (b - 1))
+        for k, (lo, hi) in enumerate(zip(bps, bps[1:]))
+    ]
+    return rows + _rank_rows(tt_round(tt, 1e-12), _free_knot_profile(b, d_eff, m, N))
+
+
+def _audit_free_knot_interpolant(rng, b, N, mbar, m, d, dbar):
+    s = random_free_knot_spline(rng, b, N, mbar, d)
+    d_eff = max(s.max_level, 1)
+    dbar = max(dbar, d_eff)
+    itt = reinterpolate(tt_round(encode_free_knot_spline(s), 1e-12), dbar, m)
+    rep = complexity(itt)
+    tail_c = (dbar - d_eff) * b * (mbar + 1) ** 2 + b * (m + 1)
+    bounds = _free_knot_profile(b, d_eff, mbar, N) + _reinterpolation_tail(b, d_eff, dbar, m, mbar)
+    return [
+        ("cost_N", rep.cost_n, (mbar + 1) * d_eff * N + (dbar - d_eff) * (mbar + N)),
+        ("cost_C", rep.cost_c, 2 * b * d_eff * (mbar + 1) ** 2 * N**2 + tail_c),
+    ] + _rank_rows(itt, bounds)
+
+
+def _audit_sawtooth(rng, d, m):
+    rep = complexity(encode_sawtooth(Grid(2, d), m))
+    return [("cost_C", rep.cost_c, 8 * d + 2 * m + 2), ("cost_N", rep.cost_n, 2 * d)]
+
+
+# Each instance's auditor and its defaults, in the order a record's params gain
+# the ones not given; a callable default reads the params set before it.
+_AUDITS = {
+    "poly_interpolant": (_audit_poly_interpolant, {"b": 2, "d": 4, "mbar": 3, "m": 1}),
+    "fixed_knot": (_audit_fixed_knot, {"b": 2, "d": 4, "m": 0, "c": -1}),
+    "fixed_knot_interpolant": (
+        _audit_fixed_knot_interpolant,
+        {"b": 2, "d": 4, "mbar": 0, "m": 0, "c": -1, "dbar": lambda p: p["d"] + 3},
+    ),
+    "free_knot": (_audit_free_knot, {"b": 2, "N": 3, "m": 1, "d": 6}),
+    "free_knot_interpolant": (
+        _audit_free_knot_interpolant,
+        {"b": 2, "N": 3, "mbar": 2, "m": 1, "d": 5, "dbar": 8},
+    ),
+    "sawtooth": (_audit_sawtooth, {"d": 4, "m": 1}),
+}
 
 # The least value of each audit parameter (N pieces, continuity c >= -1).
 _AUDIT_MINIMA = {"b": 2, "d": 0, "dbar": 0, "m": 0, "mbar": 0, "N": 1, "c": -1, "seed": 0}
 
 
 def audit_bounds(instance: str, **params):
-    """Measured-versus-bound records for one named construction.
-
-    Known instances: poly_interpolant, fixed_knot, fixed_knot_interpolant,
-    free_knot, free_knot_interpolant, sawtooth. Explicit constants come
-    from the proofs; the degree-0 fixed-knot rows carry the cost constants
-    (the regime the proof computes), degree-m rows audit the rank bounds.
-    """
+    """Measured-versus-bound records for one instance of _AUDITS; the
+    parameters not given take the instance's defaults, and every record
+    carries the full params."""
     for key, low in _AUDIT_MINIMA.items():
         if params.get(key, low) < low:
             raise DomainError(f"{key} must be >= {low}, got {params[key]}")
     rng = np.random.default_rng(int(params.pop("seed", 7)))
-    if instance == "poly_interpolant":
-        b = params.setdefault("b", 2)
-        d = params.setdefault("d", 4)
-        mbar = params.setdefault("mbar", 3)
-        m = params.setdefault("m", 1)
-        coeffs = rng.standard_normal(mbar + 1)
-        tt = polynomial_interpolant_train(coeffs, Grid(b, d), m)
-        rep = complexity(tt)
-        return [
-            _rec(instance, params, "cost_N", rep.cost_n, (mbar + 1) * d),
-            _rec(
-                instance,
-                params,
-                "cost_C",
-                rep.cost_c,
-                b * (mbar + 1) ** 2 * d + b * (m + 1),
-            ),
-            _rec(instance, params, "cost_S<=cost_C", rep.cost_s, rep.cost_c),
-        ]
-
-    if instance == "fixed_knot":
-        b = params.setdefault("b", 2)
-        d = params.setdefault("d", 4)
-        m = params.setdefault("m", 0)
-        c = params.setdefault("c", -1)
-        n_pieces = b**d
-        s = random_fixed_knot_spline(rng, b, d, m, c)
-        # continuity shows up as roundoff-small singular values; report the
-        # rounded representation, not the tol=0 construction
-        tt = tt_round(encode_fixed_knot_spline(s), 1e-12)
-        rep = complexity(tt)
-        rk = ranks(tt)
-        out = []
-        for nu in range(1, d + 1):
-            out.append(
-                _rec(
-                    instance,
-                    params,
-                    f"rank_nu_{nu}",
-                    rk[nu - 1],
-                    _fixed_knot_rank_bound(b, d, m, c, nu),
-                )
-            )
-        profile = [_fixed_knot_rank_bound(b, d, m, c, nu) for nu in range(1, d + 1)]
-        out.append(_rec(instance, params, "cost_N(profile)", rep.cost_n, sum(profile)))
-        bound_c = _cost_c(b, profile, m + 1)
-        out.append(_rec(instance, params, "cost_C(profile)", rep.cost_c, bound_c))
-        if m == 0:
-            # the proof's explicit constants, valid for the degree-0 profile
-            out.append(
-                _rec(
-                    instance,
-                    params,
-                    "cost_N",
-                    rep.cost_n,
-                    2 * b / (b - 1) * math.sqrt(n_pieces),
-                )
-            )
-            out.append(
-                _rec(
-                    instance,
-                    params,
-                    "cost_C",
-                    rep.cost_c,
-                    max(2 * b**2 / (b**2 - 1), m + 1) * n_pieces,
-                )
-            )
-        out.append(_rec(instance, params, "cost_S<=cost_C", rep.cost_s, rep.cost_c))
-        return out
-
-    if instance == "free_knot":
-        b = params.setdefault("b", 2)
-        n_pieces = params.setdefault("N", 3)
-        m = params.setdefault("m", 1)
-        d = params.setdefault("d", 6)
-        s = random_free_knot_spline(rng, b, n_pieces, m, d)
-        d_eff = max(s.max_level, 1)
-        tt = encode_free_knot_spline(s, depth=d_eff)
-        rep = complexity(tt)
-        out = [
-            _rec(
-                instance,
-                params,
-                "cost_S",
-                rep.cost_s,
-                4 * b**3 * (m + 1) ** 3 * d_eff**2 * n_pieces,
-            )
-        ]
-        bps = [Fraction(0)] + [Fraction(i, b**lv) for i, lv in s.knots] + [Fraction(1)]
-        for k in range(s.piece_count):
-            nk = len(badic_cover(bps[k], bps[k + 1], b, d_eff))
-            out.append(
-                _rec(instance, params, f"subintervals_piece_{k}", nk, 2 * d_eff * (b - 1))
-            )
-        rk = ranks(tt_round(tt, 1e-12))
-        for nu in range(1, d_eff + 1):
-            bound = min(b**nu, (m + 1) * b ** (d_eff - nu), m + n_pieces)
-            out.append(_rec(instance, params, f"rank_nu_{nu}", rk[nu - 1], bound))
-        return out
-
-    if instance == "fixed_knot_interpolant":
-        b = params.setdefault("b", 2)
-        d = params.setdefault("d", 4)
-        mbar = params.setdefault("mbar", 0)
-        m = params.setdefault("m", 0)
-        c = params.setdefault("c", -1)
-        dbar = max(params.setdefault("dbar", d + 3), d)
-        n_pieces = b**d
-        s = random_fixed_knot_spline(rng, b, d, mbar, c)
-        itt = reinterpolate(tt_round(encode_fixed_knot_spline(s), 1e-12), dbar, m)
-        rep = complexity(itt)
-        rk = ranks(itt)
-        out = []
-        for nu in range(1, dbar + 1):
-            if nu <= d:
-                bound = _fixed_knot_rank_bound(b, d, mbar, c, nu)
-            else:
-                bound = min((m + 1) * b ** (dbar - nu), mbar + 1)
-            out.append(_rec(instance, params, f"rank_nu_{nu}", rk[nu - 1], bound))
-        if mbar == 0:
-            # the proof's explicit constants plus its re-interpolation tail
-            out.append(
-                _rec(
-                    instance,
-                    params,
-                    "cost_N",
-                    rep.cost_n,
-                    2 * b / (b - 1) * math.sqrt(n_pieces) + (dbar - d) * (mbar + 1),
-                )
-            )
-            out.append(
-                _rec(
-                    instance,
-                    params,
-                    "cost_C",
-                    rep.cost_c,
-                    max(2 * b**2 / (b**2 - 1), m + 1) * n_pieces
-                    + (dbar - d) * b * (mbar + 1) ** 2
-                    + b * (m + 1),
-                )
-            )
-        out.append(_rec(instance, params, "cost_S<=cost_C", rep.cost_s, rep.cost_c))
-        return out
-
-    if instance == "free_knot_interpolant":
-        b = params.setdefault("b", 2)
-        n_pieces = params.setdefault("N", 3)
-        mbar = params.setdefault("mbar", 2)
-        m = params.setdefault("m", 1)
-        d = params.setdefault("d", 5)
-        dbar = params.setdefault("dbar", 8)
-        s = random_free_knot_spline(rng, b, n_pieces, mbar, d)
-        d_eff = max(s.max_level, 1)
-        dbar = max(dbar, d_eff)
-        tt = tt_round(encode_free_knot_spline(s), 1e-12)
-        itt = reinterpolate(tt, dbar, m)
-        rep = complexity(itt)
-        bound_n = (mbar + 1) * d_eff * n_pieces + (dbar - d_eff) * (mbar + n_pieces)
-        bound_c = 2 * b * d_eff * (mbar + 1) ** 2 * n_pieces**2 + (dbar - d_eff) * b * (
-            mbar + 1
-        ) ** 2 + b * (m + 1)
-        out = [
-            _rec(instance, params, "cost_N", rep.cost_n, bound_n),
-            _rec(instance, params, "cost_C", rep.cost_c, bound_c),
-        ]
-        rk = ranks(itt)
-        for nu in range(1, dbar + 1):
-            if nu <= d_eff:
-                bound = min(b**nu, (mbar + 1) * b ** (d_eff - nu), mbar + n_pieces)
-            else:
-                bound = min((m + 1) * b ** (dbar - nu), mbar + 1)
-            out.append(_rec(instance, params, f"rank_nu_{nu}", rk[nu - 1], bound))
-        return out
-
-    if instance == "sawtooth":
-        d = params.setdefault("d", 4)
-        m = params.setdefault("m", 1)
-        tt = encode_sawtooth(Grid(2, d), m)
-        rep = complexity(tt)
-        return [
-            _rec(instance, params, "cost_C", rep.cost_c, 8 * d + 2 * m + 2),
-            _rec(instance, params, "cost_N", rep.cost_n, 2 * d),
-        ]
-
-    raise DomainError(f"unknown audit instance {instance!r}")
+    if instance not in _AUDITS:
+        raise DomainError(f"unknown audit instance {instance!r}")
+    auditor, defaults = _AUDITS[instance]
+    for key, default in defaults.items():
+        params.setdefault(key, default(params) if callable(default) else default)
+    rows = auditor(rng, **{key: params[key] for key in defaults})
+    return [
+        AuditRecord(instance, dict(params), quantity, float(x), float(bound), bool(x <= bound))
+        for quantity, x, bound in rows
+    ]
 
 
 def default_audit_sweep():

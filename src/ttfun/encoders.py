@@ -60,6 +60,8 @@ class MixedBaseError(DomainError):
 
 def badic_from_float(x: float, base: int, max_level: int = 52):
     """Exact (i, level) with x = i * b^-level, or KnotError naming the knot."""
+    if base < 2:
+        raise DomainError(f"base must be >= 2, got {base}")
     fr = Fraction(x)
     num, den = fr.numerator, fr.denominator
     level = 0
@@ -71,6 +73,11 @@ def badic_from_float(x: float, base: int, max_level: int = 52):
     if den > 1:
         raise KnotError(f"knot {x!r} is not {base}-adic within level {max_level}")
     return int(num), level
+
+
+def _is_int(value) -> bool:
+    """Whether a JSON value is an integer (a bool is not)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _normalize_knot(i: int, level: int, base: int):
@@ -161,13 +168,23 @@ class PiecewisePolynomial:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "PiecewisePolynomial":
+        """The spline of a JSON object with an integer base and knots that are
+        pairs of two integers or exactly b-adic numbers; DomainError for any
+        other base or knot, KnotError for a number that is not b-adic."""
+        if not isinstance(doc, dict):
+            raise DomainError("a spline document is a JSON object")
+        base = doc["base"]
+        if not _is_int(base):
+            raise DomainError(f"base must be an integer, got {base!r}")
         knots = []
         for entry in doc.get("knots", []):
-            if isinstance(entry, (int, float)):
-                knots.append(badic_from_float(float(entry), int(doc["base"])))
+            if isinstance(entry, (int, float)) and not isinstance(entry, bool):
+                knots.append(badic_from_float(float(entry), base))
+            elif isinstance(entry, (list, tuple)) and len(entry) == 2 and all(map(_is_int, entry)):
+                knots.append(tuple(entry))
             else:
-                knots.append((int(entry[0]), int(entry[1])))
-        return cls(int(doc["base"]), tuple(knots), tuple(doc["pieces"]))
+                raise DomainError(f"knot {entry!r} is neither a pair of integers nor a number")
+        return cls(int(base), tuple(knots), tuple(doc["pieces"]))
 
     @classmethod
     def from_json(cls, text: str) -> "PiecewisePolynomial":

@@ -103,6 +103,14 @@ def _x_pow(alpha: float):
     return f
 
 
+def _number(name: str, text: str, kind=float):
+    """text as a kind, or DomainError naming the target it parameterizes."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise DomainError(f"target {name!r}: {text!r} is not a number") from None
+
+
 def get_target(name: str) -> Target:
     """Resolve a target name (possibly parameterized) to its spec."""
     base, _, arg = name.partition(":")
@@ -128,7 +136,7 @@ def get_target(name: str) -> Target:
             rho=5.0,
         )
     if base == "poly":
-        coeffs = np.array([float(t) for t in arg.split(",")], dtype=float)
+        coeffs = np.array([_number(name, t) for t in arg.split(",")], dtype=float)
         return Target(
             name,
             lambda x: _P.polyval(np.asarray(x, dtype=float), coeffs),
@@ -136,7 +144,7 @@ def get_target(name: str) -> Target:
             rho=math.inf,
         )
     if base == "x_pow" or base == "sqrt":
-        alpha = 0.5 if base == "sqrt" else float(arg)
+        alpha = 0.5 if base == "sqrt" else _number(name, arg)
         if not 0 < alpha < 1:
             raise DomainError(f"x_pow exponent must be in (0, 1), got {alpha}")
         return Target(
@@ -157,6 +165,6 @@ def get_target(name: str) -> Target:
     if base == "sawtooth":
         from .encoders import sawtooth_function
 
-        depth = int(arg) if arg else 4
+        depth = _number(name, arg, int) if arg else 4
         return Target(name, sawtooth_function(depth))
     raise DomainError(f"unknown target {name!r}")

@@ -138,6 +138,29 @@ def test_encode_non_finite_exits_2_without_output(tmp_path, capsys, spec):
     assert not out.exists()
 
 
+_PIECES = [[1.0], [2.0]]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        pytest.param({"base": 2.9, "knots": [[1, 1]], "pieces": _PIECES}, id="float_base"),
+        pytest.param({"base": 2, "knots": [[1.7, 1]], "pieces": _PIECES}, id="float_in_pair"),
+        pytest.param({"base": 2, "knots": [[1, 1, 5]], "pieces": _PIECES}, id="triple"),
+        pytest.param({"base": 2, "knots": [[1]], "pieces": _PIECES}, id="single"),
+        pytest.param({"base": 0, "knots": [0.5], "pieces": _PIECES}, id="base_0_float_knot"),
+        pytest.param([2, [[1, 1]], _PIECES], id="not_an_object"),
+    ],
+)
+def test_encode_malformed_spline_document_exits_2(tmp_path, capsys, doc):
+    path = tmp_path / "spline.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o.json"
+    code, stdout, err = run(capsys, "encode", str(path), "--out", str(out))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith("error: bad spline document") and len(err.splitlines()) == 1
+
+
 def test_encode_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -197,6 +220,23 @@ def test_audit_failing_bound_exits_1_and_names_it(monkeypatch, capsys):
 def test_study_unknown_target(capsys):
     code, _, err = run(capsys, "study", "adaptive", "--target", "nope")
     assert code == 4 and err.startswith("error:")
+    # a parameter that is not a number names the target, as an unknown name does
+    for kind, target in (("sobolev", "poly:"), ("sobolev", "x_pow:abc"), ("sawtooth", "sawtooth:x")):
+        code, stdout, err = run(capsys, "study", kind, "--target", target, "--schedule", "2")
+        assert code == 4 and stdout == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1 and repr(target) in err
+
+
+def test_study_that_records_no_rows_exits_2_without_output(tmp_path, capsys):
+    # every analytic track needs d >= 2, so budget 1 records nothing at m = 1
+    csv_out, json_out = tmp_path / "a.csv", tmp_path / "a.json"
+    code, stdout, err = run(
+        capsys, "study", "analytic", "--target", "inv_xplus2", "--schedule", "1",
+        "--csv", str(csv_out), "--json", str(json_out),
+    )
+    assert code == 2 and stdout == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and "no rows" in err
+    assert not csv_out.exists() and not json_out.exists()
 
 
 def test_study_csv_determinism(tmp_path, capsys):

@@ -68,6 +68,36 @@ def test_audit_single_instances():
     assert all(r.passed for r in recs)
 
 
+# the default params of each audit instance, in the order its records carry them
+_AUDIT_DEFAULTS = {
+    "poly_interpolant": {"b": 2, "d": 4, "mbar": 3, "m": 1},
+    "fixed_knot": {"b": 2, "d": 4, "m": 0, "c": -1},
+    "fixed_knot_interpolant": {"b": 2, "d": 4, "mbar": 0, "m": 0, "c": -1, "dbar": 7},
+    "free_knot": {"b": 2, "N": 3, "m": 1, "d": 6},
+    "free_knot_interpolant": {"b": 2, "N": 3, "mbar": 2, "m": 1, "d": 5, "dbar": 8},
+    "sawtooth": {"d": 4, "m": 1},
+}
+
+
+@pytest.mark.parametrize("instance", sorted(_AUDIT_DEFAULTS))
+def test_audit_records_its_default_params_in_order(instance):
+    recs = audit_bounds(instance)
+    assert recs and all(r.passed for r in recs)
+    want = list(_AUDIT_DEFAULTS[instance].items())
+    assert all(list(r.params.items()) == want for r in recs)
+
+
+def test_fixed_knot_interpolant_dbar_defaults_to_d_plus_3_before_the_max():
+    recs = audit_bounds("fixed_knot_interpolant", d=3)
+    want = [("d", 3), ("b", 2), ("mbar", 0), ("m", 0), ("c", -1), ("dbar", 6)]
+    assert all(list(r.params.items()) == want for r in recs)
+    assert sum(r.quantity.startswith("rank_nu_") for r in recs) == 6
+    # a dbar below d is recorded as given and re-interpolates to depth d
+    recs = audit_bounds("fixed_knot_interpolant", d=3, dbar=1)
+    assert all(r.params["dbar"] == 1 for r in recs)
+    assert sum(r.quantity.startswith("rank_nu_") for r in recs) == 3
+
+
 def test_audit_unknown_instance():
     with pytest.raises(DomainError):
         audit_bounds("nonsense")

@@ -581,6 +581,34 @@ def test_affine_recoeff_is_polynomial_composition(degree):
         assert np.array_equal(got, np.pad(want, (0, degree + 1 - want.size)))
 
 
+@pytest.mark.parametrize(
+    "base, knots",
+    [
+        (2.9, [[1, 1]]),
+        (2.0, [[1, 1]]),
+        (True, [[1, 1]]),
+        (2, [[1.7, 1]]),
+        (2, [[1, 1, 5]]),
+        (2, [[1]]),
+        (2, [True]),
+        (2, ["0.5"]),
+        (0, [0.5]),
+    ],
+)
+def test_from_json_dict_rejects_a_malformed_base_or_knot(base, knots):
+    doc = {"base": base, "knots": knots, "pieces": [[1.0], [2.0]]}
+    with pytest.raises(DomainError) as info:
+        PiecewisePolynomial.from_json_dict(doc)
+    assert not isinstance(info.value, KnotError)
+
+
+def test_from_json_dict_reads_an_object_of_integer_pairs_and_numbers():
+    doc = {"base": 2, "knots": [[1, 2], 0.375, [np.int64(7), 3]], "pieces": [[0.0]] * 4}
+    assert PiecewisePolynomial.from_json_dict(doc).knots == ((1, 2), (3, 3), (7, 3))
+    with pytest.raises(DomainError, match="JSON object"):
+        PiecewisePolynomial.from_json_dict([2, [], [[0.0]]])
+
+
 def test_free_knot_reports_offending_knot():
     with pytest.raises(KnotError, match="0.3"):
         PiecewisePolynomial.from_json_dict(
