@@ -36,6 +36,7 @@ from .basis import PolyBasis
 from .grids import DomainError, Grid, encode_points, flat_to_digits
 from .train import (
     TensorTrain,
+    _extended,
     block_sum,
     deepen,
     dilation_cores,
@@ -246,7 +247,7 @@ def encode_polynomial(
         first = np.stack([fit_coefficients(f, source, i / b, (i + 1) / b) for i in range(b)])
         top = TensorTrain(Grid(b, 1), [first[:, None, :]], np.eye(degree + 1), source)
         chain = deepen(top, grid.depth - 1)
-    return TensorTrain(grid, chain.cores, chain.leaf @ local_to_leaf, leaf_basis)
+    return _extended(chain, chain.leaf @ local_to_leaf, leaf_basis)
 
 
 # ---------------------------------------------------------------------------

@@ -211,5 +211,8 @@ def lp_norm_from_leaves(leaf_norms: Sequence[float], grid: Grid, p: float) -> fl
     scale = norms.max()
     if scale == 0.0:
         return 0.0
-    # factor out the peak to keep powers in range for large p
-    return float(scale * (np.sum((norms / scale) ** p) / grid.leaf_count) ** (1.0 / p))
+    # factor out the peak to keep powers in range for large p; the power is
+    # taken in place, so one temporary the size of the norms is held
+    ratios = norms / scale
+    ratios **= p
+    return float(scale * (np.sum(ratios) / grid.leaf_count) ** (1.0 / p))

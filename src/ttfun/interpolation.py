@@ -17,7 +17,7 @@ from scipy.fft import dct
 from .basis import PolyBasis
 from .encoders import encode_polynomial
 from .grids import DomainError, Grid
-from .train import TensorTrain, deepen, train_from_leaf_coefficients
+from .train import TensorTrain, _extended, deepen, train_from_leaf_coefficients
 
 _DENSE_CAP = 2**14
 
@@ -61,14 +61,15 @@ class Interpolator:
 def _sample(f, xs: np.ndarray) -> np.ndarray:
     """f at the points xs, any shape: one call on the array, or one call per
     point when f returns another shape or raises TypeError on an array
-    (scalar-only samplers such as math.exp). A non-finite sample raises
-    DomainError."""
-    try:
-        vals = np.asarray(f(xs), dtype=float)
-    except TypeError:
-        vals = None
-    if vals is None or vals.shape != xs.shape:
-        vals = np.vectorize(f, otypes=[float])(xs)
+    (scalar-only samplers such as math.exp). A non-finite sample, an
+    overflow included, raises DomainError."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        try:
+            vals = np.asarray(f(xs), dtype=float)
+        except TypeError:
+            vals = None
+        if vals is None or vals.shape != xs.shape:
+            vals = np.vectorize(f, otypes=[float])(xs)
     if not np.isfinite(vals).all():
         raise DomainError("non-finite sample of f")
     return vals
@@ -154,8 +155,9 @@ def reinterpolate(
 ) -> TensorTrain:
     """Apply the leaf-wise interpolator at (target_depth, target_degree).
 
-    Source cores are kept; appended cores encode the interpolants of the
-    source leaf basis polynomials (bond dimension source degree + 1).
+    Source cores are kept as stored (a block sum stays in entry form);
+    appended cores encode the interpolants of the source leaf basis
+    polynomials (bond dimension source degree + 1).
     """
     mbar = tt.basis.degree
     if target_depth < tt.depth:
@@ -168,11 +170,9 @@ def reinterpolate(
         raise DomainError("interpolator degree does not match target degree")
     out_basis = PolyBasis(target_degree, tt.basis.kind)
     T = power_interpolation_matrix(mbar, interp) @ out_basis.from_monomial()
-    mono = TensorTrain(
-        tt.grid, tt.cores, tt.leaf @ tt.basis.to_monomial(), PolyBasis(mbar, "monomial")
-    )
+    mono = _extended(tt, tt.leaf @ tt.basis.to_monomial(), PolyBasis(mbar, "monomial"))
     chain = deepen(mono, target_depth - tt.depth)
-    return TensorTrain(chain.grid, chain.cores, chain.leaf @ T, out_basis)
+    return _extended(chain, chain.leaf @ T, out_basis)
 
 
 def polynomial_interpolant_train(
@@ -203,7 +203,7 @@ def polynomial_interpolant_train(
     else:
         T = power_interpolation_matrix(degree, interp) @ out_basis.from_monomial()
     chain = encode_polynomial(coeffs, grid, input_basis=input_basis, basis_kind=input_basis)
-    return TensorTrain(grid, chain.cores, chain.leaf @ T, out_basis)
+    return _extended(chain, chain.leaf @ T, out_basis)
 
 
 def chebyshev_truncate(f, degree: int) -> np.ndarray:

@@ -25,8 +25,10 @@ A block sum of localized trains (a free-knot spline, an n-term wavelet sum,
 add) has block-diagonal cores that are almost all zeros. Its producers
 build it from its entries (TensorTrain._from_entries): every core's shape
 and the flat index and value of each entry written. The dense cores are
-written on their first read (evaluate, dot_l2, deepen, scale, JSON), with
-the bytes of a dense write; the rounding sweeps and cost_S read the entries.
+written on their first read (evaluate, dot_l2, scale, JSON), with the bytes
+of a dense write; the rounding sweeps and cost_S read the entries, and
+deepen and the re-labels of a train under a new leaf (_extended) keep them,
+so interpolation.reinterpolate of a block sum stays in entry form.
 
 One right sweep, _right_orthogonalize, is behind tt_round, ranks,
 singular_values, norm_l2 and both orthogonalize directions; the truncated
@@ -119,13 +121,17 @@ class TensorTrain:
     def _from_entries(cls, grid: Grid, shapes, entries, leaf, basis: PolyBasis):
         """The train whose core nu has shape shapes[nu] and, at the distinct
         flat indices entries[nu][0], the values entries[nu][1] (zero
-        elsewhere)."""
+        elsewhere); indices None mean every entry in order, and such values
+        are kept without a copy."""
         tt = cls.__new__(cls)
         tt._init(grid, [tuple(s) for s in shapes], leaf, basis)
         tt._cores, tt._entries = None, []
         for flat, val in entries:
-            order = np.argsort(flat, kind="stable")
-            tt._entries.append((flat[order], np.asarray(val, dtype=float)[order]))
+            val = np.asarray(val, dtype=float)
+            if flat is not None:
+                order = np.argsort(flat, kind="stable")
+                flat, val = flat[order], val[order]
+            tt._entries.append((flat, val))
         return tt
 
     def _init(self, grid, shapes, leaf, basis):
@@ -146,14 +152,17 @@ class TensorTrain:
     @property
     def cores(self) -> tuple:
         """The read-only dense cores; a train built from entries writes them
-        on first read (under a lock, so concurrent readers share one write)."""
+        on first read (under a lock, so concurrent readers share one write).
+        A core given as every entry in order is a reshape of its values."""
         if self._cores is None:
             with _cores_lock:
                 if self._cores is None:
                     out = []
                     for shape, (flat, val) in zip(self._shapes, self._entries):
-                        a = np.zeros(math.prod(shape))
-                        a[flat] = val
+                        a = val
+                        if flat is not None:
+                            a = np.zeros(math.prod(shape))
+                            a[flat] = val
                         out.append(_frozen(a.reshape(shape)))
                     self._cores = tuple(out)
         return self._cores
@@ -715,8 +724,19 @@ def deepen(tt: TensorTrain, extra: int) -> TensorTrain:
     if extra == 0:
         return tt
     A = dilation_cores(tt.basis, tt.base)
-    cores = list(tt.cores) + [np.einsum("rq,iqp->irp", tt.leaf, A)] + [A] * (extra - 1)
-    return TensorTrain(Grid(tt.base, tt.depth + extra), cores, np.eye(tt.basis.dim), tt.basis)
+    appended = [np.einsum("rq,iqp->irp", tt.leaf, A)] + [A] * (extra - 1)
+    return _extended(tt, np.eye(tt.basis.dim), tt.basis, appended)
+
+
+def _extended(tt: TensorTrain, leaf, basis: PolyBasis, appended=()) -> TensorTrain:
+    """tt's stored cores as they are, then the dense cores appended, under a
+    new leaf and basis. Dense cores stay the same arrays and the entries of
+    a train built from entries stay entries, so nothing is copied or made
+    dense."""
+    entries = [*tt._core_entries(), *((None, a.ravel()) for a in appended)]
+    shapes = [*tt._shapes, *(a.shape for a in appended)]
+    grid = Grid(tt.base, tt.depth + len(appended))
+    return TensorTrain._from_entries(grid, shapes, entries, leaf, basis)
 
 
 _FITS = {"chebyshev": (_cheb.chebfit, _cheb.chebval), "legendre": (_leg.legfit, _leg.legval)}

@@ -369,6 +369,32 @@ def test_lp_error_streams_the_cells_in_bounded_memory():
     assert peak <= 40e6
 
 
+def test_lp_error_holds_one_cell_sized_temporary_beside_the_norms():
+    # the per-cell norms at d=10 are 2^20 floats; the power of their ratios
+    # is taken in place, so no second buffer of that size is held with them
+    f, tt = _sobolev_train(10)
+    lp_error(f, tt, 2.0)
+    tracemalloc.start()
+    try:
+        lp_error(f, tt, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * 2**20
+
+
+# 2^17 norms: past the size where numpy reuses a temporary in place
+@pytest.mark.parametrize("b, d", [(2, 0), (7, 1), (10, 3), (2, 17)])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+def test_lp_norm_from_leaves_keeps_the_bits_of_the_two_temporary_form(b, d, p):
+    rng = np.random.default_rng(b**d)
+    for spread in (1.0, 1e-200, 1e200):
+        norms = spread * rng.random(b**d)
+        scale = norms.max()
+        want = float(scale * (np.sum((norms / scale) ** p) / b**d) ** (1.0 / p))
+        assert lp_norm_from_leaves(norms, Grid(b, d), p) == want
+
+
 @pytest.mark.parametrize("p", [2.0, math.inf])
 def test_lp_error_non_finite_sample_in_a_later_block_raises(p):
     tt = encode_polynomial([0.0, 1.0], Grid(2, 15))  # 4 blocks of 2^13 cells

@@ -2,7 +2,11 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,6 +241,20 @@ def test_study_that_records_no_rows_exits_2_without_output(tmp_path, capsys):
     assert code == 2 and stdout == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1 and "no rows" in err
     assert not csv_out.exists() and not json_out.exists()
+
+
+def test_study_overflowing_sample_prints_only_its_error_line(tmp_path):
+    # a fresh interpreter with Python's default warning filters, under which
+    # numpy's overflow warning would print itself and its source line
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "ttfun.cli", "study", "analytic", "--target", "poly:1e308,1e308",
+         "--schedule", "9", "--csv", str(tmp_path / "a.csv")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: non-finite sample of f"]
 
 
 def test_study_csv_determinism(tmp_path, capsys):

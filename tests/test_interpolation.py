@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ttfun.complexity import complexity
 from ttfun.encoders import (
     encode_fixed_knot_spline,
+    encode_free_knot_spline,
     encode_polynomial,
     haar_mother,
     random_fixed_knot_spline,
@@ -20,8 +23,8 @@ from ttfun.interpolation import (
     reinterpolate,
     tensor_interpolate,
 )
-from ttfun.train import evaluate, norm_l2, ranks, tt_round
-from ttfun.analysis import fit_linear, lp_error
+from ttfun.train import TensorTrain, evaluate, norm_l2, ranks, tt_round
+from ttfun.analysis import fit_linear, greedy_badic_knots, lp_error
 
 QUASI = np.mod(0.5 + np.arange(1, 501) * 0.6180339887498949, 1.0)
 DENSE = np.linspace(0.0, 1.0, 2001)
@@ -240,3 +243,23 @@ def test_scalar_only_sampler_is_sampled_point_by_point():
     assert np.abs(np.polynomial.polynomial.polyval(ts, c) - np.exp(ts)).max() < 1e-4
     tt = tensor_interpolate(math.exp, Grid(2, 3), Interpolator(3))
     assert np.abs(evaluate(tt, QUASI) - np.exp(QUASI)).max() < 1e-6
+
+
+def test_reinterpolate_keeps_a_block_sum_as_its_entries():
+    # the adaptive study's step at N=256: the free-knot block sum, whose dense
+    # cores are about 40 MB, re-interpolated to depth 26 and costed
+    tt = encode_free_knot_spline(greedy_badic_knots(lambda x: x**0.6, 256, 1, 2.0))
+    complexity(reinterpolate(tt, 26, 1))  # lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        out = reinterpolate(tt, 26, 1)
+        rep = complexity(out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tt._cores is None and out._cores is None
+    assert peak <= 4 * 2**20
+    dense = reinterpolate(TensorTrain(tt.grid, tt.cores, tt.leaf, tt.basis), 26, 1)
+    assert rep == complexity(dense)
+    x = np.random.default_rng(256).random(1000)
+    assert np.array_equal(evaluate(out, x), evaluate(dense, x))
