@@ -81,6 +81,9 @@ class PolyBasis:
         return _gram(self.kind, self.degree).copy()
 
     def gram_cholesky(self) -> np.ndarray:
+        """Lower Cholesky factor L of the Gram matrix, G = L L^T; DomainError
+        where G is not numerically positive definite: the monomial Gram
+        matrix, the Hilbert matrix, past degree 12."""
         return _gram_cholesky(self.kind, self.degree).copy()
 
 
@@ -133,6 +136,11 @@ def _gram(kind: str, degree: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _gram_cholesky(kind: str, degree: int) -> np.ndarray:
-    L = np.linalg.cholesky(_gram(kind, degree))
+    try:
+        L = np.linalg.cholesky(_gram(kind, degree))
+    except np.linalg.LinAlgError:
+        raise DomainError(
+            f"the {kind} Gram matrix of degree {degree} is not numerically positive definite"
+        ) from None
     L.setflags(write=False)
     return L

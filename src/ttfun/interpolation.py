@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
 
 from .basis import PolyBasis
 from .encoders import encode_polynomial
@@ -215,6 +214,8 @@ def chebyshev_truncate(f, degree: int) -> np.ndarray:
     """
     if degree < 0:
         raise DomainError(f"degree must be >= 0, got {degree}")
+    from scipy.fft import dct  # imported here, so that import ttfun loads no scipy
+
     K = 4 * (degree + 1)
     theta = np.pi * (np.arange(K) + 0.5) / K
     xs = 0.5 * (1.0 + np.cos(theta))

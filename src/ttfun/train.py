@@ -60,7 +60,6 @@ from itertools import repeat
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import legendre as _leg
-from scipy.linalg import solve_triangular
 
 from .basis import PolyBasis
 from .grids import DomainError, Grid, _digit_steps, _point_digits
@@ -539,8 +538,10 @@ def _weighted_leaf(tt: TensorTrain) -> np.ndarray:
 
 
 def _unweighted(leaf: np.ndarray, gram_L: np.ndarray) -> np.ndarray:
-    """Undo the Gram weighting leaf @ gram_L."""
-    return solve_triangular(gram_L, leaf.T, lower=True, trans="T").T
+    """Undo the Gram weighting leaf @ gram_L. gram_L.T is upper triangular
+    with a positive diagonal, so LU pivots on the diagonal without a row
+    swap and ends in the back substitution of a triangular solve."""
+    return np.linalg.solve(gram_L.T, leaf.T).T
 
 
 def _svd_sweep(tt: TensorTrain, tol=None):

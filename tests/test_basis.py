@@ -79,3 +79,18 @@ def test_one_point_takes_the_same_recurrence_bitwise(kind):
             val = {"chebyshev": np.polynomial.chebyshev.chebval, "legendre": np.polynomial.legendre.legval}
             want = val[kind](2.0 * ys - 1.0, np.eye(degree + 1)).T
         assert np.abs(rows - want).max() < 1e-13
+
+
+@pytest.mark.parametrize("degree", [13, 20])
+def test_monomial_gram_cholesky_past_degree_12_raises_domain_error(degree):
+    with pytest.raises(DomainError, match=f"monomial Gram matrix of degree {degree} "):
+        PolyBasis(degree, "monomial").gram_cholesky()
+
+
+@pytest.mark.parametrize("kind, degree", [("monomial", 12), ("legendre", 60), ("chebyshev", 40)])
+def test_gram_cholesky_factors_the_gram_matrix(kind, degree):
+    basis = PolyBasis(degree, kind)
+    L = basis.gram_cholesky()
+    assert np.array_equal(L, np.tril(L)) and (np.diag(L) > 0).all()
+    G = basis.gram()
+    assert np.abs(L @ L.T - G).max() <= 1e-14 * np.abs(G).max()

@@ -14,10 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttfun import cli
+from ttfun.basis import PolyBasis
 from ttfun.cli import main
 from ttfun.complexity import AuditRecord
-from ttfun.grids import DomainError
-from ttfun.train import MismatchError, load_json
+from ttfun.grids import DomainError, Grid
+from ttfun.train import MismatchError, TensorTrain, dump_json, load_json
 
 
 def run(capsys, *argv):
@@ -189,6 +190,23 @@ def test_ranks_and_complexity_commands(tmp_path, capsys):
     code, stdout, _ = run(capsys, "complexity", str(out))
     rep = json.loads(stdout)
     assert code == 0 and rep["cost_C"] <= 8 * 4 + 2 * 1 + 2
+
+
+@pytest.mark.parametrize("degree", [13, 20])
+def test_ranks_and_round_of_a_monomial_leaf_past_degree_12_exit_2(tmp_path, capsys, degree):
+    # the Hilbert Gram matrix of such a leaf has no numerical Cholesky factor;
+    # it used to end in a LinAlgError traceback
+    rng = np.random.default_rng(degree)
+    cores = [rng.random((2, 1, 2)), rng.random((2, 2, 1))]
+    tt = TensorTrain(Grid(2, 2), cores, rng.random((1, degree + 1)), PolyBasis(degree, "monomial"))
+    path = tmp_path / "mono.json"
+    dump_json(tt, path)
+    for argv in (["ranks", str(path)], ["complexity", str(path), "--round", "1e-8"]):
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2 and stdout == ""
+        assert err.splitlines() == [
+            f"error: the monomial Gram matrix of degree {degree} is not numerically positive definite"
+        ]
 
 
 def test_audit_instance_and_unknown(tmp_path, capsys):

@@ -1,14 +1,18 @@
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.polynomial.polynomial import Polynomial
 
+import ttfun
 from ttfun.basis import PolyBasis
 from ttfun.complexity import complexity
 from ttfun.encoders import (
@@ -747,3 +751,40 @@ def test_encoder_outputs_match_sources():
     cases.append((sawtooth_function(4), encode_sawtooth(Grid(2, 4), 1)))
     for f, tt in cases:
         assert np.abs(evaluate(tt, QUASI) - np.asarray(f(QUASI))).max() < 1e-12
+
+
+_NO_SCIPY_SCRIPT = """
+import json, sys
+import numpy as np
+import ttfun
+from ttfun.analysis import greedy_badic_knots
+from ttfun.complexity import complexity
+from ttfun.encoders import encode_free_knot_spline
+from ttfun.interpolation import chebyshev_truncate
+from ttfun.train import evaluate, from_json_dict, ranks, to_json_dict, tt_round
+
+pp = greedy_badic_knots(lambda x: x**0.7, 64, 1, 2.0)
+rounded = tt_round(encode_free_knot_spline(pp), 1e-12)
+ranks(rounded)
+complexity(rounded)
+back = from_json_dict(json.loads(json.dumps(to_json_dict(rounded))))
+x = np.random.default_rng(0).random(1000)
+assert np.array_equal(evaluate(back, x), evaluate(rounded, x))
+assert np.abs(evaluate(rounded, x) - pp(x)).max() <= 1e-9
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+c = chebyshev_truncate(lambda t: t**2, 4)
+assert np.allclose(c, [0.375, 0.5, 0.125, 0, 0], atol=1e-15), c
+print("ok")
+"""
+
+
+def test_the_free_knot_path_loads_no_scipy():
+    # one BLAS per process: scipy's own OpenBLAS doubles the resident memory
+    # after import; only chebyshev_truncate and the target seminorms load it
+    env = dict(os.environ, PYTHONPATH=str(Path(ttfun.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"

@@ -31,6 +31,7 @@ from ttfun.train import (
     MismatchError,
     TensorTrain,
     _sweep_chunk,
+    _unweighted,
     add,
     block_sum,
     deepen,
@@ -799,6 +800,40 @@ def test_a_nan_or_negative_tolerance_raises(call, bad):
     }
     with pytest.raises(DomainError, match="must be >= 0"):
         calls[call]()
+
+
+@pytest.mark.parametrize("kind, max_degree", [("legendre", 30), ("chebyshev", 30), ("monomial", 12)])
+def test_unweighted_keeps_the_bits_of_the_triangular_solve(kind, max_degree):
+    # the triangular solve that _unweighted ran before is the reference
+    from scipy.linalg import solve_triangular
+
+    rng = np.random.default_rng(20)
+    for degree in range(max_degree + 1):
+        gram_L = PolyBasis(degree, kind).gram_cholesky()
+        for rows in (1, 2, 9, 257, 4097):
+            for magnitude in (1e-8, 1.0, 1e8):
+                leaf = magnitude * rng.standard_normal((rows, degree + 1))
+                want = solve_triangular(gram_L, leaf.T, lower=True, trans="T").T
+                got = _unweighted(leaf, gram_L)
+                assert np.isfinite(want).all()
+                assert got.tobytes() == want.tobytes(), (degree, rows, magnitude)
+
+
+@pytest.mark.parametrize(
+    "call", [lambda tt: tt_round(tt, 1e-10), ranks, norm_l2], ids=["tt_round", "ranks", "norm_l2"]
+)
+def test_a_monomial_leaf_past_degree_12_raises_domain_error(call):
+    # its Gram matrix, the Hilbert matrix, has no numerical Cholesky factor
+    rng = np.random.default_rng(13)
+    cores = [rng.random((2, 1, 2)), rng.random((2, 2, 2)), rng.random((2, 2, 1))]
+    for degree in (13, 20):
+        tt = TensorTrain(Grid(2, 3), cores, rng.random((1, degree + 1)), PolyBasis(degree, "monomial"))
+        with pytest.raises(DomainError, match=f"monomial Gram matrix of degree {degree}"):
+            call(tt)
+    # the well-conditioned bases keep working far past that degree
+    for degree, kind in ((60, "legendre"), (40, "chebyshev")):
+        tt = TensorTrain(Grid(2, 3), cores, rng.random((1, degree + 1)), PolyBasis(degree, kind))
+        call(tt)
 
 
 def _reference_sweep_chunk(tt, t, out):
