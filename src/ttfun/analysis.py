@@ -21,22 +21,14 @@ import numpy as np
 from .complexity import complexity
 from .encoders import (
     PiecewisePolynomial,
-    WaveletSpec,
     _affine_recoeff,
     _pad,
-    encode_dilated,
     encode_fixed_knot_spline,
     encode_free_knot_spline,
-    encode_polynomial,
     encode_sawtooth,
-    haar_mother,
-    hat_mother,
-    n_term_wavelet,
-    random_fixed_knot_spline,
-    random_free_knot_spline,
     sawtooth_function,
 )
-from .grids import DomainError, Grid, _digit_steps, lp_norm_from_leaves
+from .grids import DomainError, Grid, _check_p, _check_tol, _digit_steps, lp_norm_from_leaves
 from .interpolation import (
     Interpolator,
     _sample,
@@ -49,6 +41,7 @@ from .targets import get_target
 from .train import _CHUNK, _FULL_GRID_CAP, TensorTrain, _extend_states, evaluate
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_P = np.polynomial.polynomial
 
 
 @lru_cache(maxsize=None)
@@ -82,8 +75,7 @@ def lp_error(
     digits, then the leaf. Working memory is one block plus the per-cell
     norms.
     """
-    if not p > 0:  # NaN too
-        raise DomainError(f"p must be positive, got {p}")
+    _check_p(p)
     b, d = tt.base, tt.depth
     level = d
     while b**level > max_cells:
@@ -129,6 +121,7 @@ def rank_span_oracle(
     """
     if not 1 <= nu <= grid.depth:
         raise DomainError(f"nu = {nu} outside 1..{grid.depth}")
+    _check_tol(tol)
     rows = grid.base**nu
     n_samples = samples_per_leaf if samples_per_leaf > 0 else min(max(64, 2 * rows), 8192)
     ts = quasi_random(n_samples)
@@ -146,47 +139,40 @@ def rank_span_oracle(
 # ---------------------------------------------------------------------------
 
 
-def _segment_lp(coeffs: np.ndarray, lo: float, hi: float, p: float, order: int) -> float:
-    """integral_lo^hi |poly(t)|^p dt for a sign-definite segment."""
-    nodes, ws = _gauss01(order)
-    ts = lo + (hi - lo) * nodes
-    vals = np.abs(np.polynomial.polynomial.polyval(ts, coeffs))
-    return float((hi - lo) * np.sum(ws * vals**p))
-
-
 def _unit_poly_lp(coeffs: np.ndarray, p: float) -> float:
-    """||poly||_p on [0, 1), exact for integer p via root splitting."""
-    coeffs = np.asarray(coeffs, dtype=float)
+    """||q||_p on [0, 1) for the polynomial q (coefficients, lowest first),
+    cut at the zeros of q (of q' for p = inf): the max over the cuts for
+    p = inf, exact Gauss-Legendre on each sign-definite piece for an
+    integer p, adaptive quadrature to 1e-12 relative for any other p."""
+    q = np.asarray(coeffs, dtype=float)
+    roots = _P.polyroots(_P.polyder(q) if math.isinf(p) else q)
+    inside = (z.real for z in roots if abs(z.imag) < 1e-12 and 0 < z.real < 1)
+    edges = [0.0, *sorted(inside), 1.0]
     if math.isinf(p):
-        cands = [0.0, 1.0]
-        der = np.polynomial.polynomial.polyder(coeffs)
-        if der.size and np.any(der != 0):
-            roots = np.polynomial.polynomial.polyroots(der)
-            cands += [float(r.real) for r in roots if abs(r.imag) < 1e-12 and 0 < r.real < 1]
-        return float(np.abs(np.polynomial.polynomial.polyval(np.array(cands), coeffs)).max())
-    cuts = [0.0, 1.0]
-    if coeffs.size > 1 and np.any(coeffs[1:] != 0):
-        roots = np.polynomial.polynomial.polyroots(coeffs)
-        cuts += [float(r.real) for r in roots if abs(r.imag) < 1e-12 and 0 < r.real < 1]
-    cuts = sorted(set(cuts))
-    deg = coeffs.size - 1
-    order = max(int(math.ceil((deg * p + 1) / 2)) + 1, 4) if float(p).is_integer() else 20
-    total = sum(_segment_lp(coeffs, a, b_, p, order) for a, b_ in zip(cuts, cuts[1:]))
-    return total ** (1.0 / p)
+        return float(np.abs(_P.polyval(np.array(edges), q)).max())
+    pieces = zip(edges, edges[1:])
+    if float(p).is_integer():
+        ts, ws = _gauss01(math.ceil(((q.size - 1) * p + 1) / 2))
+        total = sum(
+            (hi - lo) * (ws @ np.abs(_P.polyval(lo + (hi - lo) * ts, q)) ** p) for lo, hi in pieces
+        )
+    else:
+        from scipy.integrate import quad  # here, so that import ttfun loads no scipy
+
+        total = sum(
+            quad(lambda t: abs(_P.polyval(t, q)) ** p, lo, hi, epsabs=0.0, epsrel=1e-12)[0]
+            for lo, hi in pieces
+        )
+    return float(total) ** (1.0 / p)
 
 
 def piecewise_poly_lp_norm(s: PiecewisePolynomial, p: float) -> float:
     """||s||_p over [0, 1) by per-piece quadrature split at sign changes."""
-    if not p > 0:  # NaN too
-        raise DomainError(f"p must be positive, got {p}")
-    bp = s.breakpoints()
+    _check_p(p)
+    norms = [_unit_poly_lp(c, p) for c in s.pieces]
     if math.isinf(p):
-        return max(_unit_poly_lp(c, p) for c in s.pieces)
-    total = 0.0
-    for k, coeffs in enumerate(s.pieces):
-        w = bp[k + 1] - bp[k]
-        total += w * _unit_poly_lp(coeffs, p) ** p
-    return total ** (1.0 / p)
+        return max(norms)
+    return float(np.diff(s.breakpoints()) @ np.power(norms, p)) ** (1.0 / p)
 
 
 def leaf_lp_norms(s: PiecewisePolynomial, grid: Grid, p: float) -> np.ndarray:
@@ -266,6 +252,9 @@ def greedy_badic_knots(
     """
     if n_pieces < 1:
         raise DomainError("need at least one piece")
+    _check_p(p)
+    if quad_order < 1:
+        raise DomainError(f"quad_order must be >= 1, got {quad_order}")
     if interp is None:
         interp = Interpolator(degree)
     counter = 0
@@ -284,10 +273,8 @@ def greedy_badic_knots(
             heapq.heappush(heap, (-ce, counter, ci, level + 1, cc))
     pieces = frozen + [(-e, i, lv, c) for e, _, i, lv, c in heap]
     pieces.sort(key=lambda t: t[1] * base ** (max_depth - t[2]))
-    knots = []
-    for _, i, lv, _c in pieces[:-1]:
-        knots.append((i + 1, lv))
-    pp = PiecewisePolynomial(base, tuple(knots), tuple(c for *_1, c in pieces))
+    knots = tuple((i + 1, lv) for _, i, lv, _c in pieces[:-1])
+    pp = PiecewisePolynomial(base, knots, tuple(c for *_1, c in pieces))
     if not with_info:
         return pp
     info = {
@@ -317,8 +304,7 @@ class StudyConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.p > 0:  # NaN too
-            raise DomainError(f"p must be positive, got {self.p}")
+        _check_p(self.p)
         if self.m < 0:
             raise DomainError(f"m must be >= 0, got {self.m}")
         if self.b < 2:
@@ -400,6 +386,8 @@ def study_analytic(cfg: StudyConfig):
     target = get_target(cfg.target)
     f = target.sampler
     b, m = cfg.b, cfg.m
+    import scipy.fft  # chebyshev_truncate's first-call import, kept out of row 1's seconds
+
     records = []
     for n in cfg.schedule or _ANALYTIC_SCHEDULE:
         # (depth, truncation degree, cost kinds) of the cost_C and cost_N tracks
@@ -509,107 +497,6 @@ STUDIES = {
     "adaptive": study_adaptive,
     "sawtooth": study_sawtooth,
 }
-
-
-# ---------------------------------------------------------------------------
-# encoder catalog (oracle-equivalence instances)
-# ---------------------------------------------------------------------------
-
-
-def _dilated_closure(mother_fn, base, level, shift, p):
-    factor = float(base) ** (level / p)
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        t = float(base) ** level * x - shift
-        inside = (t >= 0) & (t < 1)
-        return factor * np.where(inside, mother_fn(np.clip(t, 0.0, np.nextafter(1, 0))), 0.0)
-
-    return f
-
-
-def encoder_catalog():
-    """Named (sampler, grid, train) triples spanning the encoder families.
-
-    Samplers are closed forms or piecewise-polynomial evaluations,
-    independent of the tensor contraction path; the catalog backs the
-    rank-oracle equivalence sweep over b in {2,3}, depths up to 6 and
-    degrees up to 4. Polynomial instances sit at combinations where the
-    unfolding spectra are resolvable at both tolerances.
-    """
-    out = []
-
-    def poly_fn(c):
-        return lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), c)
-
-    for b, deg, d, seed in (
-        (2, 0, 4, 1), (2, 1, 4, 2), (2, 1, 6, 3), (2, 2, 4, 4), (2, 2, 6, 5),
-        (2, 3, 3, 14), (2, 3, 4, 7),
-        (3, 0, 3, 8), (3, 1, 3, 9), (3, 1, 4, 10), (3, 2, 3, 11), (3, 2, 4, 12),
-    ):
-        c = np.random.default_rng(seed).standard_normal(deg + 1)
-        out.append(
-            (f"poly_b{b}_deg{deg}_d{d}", poly_fn(c), Grid(b, d),
-             encode_polynomial(c, Grid(b, d)))
-        )
-    for b, ds in ((2, (3, 4, 5, 6)), (3, (2, 3))):
-        for d in ds:
-            for m in (0, 1, 2, 3, 4):
-                for c in ([-1] if m == 0 else [-1, 0]):
-                    rng = np.random.default_rng(1000 + 100 * d + 10 * m + c)
-                    s = random_fixed_knot_spline(rng, b, d, m, c)
-                    out.append(
-                        (f"fixed_b{b}_d{d}_m{m}_c{c}", s, Grid(b, d),
-                         encode_fixed_knot_spline(s))
-                    )
-    for b, n_pieces, deg, lvl, seed in (
-        (2, 2, 1, 3, 20), (2, 3, 2, 4, 21), (2, 4, 1, 5, 22),
-        (3, 2, 1, 2, 23), (3, 3, 2, 3, 24),
-    ):
-        s = random_free_knot_spline(np.random.default_rng(seed), b, n_pieces, deg, lvl)
-        d = max(s.max_level, 1)
-        out.append(
-            (f"free_b{b}_N{n_pieces}_m{deg}", s, Grid(b, d),
-             encode_free_knot_spline(s))
-        )
-    haar_fn = lambda t: np.where(np.asarray(t) < 0.5, -1.0, 1.0)
-    hat_fn = lambda t: np.where(np.asarray(t) < 0.5, 2.0 * np.asarray(t), 2.0 * (1.0 - np.asarray(t)))
-    h = haar_mother()
-    t = hat_mother()
-    for level, shift in ((0, 0), (1, 1), (2, 3), (3, 5)):
-        depth = max(level + 1, 5)
-        out.append(
-            (f"haar_l{level}_j{shift}",
-             _dilated_closure(haar_fn, 2, level, shift, 2.0), Grid(2, depth),
-             encode_dilated(WaveletSpec(h, level, shift, 2.0), depth))
-        )
-    for level, shift in ((0, 0), (1, 0), (2, 2)):
-        depth = max(level + 1, 5)
-        out.append(
-            (f"hat_l{level}_j{shift}",
-             _dilated_closure(hat_fn, 2, level, shift, 2.0), Grid(2, depth),
-             encode_dilated(WaveletSpec(t, level, shift, 2.0), depth))
-        )
-    for d in (3, 4, 5, 6):
-        out.append(
-            (f"sawtooth_d{d}", sawtooth_function(d), Grid(2, d),
-             encode_sawtooth(Grid(2, d), 1))
-        )
-    for seed, shifts in ((30, (0, 2)), (31, (1, 3))):
-        coeffs = np.random.default_rng(seed).standard_normal(len(shifts))
-        specs = [(float(c), WaveletSpec(h, 2, j, 2.0)) for c, j in zip(coeffs, shifts)]
-        closures = [
-            (float(c), _dilated_closure(haar_fn, 2, 2, j, 2.0)) for c, j in zip(coeffs, shifts)
-        ]
-
-        def sum_fn(x, closures=closures):
-            return sum(c * g(x) for c, g in closures)
-
-        out.append(
-            (f"nterm_haar_{seed}", sum_fn, Grid(2, 5),
-             n_term_wavelet(specs, 5))
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------

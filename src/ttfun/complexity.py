@@ -23,8 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grids import DomainError, Grid
-from .train import RankProfile, TensorTrain, _check_tol, tt_round, ranks
+from .grids import DomainError, Grid, _check_tol
+from .train import RankProfile, TensorTrain, tt_round, ranks
 from .encoders import (
     badic_cover,
     encode_fixed_knot_spline,

@@ -33,7 +33,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from .basis import PolyBasis
-from .grids import DomainError, Grid, encode_points, flat_to_digits
+from .grids import DomainError, Grid, _check_p, encode_points, flat_to_digits
 from .train import (
     TensorTrain,
     _extended,
@@ -63,6 +63,8 @@ def badic_from_float(x: float, base: int, max_level: int = 52):
     """Exact (i, level) with x = i * b^-level, or KnotError naming the knot."""
     if base < 2:
         raise DomainError(f"base must be >= 2, got {base}")
+    if not math.isfinite(x):
+        raise DomainError(f"knot {x!r} is not finite")
     fr = Fraction(x)
     num, den = fr.numerator, fr.denominator
     level = 0
@@ -435,8 +437,7 @@ class WaveletSpec:
             raise DomainError(
                 f"shift {self.shift} outside 0..{self.mother.base ** self.level - 1}"
             )
-        if not self.p > 0:  # NaN too
-            raise DomainError(f"p must be positive, got {self.p}")
+        _check_p(self.p)
 
 
 def encode_dilated(spec: WaveletSpec, target_depth: int | None = None) -> TensorTrain:
@@ -535,38 +536,6 @@ def sawtooth_function(depth: int):
 # ---------------------------------------------------------------------------
 # random spline generators (exact continuity via truncated powers)
 # ---------------------------------------------------------------------------
-
-
-def spline_space_basis(base: int, depth: int, degree: int, continuity: int):
-    """Truncated-power basis of the fixed-knot spline space S_{N,m,c}.
-
-    Returns PiecewisePolynomial instances: the m+1 global monomials plus,
-    per interior knot, the powers (x - x_k)_+^j for j = c+1..m. Their count
-    is (m+1)N - (N-1)(c+1), the dimension of the space.
-    """
-    if not -1 <= continuity <= degree:
-        raise DomainError(f"continuity {continuity} outside -1..{degree}")
-    n = base**depth
-    w = 1.0 / n
-    bps = np.arange(n + 1) * w
-    out = []
-
-    def assemble(pieces):
-        return PiecewisePolynomial.uniform(base, depth, pieces)
-
-    for j in range(degree + 1):
-        pieces = [_affine_recoeff(np.eye(j + 1)[j], bps[k], w) for k in range(n)]
-        out.append(assemble(pieces))
-    for knot in range(1, n):
-        for j in range(continuity + 1, degree + 1):
-            pieces = []
-            for k in range(n):
-                if k < knot:
-                    pieces.append(np.zeros(1))
-                else:
-                    pieces.append(_affine_recoeff(np.eye(j + 1)[j], bps[k] - bps[knot], w))
-            out.append(assemble(pieces))
-    return out
 
 
 def random_fixed_knot_spline(

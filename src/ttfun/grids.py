@@ -24,6 +24,19 @@ class DomainError(ValueError):
     """Raised when an argument leaves the domain of an operation."""
 
 
+def _check_tol(tol, name: str = "tol"):
+    """DomainError unless tol >= 0; NaN fails the comparison, so it is
+    rejected too rather than read as a tolerance that keeps nothing."""
+    if not tol >= 0:
+        raise DomainError(f"{name} must be >= 0, got {tol}")
+
+
+def _check_p(p):
+    """DomainError unless the L^p exponent p > 0 (NaN fails too)."""
+    if not p > 0:
+        raise DomainError(f"p must be positive, got {p}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform base-b partition of [0, 1) at depth d (b^d leaves)."""
@@ -199,18 +212,15 @@ def lp_norm_from_leaves(leaf_norms: Sequence[float], grid: Grid, p: float) -> fl
     ||f||_p^p = b^-d sum_j ||f(b^-d (j + .))||_p^p for finite p; the max of
     the leaf norms for p = inf.
     """
-    if not p > 0:  # NaN too
-        raise DomainError(f"p must be positive, got {p}")
+    _check_p(p)
     norms = np.asarray(leaf_norms, dtype=float)
     if norms.size != grid.leaf_count:
         raise DomainError(f"expected {grid.leaf_count} leaf norms, got {norms.size}")
-    if np.any(norms < 0):
+    if not np.all(norms >= 0):  # NaN too
         raise DomainError("leaf norms must be nonnegative")
-    if math.isinf(p):
-        return float(norms.max()) if norms.size else 0.0
     scale = norms.max()
-    if scale == 0.0:
-        return 0.0
+    if math.isinf(p) or scale in (0.0, math.inf):
+        return float(scale)
     # factor out the peak to keep powers in range for large p; the power is
     # taken in place, so one temporary the size of the norms is held
     ratios = norms / scale

@@ -45,6 +45,8 @@ class Interpolator:
         nodes = cgl_nodes(self.degree) if self.nodes is None else np.asarray(self.nodes, float)
         if nodes.size != self.degree + 1 or np.unique(nodes).size != nodes.size:
             raise DomainError(f"need {self.degree + 1} distinct nodes")
+        if not np.all((nodes >= 0) & (nodes <= 1)):  # NaN too
+            raise DomainError("nodes must lie in [0, 1]")
         nodes = nodes.copy()
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)

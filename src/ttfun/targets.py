@@ -1,8 +1,8 @@
 """Builtin study targets with analytic smoothness metadata.
 
-Registered targets carry closed-form derivative seminorms and analyticity
-parameters so that studies never estimate smoothness numerically. Names
-with a parameter use a colon, e.g. "x_pow:0.6".
+Registered targets carry closed-form derivative seminorms so that studies
+never estimate smoothness numerically. Names with a parameter use a colon,
+e.g. "x_pow:0.6".
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ class Target:
     sampler: Callable
     # |f|_{W^{k,p}} = ||f^(k)||_p, exact where a closed form exists
     sobolev_seminorm: Optional[Callable] = None
-    # radius of the analyticity stadium D_rho
-    rho: Optional[float] = None
     # adaptive-scale smoothness alpha(p) for singular targets
     besov_alpha: Optional[Callable] = None
 
@@ -66,34 +64,11 @@ def _inv_xplus2_seminorm(k: int, p: float) -> float:
     return val ** (1.0 / p)
 
 
-def _roots_inside(q: np.ndarray) -> list:
-    """The real zeros of the polynomial q (coefficients, lowest first) in (0, 1)."""
-    roots = _P.polyroots(q) if np.any(q[1:]) else []
-    return sorted(r.real for r in roots if abs(r.imag) < 1e-12 and 0 < r.real < 1)
-
-
 def _poly_seminorm(c: np.ndarray, k: int, p: float) -> float:
-    """||f^(k)||_p on [0, 1) for the polynomial f with coefficients c. For
-    p = inf, the max of |f^(k)| over the ends and the critical points; for
-    finite p, the sum over the pieces between the zeros of f^(k), on each
-    of which it keeps its sign: exact for an integer p (the antiderivative
-    of f^(k)^p), by quadrature of a smooth integrand otherwise."""
-    der = _P.polyder(c, k) if k < c.size else np.zeros(1)
-    if math.isinf(p):
-        xs = np.array([0.0, 1.0, *_roots_inside(_P.polyder(der))])
-        return float(np.abs(_P.polyval(xs, der)).max())
-    edges = [0.0, *_roots_inside(der), 1.0]
-    if float(p).is_integer():
-        anti = _P.polyint(_P.polypow(der, int(p)))
-        val = sum(abs(_P.polyval(hi, anti) - _P.polyval(lo, anti)) for lo, hi in zip(edges, edges[1:]))
-    else:
-        from scipy.integrate import quad
+    """||f^(k)||_p on [0, 1) for the polynomial f with coefficients c."""
+    from .analysis import _unit_poly_lp
 
-        val = sum(
-            quad(lambda x: abs(_P.polyval(x, der)) ** p, lo, hi)[0]
-            for lo, hi in zip(edges, edges[1:])
-        )
-    return float(val) ** (1.0 / p)
+    return _unit_poly_lp(_P.polyder(c, k), p)
 
 
 def _x_pow(alpha: float):
@@ -125,15 +100,12 @@ def get_target(name: str) -> Target:
             name,
             lambda x: np.exp(np.asarray(x, dtype=float)),
             sobolev_seminorm=_exp_seminorm,
-            rho=math.inf,
         )
     if base == "inv_xplus2":
-        # nearest singularity at -2: dist(-2, [0,1]) = 2 = (rho - 1)/2
         return Target(
             name,
             lambda x: 1.0 / (np.asarray(x, dtype=float) + 2.0),
             sobolev_seminorm=_inv_xplus2_seminorm,
-            rho=5.0,
         )
     if base == "poly":
         coeffs = np.array([_number(name, t) for t in arg.split(",")], dtype=float)
@@ -141,7 +113,6 @@ def get_target(name: str) -> Target:
             name,
             lambda x: _P.polyval(np.asarray(x, dtype=float), coeffs),
             sobolev_seminorm=lambda k, p: _poly_seminorm(coeffs, k, p),
-            rho=math.inf,
         )
     if base == "x_pow" or base == "sqrt":
         alpha = 0.5 if base == "sqrt" else _number(name, arg)

@@ -62,7 +62,7 @@ from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import legendre as _leg
 
 from .basis import PolyBasis
-from .grids import DomainError, Grid, _digit_steps, _point_digits
+from .grids import DomainError, Grid, _check_tol, _digit_steps, _point_digits
 
 _FULL_GRID_CAP = 2**20
 # Most points per evaluation chunk, so that the sweep's working set stays in
@@ -386,13 +386,6 @@ def _lq(M: np.ndarray):
 
 # The sweeps below rebind slots of a list of a train's read-only cores and
 # never write into a core, so the cores are not copied.
-
-
-def _check_tol(tol, name: str = "tol"):
-    """DomainError unless tol >= 0; NaN fails the comparison, so it is
-    rejected too rather than read as a tolerance that keeps nothing."""
-    if not tol >= 0:
-        raise DomainError(f"{name} must be >= 0, got {tol}")
 
 
 def _finite(a: np.ndarray) -> np.ndarray:

@@ -11,7 +11,6 @@ import numpy as np
 
 from ttfun.analysis import (
     StudyConfig,
-    encoder_catalog,
     fit_linear,
     leaf_lp_norms,
     lp_error,
@@ -32,6 +31,8 @@ from ttfun.interpolation import Interpolator, reinterpolate, tensor_interpolate
 from ttfun.targets import get_target
 from ttfun.train import norm_l2, ranks, zero_train
 from ttfun.basis import PolyBasis
+
+from fixtures import encoder_catalog
 
 
 def _report(k: int, ok: bool, detail: str):

@@ -1,10 +1,15 @@
 import heapq
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ttfun import analysis
 from ttfun.analysis import (
     StudyConfig,
     _aggregate_local_errors,
@@ -88,6 +93,9 @@ def test_rank_span_oracle_examples():
     assert all(rank_span_oracle(st, Grid(2, 5), nu) == 2 for nu in range(1, 5))
     with pytest.raises(DomainError):
         rank_span_oracle(f2, Grid(2, 3), 4)
+    for tol in (math.nan, -1e-8):
+        with pytest.raises(DomainError, match="tol must be >= 0"):
+            rank_span_oracle(f2, Grid(2, 3), 2, tol=tol)
 
 
 def test_piecewise_norm_p1_with_sign_change():
@@ -98,6 +106,9 @@ def test_piecewise_norm_p1_with_sign_change():
     assert piecewise_poly_lp_norm(pp, 2.0) == pytest.approx(
         math.sqrt(1.0 / 3.0), abs=1e-14
     )
+    # ||2t - 1||_p = (p + 1)^(-1/p); a non-integer p has a kink at the zero
+    for p in (0.5, 1.5, 2.7):
+        assert piecewise_poly_lp_norm(pp, p) == pytest.approx((p + 1) ** (-1 / p), rel=1e-10)
 
 
 def test_isometry_direct_vs_leafsum():
@@ -140,6 +151,8 @@ def test_greedy_badic_structure_and_depth_cap():
     assert info["pieces"] <= 16
     widths = np.diff(pp.breakpoints())
     assert widths.min() >= 2.0**-6 - 1e-15
+    with pytest.raises(DomainError, match="quad_order must be >= 1, got 0"):
+        greedy_badic_knots(f, 16, 1, 2.0, quad_order=0)
 
 
 def test_study_sobolev_plateau_on_exact_target():
@@ -156,6 +169,37 @@ def test_study_analytic_polynomial_target_exact():
     recs = study_analytic(cfg)
     assert recs
     assert all(r.error < 1e-11 for r in recs)
+
+
+_FIRST_TRUNCATE_SCRIPT = """
+import sys
+from ttfun import analysis
+
+truncate, seen = analysis.chebyshev_truncate, []
+
+
+def traced(*args, **kwargs):
+    seen.append("scipy.fft" in sys.modules)
+    return truncate(*args, **kwargs)
+
+
+analysis.chebyshev_truncate = traced
+assert "scipy.fft" not in sys.modules
+analysis.study_analytic(analysis.StudyConfig("exp", schedule=(216,)))
+print(seen)
+"""
+
+
+def test_study_analytic_loads_scipy_fft_before_its_first_timed_row():
+    # the first chebyshev_truncate call would otherwise import scipy.fft
+    # inside row 1's timed region and charge that row for it
+    env = dict(os.environ, PYTHONPATH=str(Path(analysis.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FIRST_TRUNCATE_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[True, True]\n"
 
 
 def test_study_monotone_errors():
@@ -265,6 +309,7 @@ def test_every_lp_entry_point_rejects_a_p_that_is_not_positive(p):
         lambda: lp_norm_from_leaves(np.ones(8), Grid(2, 3), p),
         lambda: WaveletSpec(haar_mother(), 0, 0, p),
         lambda: StudyConfig("sin2pi", p=p),
+        lambda: greedy_badic_knots(lambda x: x, 4, 1, p),
     ]
     for call in calls:
         with pytest.raises(DomainError, match="p must be positive"):

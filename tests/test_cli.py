@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -155,6 +156,9 @@ _PIECES = [[1.0], [2.0]]
         pytest.param({"base": 2, "knots": [[1]], "pieces": _PIECES}, id="single"),
         pytest.param({"base": 0, "knots": [0.5], "pieces": _PIECES}, id="base_0_float_knot"),
         pytest.param([2, [[1, 1]], _PIECES], id="not_an_object"),
+        pytest.param({"base": 2, "knots": [math.inf], "pieces": _PIECES}, id="inf_knot"),
+        pytest.param({"base": 2, "knots": [-math.inf], "pieces": _PIECES}, id="minus_inf_knot"),
+        pytest.param({"base": 2, "knots": [math.nan], "pieces": _PIECES}, id="nan_knot"),
     ],
 )
 def test_encode_malformed_spline_document_exits_2(tmp_path, capsys, doc):

@@ -34,7 +34,6 @@ from ttfun.encoders import (
     random_fixed_knot_spline,
     random_free_knot_spline,
     sawtooth_function,
-    spline_space_basis,
 )
 from ttfun.grids import DomainError, Grid, flat_to_digits
 from ttfun.train import (
@@ -50,7 +49,9 @@ from ttfun.train import (
     singular_values,
     tt_round,
 )
-from ttfun.analysis import encoder_catalog, greedy_badic_knots, rank_span_oracle
+from ttfun.analysis import greedy_badic_knots, rank_span_oracle
+
+from fixtures import encoder_catalog, spline_space_basis
 
 QUASI = np.mod(0.5 + np.arange(1, 1001) * 0.6180339887498949, 1.0)
 

@@ -143,6 +143,9 @@ def test_lp_norm_from_leaves():
         lp_norm_from_leaves(ones, grid, 0.0)
     with pytest.raises(DomainError):
         lp_norm_from_leaves(np.ones(7), grid, 2.0)
+    with pytest.raises(DomainError, match="nonnegative"):
+        lp_norm_from_leaves(np.array([1.0, math.nan, *ones[2:]]), grid, 2.0)
+    assert lp_norm_from_leaves(np.array([1.0, math.inf, *ones[2:]]), grid, 2.0) == math.inf
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -35,6 +35,9 @@ def test_interpolator_nodes():
     assert np.allclose(cgl_nodes(3), [0.0, 0.25, 0.75, 1.0])
     with pytest.raises(DomainError):
         Interpolator(2, nodes=[0.0, 0.0, 1.0])
+    for nodes in ([0.0, math.nan, 1.0], [-0.5, 0.5, 1.0], [0.0, 0.5, 1.5]):
+        with pytest.raises(DomainError, match=r"nodes must lie in \[0, 1\]"):
+            Interpolator(2, nodes=nodes)
 
 
 @pytest.mark.parametrize("nodes", [None, [0.1, 0.5, 0.7, 0.95]])

@@ -50,3 +50,11 @@ def test_closed_form_seminorms_match_quadrature(name, p):
     for k in range(5):
         got, want = target.sobolev_seminorm(k, p), _reference(name, k, p)
         assert math.isclose(got, want, rel_tol=1e-8), (k, got, want)
+
+
+@pytest.mark.parametrize("p", [12.0, 20.0, 25.0, 40.0])
+def test_poly_seminorm_matches_the_closed_form_at_large_p(p):
+    # ||2x - 1||_p = (p + 1)^(-1/p); the monomial antiderivative of
+    # (2x - 1)^p cancels catastrophically at large p
+    got = get_target("poly:-1,2").sobolev_seminorm(0, p)
+    assert math.isclose(got, (p + 1) ** (-1 / p), rel_tol=1e-12)

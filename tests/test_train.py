@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ttfun import train as train_module
-from ttfun.analysis import encoder_catalog, greedy_badic_knots
+from ttfun.analysis import greedy_badic_knots
 from ttfun.basis import PolyBasis
 from ttfun.complexity import complexity
 from ttfun.encoders import (
@@ -48,6 +48,8 @@ from ttfun.train import (
     tt_round,
     zero_train,
 )
+
+from fixtures import encoder_catalog
 
 QUASI = np.mod(0.5 + np.arange(1, 201) * 0.6180339887498949, 1.0)
 
