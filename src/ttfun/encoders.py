@@ -35,6 +35,7 @@ from numpy.polynomial import chebyshev as _cheb
 from .basis import PolyBasis
 from .grids import DomainError, Grid, _check_p, encode_points, flat_to_digits
 from .train import (
+    _CHUNK,
     TensorTrain,
     _extended,
     block_sum,
@@ -147,18 +148,29 @@ class PiecewisePolynomial:
         )
 
     def __call__(self, x):
+        """Values at x (scalar or array); DomainError for a point outside
+        [0, 1), NaN included. One pass over chunks of at most _CHUNK points:
+        each point gathers its piece's coefficients, zero-padded at the top,
+        and Horner runs as polyval does, so the bits are those of polyval on
+        each piece."""
         arr = np.asarray(x, dtype=float)
         xs = np.atleast_1d(arr).ravel()
-        if np.any((xs < 0) | (xs >= 1)):
+        if not np.all((xs >= 0) & (xs < 1)):
             raise DomainError("points outside [0, 1)")
         bp = self.breakpoints()
-        idx = np.clip(np.searchsorted(bp, xs, side="right") - 1, 0, self.piece_count - 1)
+        coef = np.zeros((self.degree + 1, self.piece_count))  # column k: piece k
+        for k, p in enumerate(self.pieces):
+            coef[: p.size, k] = p
         out = np.empty_like(xs)
-        for k, coeffs in enumerate(self.pieces):
-            sel = idx == k
-            if np.any(sel):
-                t = (xs[sel] - bp[k]) / (bp[k + 1] - bp[k])
-                out[sel] = np.polynomial.polynomial.polyval(t, coeffs)
+        for lo in range(0, xs.size, _CHUNK):
+            t = xs[lo : lo + _CHUNK]
+            k = np.clip(np.searchsorted(bp, t, side="right") - 1, 0, self.piece_count - 1)
+            t = (t - bp[k]) / (bp[k + 1] - bp[k])
+            c = coef[:, k]
+            v = c[-1] + t * 0
+            for cj in c[-2::-1]:
+                v = cj + v * t
+            out[lo : lo + _CHUNK] = v
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     # -- JSON wire format ----------------------------------------------------

@@ -14,8 +14,12 @@ input of several chunks is swept on a process-wide thread pool, one worker
 per CPU the process may run on, with the bits of the serial sweep; one
 chunk runs on the caller's thread. A single point (an input of size 1, whatever its
 shape) skips the sweep: its digits come from the same rule in Python
-floats, and a 1-D state takes one vector-matrix product per level, with
-no per-level array dispatch.
+floats, and it reads the state of its first l digits from a prefix-state
+table that the train builds on its first single-point call and keeps
+(_point_tables: the chunk sweep's table, grown while it holds at most
+8 _CHUNK entries, so at most 512 KiB). A 1-D state then takes one
+vector-matrix product per later level, on each core's slices listed
+once, with no per-level array dispatch.
 
 L2 quantities use the exact Gram matrix of the leaf basis together with the
 tensorization isometry: the function norm equals b^(-d/2) times the
@@ -109,7 +113,9 @@ class TensorTrain:
     shape and the flat index and value of every entry it wrote. cores then
     writes the dense arrays on first read, once per train, with the bytes
     of the dense write; the interface merge and cost_S read the entries
-    (_core_entries), so rounding such a train never makes it dense."""
+    (_core_entries), so rounding such a train never makes it dense. The
+    first single-point evaluate stores the train's _point_tables beside
+    its cores."""
 
     def __init__(self, grid: Grid, cores, leaf, basis: PolyBasis):
         cores = tuple(_frozen(c) for c in cores)
@@ -225,18 +231,30 @@ def evaluate(tt: TensorTrain, x):
     """Evaluate the represented function at x (scalar or array) in [0, 1).
 
     A single point (x.size == 1, whatever its shape) takes its digits in
-    Python floats and advances a 1-D state by one vector-matrix product per
-    level. More points are split into chunks of at most _CHUNK points, and
-    _sweep_chunk writes each chunk's slice of the result (a prefix-state
-    table for the leading levels, then a per-point sweep); several chunks
-    run on the shared worker pool, with the bits of a serial sweep.
+    Python floats, reads the state of its first l digits from the train's
+    prefix-state table (row sum_nu i_nu b^(nu-1), see _point_tables) and
+    advances that 1-D state by one vector-matrix product per later level:
+    d - l + 2 products with the leaf and basis. More points are split into
+    chunks of at most _CHUNK points, and _sweep_chunk writes each chunk's
+    slice of the result (a prefix-state table for the leading levels, then
+    a per-point sweep); several chunks run on the shared worker pool, with
+    the bits of a serial sweep.
     """
     arr = np.asarray(x, dtype=float)
     if arr.size == 1:
         digits, y = _point_digits(arr.item(), tt.grid)
-        v = np.ones(1)
-        for core, i in zip(tt.cores, digits):
-            v = v.dot(core[i])
+        try:
+            ell, table, slices = tt._point_tables
+        except AttributeError:  # the train's first single-point call
+            # concurrent first calls may each build equal tables; setdefault
+            # keeps the first one stored, so every call reads that one
+            ell, table, slices = vars(tt).setdefault("_point_tables", _point_tables(tt))
+        row, b = 0, tt.base
+        for i in reversed(digits[:ell]):
+            row = row * b + i
+        v = table[row]
+        for s, i in zip(slices, digits[ell:]):
+            v = v.dot(s[i])
         val = float(v.dot(tt.leaf).dot(tt.basis.eval(y)))
         return val if arr.ndim == 0 else np.full(arr.shape, val)
     chunks = np.array_split(arr.ravel(), max(1, -(-arr.size // _CHUNK)))
@@ -245,6 +263,21 @@ def evaluate(tt: TensorTrain, x):
     # reading every result re-raises a chunk's DomainError, first chunk first
     list(_chunk_map(len(chunks))(_sweep_chunk, repeat(tt), chunks, outs))
     return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
+
+
+def _point_tables(tt: TensorTrain):
+    """(l, table, slices) of the single-point route of tt: the prefix-state
+    table of _sweep_chunk (row sum_nu i_nu b^(nu-1) holds the state after
+    digits i_1..i_l), extended by a level while the next table holds at
+    most 8 _CHUNK entries (b^l r_l of them at level l), and each later core
+    as the list of its b slices. Reads cores without holding a lock, since
+    cores takes _cores_lock itself."""
+    cores, table, ell = tt.cores, np.ones((1, 1)), 0
+    while ell < tt.depth and tt.base * len(table) * cores[ell].shape[2] <= 8 * _CHUNK:
+        table = np.matmul(table, cores[ell]).reshape(-1, cores[ell].shape[2])
+        ell += 1
+    table.setflags(write=False)
+    return ell, table, [list(c) for c in cores[ell:]]
 
 
 def _sweep_chunk(tt: TensorTrain, t: np.ndarray, out: np.ndarray):

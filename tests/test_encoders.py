@@ -104,6 +104,56 @@ def test_evaluation_half_open():
         pp(1.0)
 
 
+def _per_piece_polyval(pp, x):
+    """The per-piece reference: one mask and one polyval per piece."""
+    bp = pp.breakpoints()
+    idx = np.clip(np.searchsorted(bp, x, side="right") - 1, 0, pp.piece_count - 1)
+    out = np.empty_like(x)
+    for k, coeffs in enumerate(pp.pieces):
+        sel = idx == k
+        out[sel] = np.polynomial.polynomial.polyval((x[sel] - bp[k]) / (bp[k + 1] - bp[k]), coeffs)
+    return out
+
+
+def test_piecewise_polynomial_keeps_the_bits_of_polyval_per_piece():
+    rng = np.random.default_rng(41)
+    pieces = [rng.standard_normal(rng.integers(1, 7)) for _ in range(9)]
+    pieces[2] = np.array([0.0, -0.0, 1.0])  # signed zeros
+    pieces[3] = np.array([-0.0])
+    pieces[4] = np.array([1.0, 2.0, -0.0])  # a top coefficient -0
+    pp = PiecewisePolynomial(3, tuple((i, 2) for i in range(1, 9)), tuple(pieces))
+    # three chunks and a tail, every knot, and both ends of [0, 1)
+    x = np.concatenate([rng.random(3 * 8192 + 5), pp.breakpoints()[:-1], [np.nextafter(1.0, 0.0)]])
+    want = _per_piece_polyval(pp, x)
+    got = pp(x)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(pp(x.reshape(-1, 3)).view(np.int64), want.view(np.int64).reshape(-1, 3))
+    assert np.array_equal(np.array([pp(p) for p in x[:50]]).view(np.int64), want[:50].view(np.int64))
+    assert pp(np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [math.nan, [0.2, math.nan], [[math.nan]], [0.5, -1e-300]])
+def test_piecewise_polynomial_rejects_nan_as_outside_the_domain(bad):
+    pp = PiecewisePolynomial(2, ((1, 1),), ([0.0, 1.0], [5.0]))
+    with pytest.raises(DomainError, match=r"points outside \[0, 1\)"):
+        pp(bad)
+
+
+def test_piecewise_polynomial_allocates_about_its_output():
+    rng = np.random.default_rng(42)
+    pp = PiecewisePolynomial.uniform(3, 4, rng.standard_normal((81, 3)))
+    x = rng.random(10**6)
+    tracemalloc.start()
+    try:
+        out = pp(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the chunks' gathers are small; a per-piece mask pass held a second
+    # point-sized index array besides the output
+    assert peak <= out.nbytes + 2**20, peak
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------

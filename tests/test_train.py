@@ -552,6 +552,111 @@ def test_single_point_route_matches_the_batch_sweep(b, d, m):
     assert type(evaluate(tt, x[0])) is float
 
 
+def _point_table_levels(b, bonds):
+    """l of the single-point table: levels are added while a level's table
+    holds at most 8 _CHUNK entries."""
+    ell = 0
+    while ell < len(bonds) and b ** (ell + 1) * bonds[ell] <= 8 * _CHUNK:
+        ell += 1
+    return ell
+
+
+def _single_against_batch(tt, rng):
+    """The worst single-point error against the batch route, relative to
+    the largest batch value."""
+    b = tt.base
+    x = np.concatenate([rng.random(200), [0.0, 1.0 / b, 1.0 - 1.0 / b, np.nextafter(1.0, 0.0)]])
+    batch = evaluate(tt, x)
+    single = np.array([evaluate(tt, float(p)) for p in x])
+    return np.abs(single - batch).max() / np.abs(batch).max()
+
+
+@pytest.mark.parametrize("b", [2, 3, 5, 7])
+def test_single_point_evaluate_reads_its_table_at_every_depth(b):
+    rng = np.random.default_rng(110 + b)
+    top = next(k for k in range(40) if b ** (k + 1) > 8 * _CHUNK)  # b^top <= 8 _CHUNK
+    d = _SWEEP_DEPTH[b]
+    trains = {
+        "depth-0": (),
+        "d < l": (3, 4),
+        "d = l": (2,) * (top - 1) + (8 * _CHUNK // b**top,),
+        "d > l": (3,) * d,
+        "wide": (1, 2, 3, 16, 17, 33, 64, 40, 9, 1, 64, 7)[:d],
+    }
+    for name, bonds in trains.items():
+        tt = _train_with_bonds(b, bonds, 110 + b)
+        assert _single_against_batch(tt, rng) <= 1e-14, name
+        ell, table, slices = tt._point_tables
+        assert ell == _point_table_levels(b, bonds), name
+        assert table.shape == (b**ell, bonds[ell - 1] if ell else 1), name
+        assert len(slices) == len(bonds) - ell, name
+        assert (ell == len(bonds)) == (name in ("depth-0", "d < l", "d = l")), name
+    # an unrounded free-knot train, whose dense cores the first call writes
+    pp = greedy_badic_knots(np.sqrt, 3 * b, 1, 2.0, base=b)
+    tt = encode_free_knot_spline(pp)
+    assert tt._cores is None
+    assert _single_against_batch(tt, rng) <= 1e-14
+    assert tt._point_tables[0] == _point_table_levels(b, tt.bond_dims)
+
+
+def test_single_point_evaluate_builds_its_table_once(monkeypatch):
+    calls = []
+    real = np.matmul
+
+    def counting(*args, **kw):
+        calls.append(1)
+        return real(*args, **kw)
+
+    tt = _random_train(3, 111)
+    x = np.random.default_rng(111).random(50).tolist()
+    monkeypatch.setattr(train_module.np, "matmul", counting)
+    first = evaluate(tt, x[0])
+    tables = tt._point_tables
+    assert len(calls) == tables[0] >= 1  # one product per table level
+    rest = [evaluate(tt, p) for p in x]
+    monkeypatch.undo()
+    assert len(calls) == tables[0] and tt._point_tables is tables
+    assert rest[0] == first
+
+
+def test_single_point_evaluate_table_stays_within_8_chunk_entries_at_bond_512():
+    bonds = (2, 4, 8, 16, 32, 64, 128, 256, 512, 512, 512, 512)
+    tt = _train_with_bonds(2, bonds, 112)
+    assert _single_against_batch(tt, np.random.default_rng(112)) <= 1e-14
+    ell, table, _ = tt._point_tables
+    assert ell == 8 and table.size == 8 * _CHUNK  # level 9 would hold 2^9 * 512
+
+
+def test_single_point_evaluate_first_calls_from_eight_threads():
+    pp = greedy_badic_knots(np.sqrt, 27, 1, 2.0, base=3)
+    x = np.random.default_rng(113).random(16).tolist()
+    for _ in range(3):
+        # a fresh train in entry form: the first call writes its dense
+        # cores under _cores_lock and builds its table
+        tt = encode_free_knot_spline(pp)
+        assert tt._cores is None
+        results = [None] * 8
+        start = threading.Barrier(8, timeout=30)
+
+        def run(k):
+            start.wait()
+            results[k] = [evaluate(tt, p) for p in x]
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        want = [evaluate(tt, p) for p in x]
+        assert all(got == want for got in results)
+
+
 def _random_train(b, seed):
     rng = np.random.default_rng(seed)
     d = _SWEEP_DEPTH[b]
