@@ -12,7 +12,9 @@ import pathlib
 
 import numpy as np
 
-from ttfun.analysis import StudyConfig, fit_linear, study_analytic, study_sawtooth, study_sobolev, write_csv
+from ttfun.analysis import (
+    StudyConfig, fit_linear, rate_fits, study_analytic, study_sawtooth, study_sobolev, write_csv,
+)
 
 OUT = pathlib.Path.cwd()
 
@@ -29,10 +31,8 @@ def main():
     cfg = StudyConfig(target="inv_xplus2", b=2, m=1)
     recs = study_analytic(cfg)
     write_csv(recs, OUT / "study_analytic.csv")
-    for kind, power, label in (("C", 1 / 3, "n^(1/3)"), ("N", 1 / 2, "n^(1/2)")):
-        rows = [r for r in recs if r.cost_kind == kind and r.error > 1e-12]
-        slope, _, r2 = fit_linear([r.n**power for r in rows], np.log([r.error for r in rows]))
-        print(f"analytic 1/(x+2), cost_{kind}: log err vs {label} slope {slope:.2f}, R2 {r2:.3f}")
+    for _, kind, _, axis, slope, r2 in rate_fits(recs):
+        print(f"analytic 1/(x+2), cost_{kind}: log err vs {axis} slope {slope:.2f}, R2 {r2:.3f}")
 
     cfg = StudyConfig(target="sawtooth", b=2, m=1, schedule=tuple(range(1, 11)))
     recs = study_sawtooth(cfg)

@@ -4,6 +4,10 @@ The studies reproduce the rate regimes of the re-interpolation, spectral
 and adaptive constructions. Recorded costs are those of the construction's
 own representation (unrounded); rounding first would expose target-specific
 low ranks and measure the tool's opportunism rather than the construction.
+
+In every study, each row group takes its start time, builds a train and
+its error, and hands them to `_rows`, which costs the train and writes one
+ErrorRecord per cost kind. `rate_fits` fits each (study, cost kind).
 """
 
 from __future__ import annotations
@@ -41,6 +45,9 @@ from .targets import get_target
 from .train import _CHUNK, _FULL_GRID_CAP, TensorTrain, _extend_states, evaluate
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Gauss-Legendre order of the greedy's local errors and of the uniform track
+# of study_adaptive, which must measure them the same way.
+_QUAD_ORDER = 12
 _P = np.polynomial.polynomial
 
 
@@ -237,7 +244,7 @@ def greedy_badic_knots(
     *,
     base: int = 2,
     max_depth: int = 30,
-    quad_order: int = 12,
+    quad_order: int = _QUAD_ORDER,
     interp: Interpolator | None = None,
     with_info: bool = False,
 ):
@@ -331,14 +338,18 @@ class ErrorRecord:
             raise DomainError("invalid record")
 
 
-def _cost_rows(study, cfg, rep, depth, degree, error, seconds, kinds=("N", "C", "S")):
-    by_kind = {"N": rep.cost_n, "C": rep.cost_c, "S": rep.cost_s}
+def _rows(study, cfg, t0, tt, depth, degree, error, kinds=("N", "C", "S"), pieces=None):
+    """One ErrorRecord per cost kind of tt, and one of kind "pieces" if given,
+    all with the seconds from t0 (before the build) through complexity(tt)."""
+    rep = complexity(tt)
+    seconds = time.perf_counter() - t0
+    n = {"N": rep.cost_n, "C": rep.cost_c, "S": rep.cost_s, "pieces": pieces}
     return [
         ErrorRecord(
-            study, cfg.target, cfg.b, cfg.m, cfg.p, by_kind[k], k, depth, degree,
+            study, cfg.target, cfg.b, cfg.m, cfg.p, n[k], k, depth, degree,
             error, seconds, cfg.seed,
         )
-        for k in kinds
+        for k in kinds + (("pieces",) if pieces is not None else ())
     ]
 
 
@@ -357,16 +368,8 @@ def study_sobolev(cfg: StudyConfig):
         s = tensor_interpolate(f, Grid(cfg.b, d), Interpolator(mbar), tol=0.0)
         dbar = math.ceil(d * r / (cfg.m + 1))
         st = reinterpolate(s, dbar, cfg.m)
-        err = lp_error(f, st, cfg.p)
-        rep = complexity(st)
-        dt = time.perf_counter() - t0
-        records += _cost_rows("sobolev", cfg, rep, dbar, cfg.m, err, dt)
+        records += _rows("sobolev", cfg, t0, st, dbar, cfg.m, lp_error(f, st, cfg.p))
     return records
-
-
-def _sup_error_sampled(f, tt: TensorTrain, n_points: int = 4096) -> float:
-    xs = np.sort(np.concatenate([quasi_random(n_points), [0.0]]))
-    return float(np.abs(_sample(f, xs) - evaluate(tt, xs)).max())
 
 
 # Default budgets n of study_analytic (and of `ttfun study analytic --nmax`):
@@ -375,6 +378,10 @@ _ANALYTIC_SCHEDULE = (
     9, 16, 25, 36, 49, 64, 100, 144, 196,
     216, 343, 512, 729, 1000, 1331, 1728, 2197, 2744, 3000,
 )
+# The tracks of study_analytic: the cost kinds each records and the power of
+# the budget n whose root sets its depth and degree. The error falls like
+# exp(-c n^power), so rate_fits reads log error against cost^power.
+_ANALYTIC_TRACKS = ((("C", "S"), 1.0 / 3.0), (("N",), 0.5))
 
 
 def study_analytic(cfg: StudyConfig):
@@ -388,27 +395,20 @@ def study_analytic(cfg: StudyConfig):
     b, m = cfg.b, cfg.m
     import scipy.fft  # chebyshev_truncate's first-call import, kept out of row 1's seconds
 
+    xs = np.sort(np.concatenate([quasi_random(4096), [0.0]]))  # where the sup error is sampled
     records = []
     for n in cfg.schedule or _ANALYTIC_SCHEDULE:
-        # (depth, truncation degree, cost kinds) of the cost_C and cost_N tracks
-        tracks = (
-            (
-                math.floor(n ** (1.0 / 3.0) / b - (m + 1) * n ** (-2.0 / 3.0)),
-                math.floor(n ** (1.0 / 3.0) - 1.0),
-                ("C", "S"),
-            ),
-            (math.floor(math.sqrt(n)), math.floor(math.sqrt(n) - 1.0), ("N",)),
-        )
-        for d, mbar, kinds in tracks:
+        for kinds, power in _ANALYTIC_TRACKS:
+            root = n**power
+            d = math.floor(root if kinds == ("N",) else root / b - (m + 1) * n ** (-2.0 / 3.0))
+            mbar = math.floor(root - 1.0)
             if d < 2 or mbar < max(m, 1):
                 continue
             t0 = time.perf_counter()
             a = chebyshev_truncate(f, mbar)
             tt = polynomial_interpolant_train(a, Grid(b, d), m, input_basis="chebyshev")
-            err = _sup_error_sampled(f, tt)
-            rep = complexity(tt)
-            dt = time.perf_counter() - t0
-            records += _cost_rows("analytic", cfg, rep, d, m, err, dt, kinds=kinds)
+            err = float(np.abs(_sample(f, xs) - evaluate(tt, xs)).max())
+            records += _rows("analytic", cfg, t0, tt, d, m, err, kinds)
     return records
 
 
@@ -425,8 +425,6 @@ def study_adaptive(cfg: StudyConfig):
     mbar = int(cfg.params.get("mbar", max(cfg.m, 1)))
     if mbar < cfg.m:  # the spline is re-interpolated at degree m
         raise DomainError(f"mbar must be >= m = {cfg.m}, got {mbar}")
-    max_depth = int(cfg.params.get("max_depth", 30))
-    quad_order = int(cfg.params.get("quad_order", 12))
     alpha = target.besov_alpha(cfg.p) if target.besov_alpha else mbar + 1.0
     interp = Interpolator(mbar)
     schedule = cfg.schedule or (8, 16, 32, 64, 128, 256)
@@ -435,43 +433,22 @@ def study_adaptive(cfg: StudyConfig):
     records = []
     for n_pieces in schedule:
         t0 = time.perf_counter()
-        pp, info = greedy_badic_knots(
-            f, n_pieces, mbar, cfg.p, base=cfg.b, max_depth=max_depth,
-            quad_order=quad_order, with_info=True,
-        )
-        err = info["error"]
+        pp, info = greedy_badic_knots(f, n_pieces, mbar, cfg.p, base=cfg.b, with_info=True)
         d = max(pp.max_level, 1)
-        sparse = encode_free_knot_spline(pp, depth=d)
         built = info["pieces"]  # at b >= 3 the greedy may stop short of n_pieces
-        dbar = math.ceil(
+        dbar = max(d, math.ceil(
             (d * (cfg.m + 1 + 1.0 / cfg.p) + alpha * math.log(built, cfg.b)) / (cfg.m + 1)
-        )
-        dbar = max(dbar, d)
-        rep = complexity(reinterpolate(sparse, dbar, cfg.m))
-        dt = time.perf_counter() - t0
-        records += _cost_rows("adaptive", cfg, rep, dbar, cfg.m, err, dt)
-        records.append(
-            ErrorRecord(
-                "adaptive", cfg.target, cfg.b, cfg.m, cfg.p, built, "pieces",
-                dbar, cfg.m, err, dt, cfg.seed,
-            )
-        )
+        ))
+        tt = reinterpolate(encode_free_knot_spline(pp, depth=d), dbar, cfg.m)
+        records += _rows("adaptive", cfg, t0, tt, dbar, cfg.m, info["error"], pieces=built)
         # uniform comparison at the same piece count (same local machinery)
         t0 = time.perf_counter()
         du = round(math.log(n_pieces, cfg.b))
         if cfg.b**du == n_pieces:
-            coeffs, errs = _local_fits(f, range(n_pieces), du, cfg.b, interp, cfg.p, quad_order)
+            coeffs, errs = _local_fits(f, range(n_pieces), du, cfg.b, interp, cfg.p, _QUAD_ORDER)
+            tt = encode_fixed_knot_spline(PiecewisePolynomial.uniform(cfg.b, du, coeffs))
             uerr = _aggregate_local_errors(errs, cfg.p)
-            upp = PiecewisePolynomial.uniform(cfg.b, du, coeffs)
-            urep = complexity(encode_fixed_knot_spline(upp))
-            dt = time.perf_counter() - t0
-            records += _cost_rows("adaptive_uniform", cfg, urep, du, mbar, uerr, dt)
-            records.append(
-                ErrorRecord(
-                    "adaptive_uniform", cfg.target, cfg.b, cfg.m, cfg.p, n_pieces,
-                    "pieces", du, mbar, uerr, dt, cfg.seed,
-                )
-            )
+            records += _rows("adaptive_uniform", cfg, t0, tt, du, mbar, uerr, pieces=n_pieces)
     return records
 
 
@@ -485,9 +462,7 @@ def study_sawtooth(cfg: StudyConfig):
         t0 = time.perf_counter()
         tt = encode_sawtooth(Grid(2, d), max(cfg.m, 1))
         err = lp_error(sawtooth_function(d), tt, math.inf)
-        rep = complexity(tt)
-        dt = time.perf_counter() - t0
-        records += _cost_rows("sawtooth", cfg, rep, d, max(cfg.m, 1), err, dt)
+        records += _rows("sawtooth", cfg, t0, tt, d, max(cfg.m, 1), err)
     return records
 
 
@@ -523,6 +498,29 @@ def fit_loglog(ns, errs, floor: float = 0.0):
     errs = np.asarray(errs, dtype=float)
     keep = errs > floor
     return fit_linear(np.log(ns[keep]), np.log(errs[keep]))
+
+
+def rate_fits(records):
+    """(study, kind, points, axis, slope, r2) of each (study, cost kind),
+    sorted: log error against log n, or against n^power on an analytic
+    track. Errors at or below 1e-12 are left out of the fits."""
+    groups = {}
+    for r in records:
+        if r.error > 1e-12:
+            groups.setdefault((r.study, r.cost_kind), []).append(r)
+    fits = []
+    for (study, kind), sub in sorted(groups.items()):
+        if len({r.n for r in sub}) < 2:
+            continue  # a repeated schedule entry gives one x: there is no line to fit
+        if study == "analytic":
+            power = next(pw for kinds, pw in _ANALYTIC_TRACKS if kind in kinds)
+            slope, _, r2 = fit_linear([r.n**power for r in sub], [math.log(r.error) for r in sub])
+            axis = f"n^{power:.2g}"
+        else:
+            slope, _, r2 = fit_loglog([r.n for r in sub], [r.error for r in sub], floor=1e-12)
+            axis = "log n"
+        fits.append((study, kind, len(sub), axis, slope, r2))
+    return fits
 
 
 CSV_COLUMNS = (

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -212,27 +211,9 @@ def cmd_study(args):
         analysis.write_csv(records, args.csv)
     if args.json_out:
         analysis.write_json(records, cfg, args.json_out)
-    for kind in sorted({r.cost_kind for r in records} - {"pieces"}):
-        sub = [r for r in records if r.cost_kind == kind and r.error > 1e-12]
-        if len({r.n for r in sub}) < 2:
-            # a repeated schedule entry gives one x: there is no line to fit
-            continue
-        if args.kind == "analytic":
-            # exponential regime: fit log error against the schedule root
-            power = 0.5 if kind == "N" else 1.0 / 3.0
-            slope, _, r2 = analysis.fit_linear(
-                [r.n**power for r in sub], [math.log(r.error) for r in sub]
-            )
-            axis = f"n^{power:.2g}"
-        else:
-            slope, _, r2 = analysis.fit_loglog(
-                [r.n for r in sub], [r.error for r in sub], floor=1e-12
-            )
-            axis = "log n"
-        print(
-            f"{args.kind}/{kind}: {len(sub)} points, log-error vs {axis} "
-            f"slope={slope:.3f}, R2={r2:.4f}"
-        )
+    for study, kind, points, axis, slope, r2 in analysis.rate_fits(records):
+        print(f"{study}/{kind}: {points} points, log-error vs {axis} "
+              f"slope={slope:.3f}, R2={r2:.4f}")
     print(f"recorded {len(records)} rows")
     return 0
 

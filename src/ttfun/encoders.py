@@ -33,7 +33,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from .basis import PolyBasis
-from .grids import DomainError, Grid, _check_p, encode_points, flat_to_digits
+from .grids import DomainError, Grid, _check_p, _is_int, encode_points, flat_to_digits
 from .train import (
     _CHUNK,
     TensorTrain,
@@ -77,11 +77,6 @@ def badic_from_float(x: float, base: int, max_level: int = 52):
     if den > 1:
         raise KnotError(f"knot {x!r} is not {base}-adic within level {max_level}")
     return int(num), level
-
-
-def _is_int(value) -> bool:
-    """Whether a JSON value is an integer (a bool is not)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _normalize_knot(i: int, level: int, base: int):

@@ -31,6 +31,11 @@ def _check_tol(tol, name: str = "tol"):
         raise DomainError(f"{name} must be >= 0, got {tol}")
 
 
+def _is_int(value) -> bool:
+    """Whether value is an int or a numpy integer (a bool is not)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_p(p):
     """DomainError unless the L^p exponent p > 0 (NaN fails too)."""
     if not p > 0:
@@ -196,6 +201,8 @@ def leaf_restriction(f: Callable, grid: Grid, j) -> Callable:
     """Restrict f to leaf j and rescale to [0, 1): y -> f(b^-d (j + y))."""
     if isinstance(j, LeafIndex):
         j = j.flat
+    if not _is_int(j):
+        raise DomainError(f"leaf index {j!r} is not an integer")
     if not 0 <= j < grid.leaf_count:
         raise DomainError(f"leaf index {j} outside 0..{grid.leaf_count - 1}")
     w = grid.leaf_width

@@ -401,10 +401,14 @@ def block_sum(trains) -> TensorTrain:
 
 
 def scale(a: TensorTrain, c: float) -> TensorTrain:
-    """Pointwise scaling; ranks unchanged."""
-    if a.depth == 0:
-        return TensorTrain(a.grid, [], c * a.leaf, a.basis)
-    cores = [c * a.cores[0], *a.cores[1:]]
+    """Pointwise scaling; ranks unchanged. DomainError for a non-finite c
+    or a scaled core that overflows."""
+    if not math.isfinite(c):
+        raise DomainError(f"scale factor must be finite, got {c}")
+    with np.errstate(over="ignore"):  # _finite reports it
+        if a.depth == 0:
+            return TensorTrain(a.grid, [], _finite(c * a.leaf), a.basis)
+        cores = [_finite(c * a.cores[0]), *a.cores[1:]]
     return TensorTrain(a.grid, cores, a.leaf, a.basis)
 
 

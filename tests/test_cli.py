@@ -479,6 +479,51 @@ def test_study_repeated_schedule_entry_fits_no_line(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["sobolev", "--target", "sin2pi", "--r", "4", "--schedule", "3,4,5,6"],
+            [
+                "sobolev/C: 4 points, log-error vs log n slope=-4.958, R2=0.9951",
+                "sobolev/N: 4 points, log-error vs log n slope=-7.672, R2=0.9951",
+                "sobolev/S: 4 points, log-error vs log n slope=-4.538, R2=0.9945",
+                "recorded 12 rows",
+            ],
+        ),
+        (
+            ["analytic", "--target", "inv_xplus2", "--schedule", "36,64,100,216,343,512,729"],
+            [
+                "analytic/C: 5 points, log-error vs n^0.33 slope=-0.701, R2=0.9671",
+                "analytic/N: 4 points, log-error vs n^0.5 slope=-1.391, R2=1.0000",
+                "analytic/S: 5 points, log-error vs n^0.33 slope=-0.690, R2=0.9673",
+                "recorded 17 rows",
+            ],
+        ),
+        # exact trains: every error is below the fit's 1e-12 floor
+        (["sawtooth", "--target", "sawtooth", "--dmax", "5"], ["recorded 15 rows"]),
+    ],
+)
+def test_study_summary_lines(capsys, argv, expected):
+    code, stdout, err = run(capsys, "study", *argv)
+    assert code == 0 and err == ""
+    assert stdout.splitlines() == expected
+
+
+def test_study_adaptive_fits_each_track_and_cost_kind(capsys):
+    argv = ["adaptive", "--target", "x_pow:0.6", "--mbar", "1", "--schedule", "8,16,32,64"]
+    code, stdout, err = run(capsys, "study", *argv)
+    assert code == 0 and err == ""
+    *fits, last = stdout.splitlines()
+    assert [line.split(":")[0] for line in fits] == [
+        f"{track}/{kind}"
+        for track in ("adaptive", "adaptive_uniform")
+        for kind in ("C", "N", "S", "pieces")
+    ]
+    assert all(": 4 points, log-error vs log n slope=-" in line for line in fits)
+    assert last == "recorded 32 rows"
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["free_knot", "--pieces", "10", "--d", "2"],

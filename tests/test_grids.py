@@ -117,6 +117,14 @@ def test_leaf_restriction_examples():
     assert g2(0.5) == 0.765625  # f(0.875)
 
 
+@pytest.mark.parametrize("j", [1.5, 1.0, "1", True, LeafIndex(Grid(2, 2), 1.5)])
+def test_leaf_restriction_rejects_a_non_integer_index(j):
+    # 1.5 used to sample [0.375, 0.625), across two leaves
+    with pytest.raises(DomainError, match="not an integer"):
+        leaf_restriction(lambda x: x, Grid(2, 2), j)
+    assert leaf_restriction(lambda x: x, Grid(2, 2), np.int64(1))(0.0) == 0.25
+
+
 def test_leaf_consistency_random():
     # leaf_restriction(f, grid, j)(y) == f(decode(digits(j), y)) pointwise
     rng = np.random.default_rng(3)

@@ -140,6 +140,16 @@ def test_scale():
     assert scale(a, 3.0).bond_dims == a.bond_dims
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, 1e308, np.float64(-1e308)])
+@pytest.mark.parametrize("depth", [0, 5])
+def test_scale_rejects_a_non_finite_factor_or_result(c, depth):
+    # nan used to pass through silently; inf and 1e308 overflowed the core
+    a = encode_polynomial([1.0, 2.0, 3.0], Grid(2, depth))
+    with pytest.raises(DomainError):
+        scale(a, c)
+    assert scale(a, 1e300)(0.5) == pytest.approx(1e300 * 2.75)
+
+
 def test_evaluation_linearity():
     rng = np.random.default_rng(5)
     a = encode_polynomial(rng.standard_normal(4), Grid(2, 5))
