@@ -42,12 +42,15 @@ from .interpolation import (
     tensor_interpolate,
 )
 from .targets import get_target
-from .train import _CHUNK, _FULL_GRID_CAP, TensorTrain, _extend_states, evaluate
+from .train import _CHUNK, _FULL_GRID_CAP, TensorTrain, _chunk_map, _extend_states, evaluate
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Gauss-Legendre order of the greedy's local errors and of the uniform track
 # of study_adaptive, which must measure them the same way.
 _QUAD_ORDER = 12
+# lp_error's cell blocks run in this many lanes at once: its working memory
+# then holds that many blocks on any machine.
+_LANES = 2
 _P = np.polynomial.polynomial
 
 
@@ -79,7 +82,14 @@ def lp_error(
     extends one prefix state to its cells' states V. At l = d its values
     are (V @ leaf) @ phi(ys)^T, the association of leaf_values; at l < d
     they are V @ W, where W holds the levels below l at each node's own
-    digits, then the leaf. Working memory is one block plus the per-cell
+    digits, then the leaf. The blocks run in _LANES lanes of consecutive
+    blocks, each lane on a worker of the pool that evaluate shares
+    (train._chunk_map) and each block writing its own slice of the per-cell
+    norms, so the result has the bits of the serial loop. f is called once
+    per block of cells, possibly from several worker threads at once and in
+    any block order: it must be a thread-safe function of x. A sampler that
+    evaluates a train runs that evaluate serially on its worker. Working
+    memory is one block per lane, whatever the CPU count, plus the per-cell
     norms.
     """
     _check_p(p)
@@ -105,15 +115,27 @@ def lp_error(
     block = b**block_levels
     norms = np.empty(cells)
     prefixes = _extend_states(np.ones((1, 1)), tt.cores[: level - block_levels])
-    for k, prefix in enumerate(prefixes):
-        V = _extend_states(prefix[None, :], tt.cores[level - block_levels : level])
-        vals = V @ W.T if level < d else (V @ tt.leaf) @ phi.T
+
+    def write_block(k):
         xs = (np.arange(k * block, (k + 1) * block)[:, None] + ys[None, :]) / cells
         np.minimum(xs, np.nextafter(1.0, 0.0), out=xs)
-        err = np.abs(_sample(f, xs) - vals)
+        samples = _sample(f, xs)
+        del xs  # the block's values take its place
+        V = _extend_states(prefixes[k][None, :], tt.cores[level - block_levels : level])
+        err = V @ W.T if level < d else (V @ tt.leaf) @ phi.T
+        np.abs(np.subtract(samples, err, out=err), out=err)
         norms[k * block : (k + 1) * block] = (
             err.max(axis=1) if math.isinf(p) else (err**p @ ws) ** (1.0 / p)
         )
+
+    n, lanes = len(prefixes), min(_LANES, len(prefixes))
+
+    def write_lane(j):
+        for k in range(j * n // lanes, (j + 1) * n // lanes):
+            write_block(k)
+
+    # reading every result re-raises a lane's error, first lane first
+    list(_chunk_map(lanes)(write_lane, range(lanes)))
     return lp_norm_from_leaves(norms, Grid(b, level), p)
 
 

@@ -50,6 +50,9 @@ class Grid:
     depth: int
 
     def __post_init__(self):
+        for name, value in (("base", self.base), ("depth", self.depth)):
+            if not _is_int(value):
+                raise DomainError(f"{name} {value!r} is not an integer")
         if self.base < 2:
             raise DomainError(f"base must be >= 2, got {self.base}")
         if self.depth < 0:
@@ -117,6 +120,8 @@ def digits_to_flat(digits: Sequence[int], grid: Grid) -> int:
 
 
 def flat_to_digits(flat: int, grid: Grid) -> tuple:
+    if not _is_int(flat):
+        raise DomainError(f"leaf index {flat!r} is not an integer")
     out = []
     j = int(flat)
     for _ in range(grid.depth):

@@ -113,14 +113,7 @@ def cheb_interpolation_matrix(source_degree: int, interp: Interpolator) -> np.nd
     """Rows q = monomial coefficients of the interpolant of T_q(2t - 1).
 
     Stable at any source degree: the basis values stay bounded by one."""
-    from numpy.polynomial import chebyshev as _chebmod
-
-    vals = np.stack(
-        [
-            _chebmod.chebval(2.0 * interp.nodes - 1.0, np.eye(source_degree + 1)[q])
-            for q in range(source_degree + 1)
-        ]
-    )
+    vals = np.polynomial.chebyshev.chebval(2.0 * interp.nodes - 1.0, np.eye(source_degree + 1))
     return np.linalg.solve(interp.vandermonde(), vals.T).T
 
 

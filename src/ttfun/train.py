@@ -12,14 +12,16 @@ points of a chunk share a table of one state per digit prefix; each later
 level advances v <- v C_nu[i_nu] for every point. Chunks never meet, so an
 input of several chunks is swept on a process-wide thread pool, one worker
 per CPU the process may run on, with the bits of the serial sweep; one
-chunk runs on the caller's thread. A single point (an input of size 1, whatever its
-shape) skips the sweep: its digits come from the same rule in Python
-floats, and it reads the state of its first l digits from a prefix-state
-table that the train builds on its first single-point call and keeps
-(_point_tables: the chunk sweep's table, grown while it holds at most
+chunk runs on the caller's thread, and so does every chunk of a call made
+on a pool worker (analysis.lp_error maps its cell blocks on the same pool,
+and its sampler may evaluate a train). A single point (an input of size 1,
+whatever its shape) skips the sweep: its digits come from the same rule in
+Python floats, and it reads the state of its first l digits from a
+prefix-state table that the train builds on its first single-point call and
+keeps (_point_tables: the chunk sweep's table, grown while it holds at most
 8 _CHUNK entries, so at most 512 KiB). A 1-D state then takes one
-vector-matrix product per later level, on each core's slices listed
-once, with no per-level array dispatch.
+vector-matrix product per later level, on each core's slices listed once,
+with no per-level array dispatch.
 
 L2 quantities use the exact Gram matrix of the leaf basis together with the
 tensorization isometry: the function norm equals b^(-d/2) times the
@@ -311,11 +313,13 @@ def _sweep_chunk(tt: TensorTrain, t: np.ndarray, out: np.ndarray):
     np.einsum("nr,rq,nq->n", v, tt.leaf, tt.basis.eval(t), out=out)
 
 
-# The worker pool that evaluate shares across calls and threads: one worker
-# per CPU in the process's affinity mask, created by the first call that
-# spans more than one chunk on a machine with more than one CPU.
+# The worker pool that evaluate and analysis.lp_error share across calls and
+# threads: one worker per CPU in the process's affinity mask, created by the
+# first call that spans more than one chunk on a machine with more than one
+# CPU. Its threads' names begin with _POOL_NAME.
 _pool = None
 _pool_lock = threading.Lock()
+_POOL_NAME = "ttfun-evaluate"
 
 
 def _cpu_count() -> int:
@@ -326,15 +330,19 @@ def _cpu_count() -> int:
 
 
 def _chunk_map(n_chunks: int):
-    """The map to run n_chunks chunk sweeps with: the built-in map, on the
-    caller's thread, for one chunk or one CPU; else the shared pool's map,
-    which also yields in input order."""
+    """The map to run n_chunks independent chunks with: the built-in map, on
+    the caller's thread, for one chunk, one CPU or a caller that is itself a
+    pool worker (a sampler of lp_error that evaluates a train, say, which
+    would otherwise wait on the pool it occupies); else the shared pool's
+    map, which also yields in input order."""
     global _pool
     if n_chunks == 1 or _cpu_count() == 1:
         return map
+    if threading.current_thread().name.startswith(_POOL_NAME):
+        return map
     with _pool_lock:
         if _pool is None:
-            _pool = ThreadPoolExecutor(_cpu_count(), thread_name_prefix="ttfun-evaluate")
+            _pool = ThreadPoolExecutor(_cpu_count(), thread_name_prefix=_POOL_NAME)
     return _pool.map
 
 
@@ -771,6 +779,12 @@ def _extended(tt: TensorTrain, leaf, basis: PolyBasis, appended=()) -> TensorTra
 
 
 _FITS = {"chebyshev": (_cheb.chebfit, _cheb.chebval), "legendre": (_leg.legfit, _leg.legval)}
+_VANDERS = {"chebyshev": _cheb.chebvander, "legendre": _leg.legvander}
+
+
+def _fit_nodes(n: int) -> np.ndarray:
+    """The n Chebyshev points of [0, 1] that fit_coefficients samples at."""
+    return 0.5 * (1.0 - np.cos(np.pi * (np.arange(n) + 0.5) / n))
 
 
 def fit_coefficients(f, basis: PolyBasis, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
@@ -782,8 +796,7 @@ def fit_coefficients(f, basis: PolyBasis, lo: float = 0.0, hi: float = 1.0) -> n
     returns shape (m+1, k) is fitted column by column: shape (m+1, k).
     """
     fit, _ = _FITS[basis.kind]
-    n = basis.dim
-    nodes = 0.5 * (1.0 - np.cos(np.pi * (np.arange(n) + 0.5) / n))
+    nodes = _fit_nodes(basis.dim)
     xs = lo + (hi - lo) * nodes
     return fit(2.0 * nodes - 1.0, f(xs), basis.degree)
 
@@ -796,7 +809,10 @@ def dilation_cores(basis: PolyBasis, base: int) -> np.ndarray:
 
     Monomial coordinates use the exact binomial table C(q,r) i^(q-r) b^-q;
     the orthogonal bases fit every basis function on every child, so no
-    ill-conditioned change of coordinates enters at high degree.
+    ill-conditioned change of coordinates enters at high degree. Each fit
+    is fit_coefficients' (numpy's least-squares fit) with its scaled
+    Vandermonde matrix built once: one lstsq per basis function and child,
+    as a multi-column lstsq would round differently.
     """
     n = basis.dim
     A = np.zeros((base, n, n))
@@ -807,11 +823,21 @@ def dilation_cores(basis: PolyBasis, base: int) -> np.ndarray:
                     A[i, q, r] = math.comb(q, r) * float(i) ** (q - r) * float(base) ** (-q)
     else:
         _, val = _FITS[basis.kind]
+        # the steps of numpy.polynomial.polyutils._fit (chebfit, legfit) with
+        # w = None and rcond = None: the transposed Vandermonde lhs, its row
+        # norms scl with zeros set to 1, rcond = len(x) * eps, lstsq on
+        # lhs.T / scl, and the solution divided by scl
+        nodes = _fit_nodes(n)
+        lhs = _VANDERS[basis.kind](2.0 * nodes - 1.0, basis.degree).T
+        scl = np.sqrt(np.square(lhs).sum(1))
+        scl[scl == 0] = 1
+        lhs = lhs.T / scl
+        rcond = n * np.finfo(float).eps
         for i in range(base):
-            for q, e in enumerate(np.eye(n)):
-                A[i, q] = fit_coefficients(
-                    lambda x: val(2.0 * np.asarray(x) - 1.0, e), basis, i / base, (i + 1) / base
-                )
+            lo, hi = i / base, (i + 1) / base
+            vals = val(2.0 * (lo + (hi - lo) * nodes) - 1.0, np.eye(n))  # row q: function q
+            for q in range(n):
+                A[i, q] = np.linalg.lstsq(lhs, vals[q], rcond)[0] / scl
     A.setflags(write=False)
     return A
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from ttfun import analysis
+from ttfun import train as train_module
 from ttfun.analysis import (
     StudyConfig,
     _aggregate_local_errors,
@@ -452,6 +454,94 @@ def test_lp_error_non_finite_sample_in_a_later_block_raises(p):
     with pytest.raises(DomainError, match="^non-finite sample of f$"):
         lp_error(f, tt, p)
     assert len(calls) == 4
+
+
+# ---------------------------------------------------------------------------
+# lp_error's cell blocks on the shared worker pool
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def pool_size(monkeypatch):
+    """pool_size(n) makes the shared pool n workers wide (or absent, at n = 1)
+    from the next call on. The pools made here are shut down afterwards,
+    with any work still queued cancelled, and the process's pool restored."""
+    made = []
+    monkeypatch.setattr(train_module, "_pool", None)
+
+    def use(n):
+        if train_module._pool is not None:
+            made.append(train_module._pool)
+        monkeypatch.setattr(train_module, "_cpu_count", lambda: n)
+        train_module._pool = None
+
+    yield use
+    made.append(train_module._pool)
+    for pool in made:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _in_thread(call, timeout=60):
+    """call() on a daemon thread: its result, or None if it did not finish."""
+    out = []
+    th = threading.Thread(target=lambda: out.append(call()), daemon=True)
+    th.start()
+    th.join(timeout)
+    return out[0] if out else None
+
+
+def test_lp_error_with_a_train_as_the_sampler_finishes_and_keeps_the_serial_value(pool_size):
+    # 4 blocks of 2^13 cells; each samples the other train at 6 * 2^13 points,
+    # a multi-chunk evaluate on the worker that runs the block
+    a = encode_polynomial([0.0, 1.0, 0.5], Grid(2, 15))
+    b = encode_polynomial([0.1, 1.0], Grid(2, 15))
+    pool_size(1)
+    want = lp_error(a, b, 2.0)
+    pool_size(2)
+    assert _in_thread(lambda: lp_error(a, b, 2.0)) == want
+    assert train_module._pool is not None  # the blocks ran on the pool
+
+
+# 2 and 128 blocks of cells; p = inf samples 64 points a cell
+@pytest.mark.parametrize("d, p", [(7, 2.0), (7, math.inf), (10, 2.0)])
+def test_pooled_lp_error_keeps_the_serial_bits_on_the_sobolev_trains(pool_size, d, p):
+    f, tt = _sobolev_train(d)
+    got = []
+    for n in (1, 2, 4):
+        pool_size(n)
+        got.append(lp_error(f, tt, p))
+    assert got[1] == got[0] and got[2] == got[0]
+
+
+def _lp_error_peak(f, tt, p):
+    """tracemalloc's peak over one lp_error call, made after a first call
+    has set up the pool and the lazy tables outside the trace."""
+    lp_error(f, tt, p)
+    tracemalloc.start()
+    try:
+        lp_error(f, tt, p)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# the blocks in flight are at most analysis._LANES, however wide the pool
+@pytest.mark.parametrize("workers", [4, 16])
+def test_lp_error_holds_one_cell_sized_temporary_beside_the_norms_at_any_pool_size(
+    pool_size, workers
+):
+    f, tt = _sobolev_train(10)
+    pool_size(workers)
+    assert _lp_error_peak(f, tt, 2.0) <= 2.5 * 8 * 2**20
+
+
+@pytest.mark.parametrize("workers", [1, 2, 16])
+def test_lp_error_streams_the_sup_error_in_bounded_memory_at_any_pool_size(pool_size, workers):
+    # 2^20 cells x 64 points: 4 MiB arrays per block, 512 MiB for the grid
+    f, tt = _sobolev_train(10)
+    pool_size(workers)
+    assert _lp_error_peak(f, tt, math.inf) <= 40e6
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,27 @@ def test_grid_validation():
         Grid(2, 80)
 
 
+@pytest.mark.parametrize(
+    "base, depth", [(2.5, 3), (2, 2.5), (2.0, 3), (2, 3.0), ("2", 3), (2, True)]
+)
+def test_grid_rejects_a_non_integer_base_or_depth(base, depth):
+    # Grid(2.5, 3).leaf_count used to be 15.625
+    with pytest.raises(DomainError, match="is not an integer"):
+        Grid(base, depth)
+    assert Grid(np.int64(3), np.int32(2)).leaf_count == 9
+
+
+@pytest.mark.parametrize("flat", [1.5, 1.0, np.float64(2.0), True])
+def test_a_non_integer_leaf_index_has_no_digits(flat):
+    # 1.5 used to give the digits (0, 1) of leaf 1
+    with pytest.raises(DomainError, match="is not an integer"):
+        flat_to_digits(flat, Grid(2, 2))
+    with pytest.raises(DomainError, match="is not an integer"):
+        LeafIndex(Grid(2, 2), flat).digits
+    assert flat_to_digits(np.int64(1), Grid(2, 2)) == (0, 1)
+    assert LeafIndex(Grid(2, 2), np.int32(3)).digits == (1, 1)
+
+
 def test_encode_examples():
     p = encode_point(0.625, Grid(2, 2))
     assert p.digits == (1, 0) and p.remainder == 0.5

@@ -16,6 +16,7 @@ from ttfun.grids import DomainError, Grid
 from ttfun.interpolation import (
     Interpolator,
     cgl_nodes,
+    cheb_interpolation_matrix,
     chebyshev_truncate,
     interpolate_unit,
     polynomial_interpolant_train,
@@ -73,6 +74,18 @@ def test_interpolate_unit_exp():
 def test_interpolate_unit_nonfinite():
     with pytest.raises(DomainError):
         interpolate_unit(lambda y: float("nan"), Interpolator(1))
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_cheb_interpolation_matrix_keeps_the_bytes_of_the_per_row_form(m):
+    interp = Interpolator(m)
+    for degree in range(m, 61):
+        rows = [
+            np.polynomial.chebyshev.chebval(2.0 * interp.nodes - 1.0, e)
+            for e in np.eye(degree + 1)
+        ]
+        want = np.linalg.solve(interp.vandermonde(), np.stack(rows).T).T
+        assert cheb_interpolation_matrix(degree, interp).tobytes() == want.tobytes()
 
 
 def test_power_interpolation_matrix_projection_rows():

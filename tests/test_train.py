@@ -35,8 +35,10 @@ from ttfun.train import (
     add,
     block_sum,
     deepen,
+    dilation_cores,
     dot_l2,
     evaluate,
+    fit_coefficients,
     from_json_dict,
     norm_l2,
     orthogonalize,
@@ -284,6 +286,32 @@ def test_deepen_exact():
     dd = deepen(tt, 4)
     assert dd.depth == 7
     assert np.abs(evaluate(dd, QUASI) - evaluate(tt, QUASI)).max() < 1e-13
+
+
+def _fitted_dilation_cores(basis, b):
+    """dilation_cores as one fit_coefficients call per basis function and child.
+
+    dilation_cores repeats the steps of numpy's polyutils._fit with the
+    Vandermonde matrix hoisted out of the loop; a numpy whose fit takes other
+    steps shows up here as a byte mismatch."""
+    _, val = train_module._FITS[basis.kind]
+    A = np.zeros((b, basis.dim, basis.dim))
+    for i in range(b):
+        for q, e in enumerate(np.eye(basis.dim)):
+            g = lambda x, e=e: val(2.0 * np.asarray(x) - 1.0, e)
+            A[i, q] = fit_coefficients(g, basis, i / b, (i + 1) / b)
+    return A
+
+
+@pytest.mark.parametrize("kind", ["chebyshev", "legendre"])
+@pytest.mark.parametrize(
+    "b, degrees", [(2, (0, 1, 2, 7, 22, 60)), (3, (0, 3, 13)), (5, (1, 9)), (7, (2, 17))]
+)
+def test_dilation_cores_keep_the_bytes_of_the_per_function_fit(kind, b, degrees):
+    for degree in degrees:
+        basis = PolyBasis(degree, kind)
+        want = _fitted_dilation_cores(basis, b)
+        assert dilation_cores(basis, b).tobytes() == want.tobytes()
 
 
 def test_json_round_trip():
