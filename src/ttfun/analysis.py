@@ -32,7 +32,15 @@ from .encoders import (
     encode_sawtooth,
     sawtooth_function,
 )
-from .grids import DomainError, Grid, _check_p, _check_tol, _digit_steps, lp_norm_from_leaves
+from .grids import (
+    DomainError,
+    Grid,
+    _check_p,
+    _check_tol,
+    _digit_steps,
+    _is_int,
+    lp_norm_from_leaves,
+)
 from .interpolation import (
     Interpolator,
     _sample,
@@ -279,8 +287,8 @@ def greedy_badic_knots(
     interpolation) polynomial. Budget or depth exhaustion is reported in
     the info dict, not raised.
     """
-    if n_pieces < 1:
-        raise DomainError("need at least one piece")
+    if not _is_int(n_pieces) or n_pieces < 1:
+        raise DomainError(f"n_pieces must be an integer >= 1, got {n_pieces!r}")
     _check_p(p)
     if quad_order < 1:
         raise DomainError(f"quad_order must be >= 1, got {quad_order}")

@@ -9,7 +9,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import legendre as _leg
 
-from .grids import DomainError
+from .grids import DomainError, _is_int
 
 KINDS = ("monomial", "chebyshev", "legendre")
 
@@ -27,6 +27,8 @@ class PolyBasis:
     kind: str = "legendre"
 
     def __post_init__(self):
+        if not _is_int(self.degree):
+            raise DomainError(f"degree {self.degree!r} is not an integer")
         if self.degree < 0:
             raise DomainError(f"degree must be >= 0, got {self.degree}")
         if self.kind not in KINDS:

@@ -67,8 +67,8 @@ def complexity(tt: TensorTrain, zero_tol: float = 0.0) -> ComplexityReport:
     """Exact complexity formulas applied to the stored cores.
 
     Entries with |entry| <= zero_tol count as zero for cost_S; the default
-    0 counts structural zeros only. cost_S reads the cores' entries, so a
-    train built from entries is not made dense.
+    0 counts structural zeros only. cost_S reads the train's store, never
+    its dense cores.
     """
     _check_tol(zero_tol, "zero_tol")
     r = list(tt.bond_dims)
@@ -76,7 +76,7 @@ def complexity(tt: TensorTrain, zero_tol: float = 0.0) -> ComplexityReport:
     dim = tt.basis.dim
     cost_n = int(sum(r))
     cost_c = _cost_c(b, r, dim)
-    nnz = sum(int(np.sum(np.abs(val) > zero_tol)) for _, val in tt._core_entries())
+    nnz = sum(int(np.sum(np.abs(val) > zero_tol)) for _, val in tt._entries)
     nnz += int(np.sum(np.abs(tt.leaf) > zero_tol))
     return ComplexityReport(cost_n, int(cost_c), int(nnz), RankProfile(tuple(r), 0.0))
 

@@ -107,8 +107,8 @@ class PiecewisePolynomial:
         pieces = []
         for k, p in enumerate(self.pieces):
             arr = np.ascontiguousarray(p, dtype=float).ravel()
-            if not np.all(np.isfinite(arr)):
-                raise DomainError(f"piece {k} has a non-finite coefficient")
+            if arr.size == 0 or not np.all(np.isfinite(arr)):
+                raise DomainError(f"piece {k} has no coefficient or a non-finite one")
             arr.setflags(write=False)
             pieces.append(arr)
         object.__setattr__(self, "pieces", tuple(pieces))
@@ -350,13 +350,11 @@ def encode_free_knot_spline(
     local coordinate. The cells sit block-diagonally, bond 1 down to the
     cell's level and m+1 below, and each level's entries are written once
     for all cells: a 1 at the cell's digit above it, its local monomial row
-    through the dilation table just below, the table deeper. The cores are
-    held as these entries (TensorTrain._from_entries), with the bytes of
-    the block sum once read as arrays; rounding reads the entries and never
-    writes the mostly zero dense cores. The leaf (identity blocks, local
-    rows of level-d cells) is mapped to the leaf basis once. The result is
-    returned unrounded (its nonzero count is the sparse-complexity
-    witness); round it to expose minimal ranks.
+    through the dilation table just below, the table deeper. The train
+    stores only these entries (TensorTrain._from_entries). The leaf
+    (identity blocks, local rows of level-d cells) is mapped to the leaf
+    basis once. The result is returned unrounded (its nonzero count is the
+    sparse-complexity witness); round it to expose minimal ranks.
     """
     b = s.base
     d = s.max_level if depth is None else depth
@@ -438,6 +436,8 @@ class WaveletSpec:
     p: float = 2.0
 
     def __post_init__(self):
+        if not (_is_int(self.level) and _is_int(self.shift)):
+            raise DomainError(f"level {self.level!r} and shift {self.shift!r} must be integers")
         if self.level < 0:
             raise DomainError(f"level must be >= 0, got {self.level}")
         if not 0 <= self.shift < self.mother.base**self.level:
@@ -450,9 +450,9 @@ class WaveletSpec:
 def encode_dilated(spec: WaveletSpec, target_depth: int | None = None) -> TensorTrain:
     """Train for b^(level/p) * mother(b^level x - shift) on its support.
 
-    The first `level` cores are scaled unit vectors selecting the digits of
-    the shift; the remaining cores are the mother's, deepened if the target
-    depth exceeds level + depth(mother).
+    The first `level` cores are unit vectors selecting the digits of the
+    shift, put in front of the stored entries of the mother (deepened if the
+    target depth exceeds level + depth(mother)); scale applies the factor.
     """
     mother = spec.mother
     b = mother.base
@@ -465,15 +465,12 @@ def encode_dilated(spec: WaveletSpec, target_depth: int | None = None) -> Tensor
         )
     body = deepen(mother, target_depth - spec.level - d0)
     factor = 1.0 if math.isinf(spec.p) else float(b) ** (spec.level / spec.p)
-    if spec.level == 0:
-        return scale(body, factor) if factor != 1.0 else body
-    cores = []
-    for dig in flat_to_digits(spec.shift, Grid(b, spec.level)):
-        c = np.zeros((b, 1, 1))
-        c[dig, 0, 0] = 1.0
-        cores.append(c)
-    cores[0] *= factor
-    return TensorTrain(Grid(b, target_depth), cores + list(body.cores), body.leaf, body.basis)
+    selectors = np.zeros((spec.level, b))
+    selectors[np.arange(spec.level), flat_to_digits(spec.shift, Grid(b, spec.level))] = 1.0
+    entries = [*((None, s) for s in selectors), *body._entries]
+    shapes = [(b, 1, 1)] * spec.level + [*body._shapes]
+    tt = TensorTrain._from_entries(Grid(b, target_depth), shapes, entries, body.leaf, body.basis)
+    return scale(tt, factor) if factor != 1.0 else tt
 
 
 def n_term_wavelet(terms, target_depth: int | None = None) -> TensorTrain:

@@ -71,6 +71,13 @@ class Grid:
         return float(self.base) ** (-self.depth)
 
 
+def _check_digits(digits, base: int):
+    """DomainError unless every digit is an integer in 0..base-1."""
+    for k, i in enumerate(digits, start=1):
+        if not (_is_int(i) and 0 <= i < base):
+            raise DomainError(f"digit {i!r} at position {k} is not an integer in 0..{base - 1}")
+
+
 @dataclass(frozen=True)
 class MultiIndexPoint:
     """A point of [0, 1) in factored form: digits plus remainder."""
@@ -82,9 +89,7 @@ class MultiIndexPoint:
     def __post_init__(self):
         if not 0.0 <= self.remainder < 1.0:
             raise DomainError(f"remainder {self.remainder} outside [0, 1)")
-        for k, i in enumerate(self.digits):
-            if not 0 <= i < self.base:
-                raise DomainError(f"digit {i} at position {k + 1} outside 0..{self.base - 1}")
+        _check_digits(self.digits, self.base)
 
 
 @dataclass(frozen=True)
@@ -95,8 +100,10 @@ class LeafIndex:
     flat: int
 
     def __post_init__(self):
-        if not 0 <= self.flat < self.grid.leaf_count:
-            raise DomainError(f"leaf index {self.flat} outside 0..{self.grid.leaf_count - 1}")
+        if not (_is_int(self.flat) and 0 <= self.flat < self.grid.leaf_count):
+            raise DomainError(
+                f"leaf index {self.flat!r} is not an integer in 0..{self.grid.leaf_count - 1}"
+            )
 
     @property
     def digits(self) -> tuple:
@@ -111,10 +118,9 @@ def digits_to_flat(digits: Sequence[int], grid: Grid) -> int:
     """Flat index j = sum_k i_k b^(d-k)."""
     if len(digits) != grid.depth:
         raise DomainError(f"expected {grid.depth} digits, got {len(digits)}")
+    _check_digits(digits, grid.base)
     j = 0
     for i in digits:
-        if not 0 <= i < grid.base:
-            raise DomainError(f"digit {i} outside 0..{grid.base - 1}")
         j = j * grid.base + int(i)
     return j
 
@@ -204,12 +210,7 @@ def _point_digits(x: float, grid: Grid) -> tuple:
 
 def leaf_restriction(f: Callable, grid: Grid, j) -> Callable:
     """Restrict f to leaf j and rescale to [0, 1): y -> f(b^-d (j + y))."""
-    if isinstance(j, LeafIndex):
-        j = j.flat
-    if not _is_int(j):
-        raise DomainError(f"leaf index {j!r} is not an integer")
-    if not 0 <= j < grid.leaf_count:
-        raise DomainError(f"leaf index {j} outside 0..{grid.leaf_count - 1}")
+    j = LeafIndex(grid, j.flat if isinstance(j, LeafIndex) else j).flat
     w = grid.leaf_width
 
     def g(y):

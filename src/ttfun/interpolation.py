@@ -15,7 +15,7 @@ import numpy as np
 
 from .basis import PolyBasis
 from .encoders import encode_polynomial
-from .grids import DomainError, Grid
+from .grids import DomainError, Grid, _is_int
 from .train import TensorTrain, _extended, deepen, train_from_leaf_coefficients
 
 _DENSE_CAP = 2**14
@@ -158,15 +158,9 @@ def reinterpolate(
         raise DomainError(f"target depth {target_depth} below source depth {tt.depth}")
     if target_degree > mbar:
         raise DomainError(f"target degree {target_degree} above source degree {mbar}")
-    if interp is None:
-        interp = Interpolator(target_degree)
-    if interp.degree != target_degree:
-        raise DomainError("interpolator degree does not match target degree")
-    out_basis = PolyBasis(target_degree, tt.basis.kind)
-    T = power_interpolation_matrix(mbar, interp) @ out_basis.from_monomial()
     mono = _extended(tt, tt.leaf @ tt.basis.to_monomial(), PolyBasis(mbar, "monomial"))
     chain = deepen(mono, target_depth - tt.depth)
-    return _extended(chain, chain.leaf @ T, out_basis)
+    return _relabeled(chain, target_degree, tt.basis.kind, interp)
 
 
 def polynomial_interpolant_train(
@@ -189,14 +183,20 @@ def polynomial_interpolant_train(
     degree = coeffs.size - 1
     if target_degree > degree:
         raise DomainError(f"target degree {target_degree} above polynomial degree {degree}")
-    if interp is None:
-        interp = Interpolator(target_degree)
-    out_basis = PolyBasis(target_degree, basis_kind)
-    if input_basis == "chebyshev":
-        T = cheb_interpolation_matrix(degree, interp) @ out_basis.from_monomial()
-    else:
-        T = power_interpolation_matrix(degree, interp) @ out_basis.from_monomial()
     chain = encode_polynomial(coeffs, grid, input_basis=input_basis, basis_kind=input_basis)
+    return _relabeled(chain, target_degree, basis_kind, interp)
+
+
+def _relabeled(chain: TensorTrain, target_degree: int, basis_kind: str, interp) -> TensorTrain:
+    """chain under the leaf of interp's interpolants (default: at the CGL nodes) of its
+    monomial or Chebyshev leaf basis, written in the target_degree basis of basis_kind."""
+    interp = Interpolator(target_degree) if interp is None else interp
+    if interp.degree != target_degree:
+        raise DomainError(f"interpolator degree {interp.degree} != target degree {target_degree}")
+    cheb = chain.basis.kind == "chebyshev"
+    matrix = cheb_interpolation_matrix if cheb else power_interpolation_matrix
+    out_basis = PolyBasis(target_degree, basis_kind)
+    T = matrix(chain.basis.degree, interp) @ out_basis.from_monomial()
     return _extended(chain, chain.leaf @ T, out_basis)
 
 
@@ -207,8 +207,8 @@ def chebyshev_truncate(f, degree: int) -> np.ndarray:
     DCT on 4 (degree+1) Chebyshev points; the constant-term halving of the
     raw cosine sums is folded in.
     """
-    if degree < 0:
-        raise DomainError(f"degree must be >= 0, got {degree}")
+    if not _is_int(degree) or degree < 0:
+        raise DomainError(f"degree must be an integer >= 0, got {degree!r}")
     from scipy.fft import dct  # imported here, so that import ttfun loads no scipy
 
     K = 4 * (degree + 1)

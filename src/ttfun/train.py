@@ -27,14 +27,15 @@ L2 quantities use the exact Gram matrix of the leaf basis together with the
 tensorization isometry: the function norm equals b^(-d/2) times the
 Frobenius norm of the train once the leaf is Gram-weighted.
 
-A block sum of localized trains (a free-knot spline, an n-term wavelet sum,
-add) has block-diagonal cores that are almost all zeros. Its producers
-build it from its entries (TensorTrain._from_entries): every core's shape
-and the flat index and value of each entry written. The dense cores are
-written on their first read (evaluate, dot_l2, scale, JSON), with the bytes
-of a dense write; the rounding sweeps and cost_S read the entries, and
-deepen and the re-labels of a train under a new leaf (_extended) keep them,
-so interpolation.reinterpolate of a block sum stays in entry form.
+Every train keeps its cores in one store, their entries: per core, the flat
+indices and values written, indices None for every entry in order (a dense
+core). A block sum of localized trains (a free-knot spline, an n-term
+wavelet sum, add) has block-diagonal cores that are almost all zeros, and
+its producers write only their entries (TensorTrain._from_entries). No
+producer reads dense cores: block_sum, scale, deepen and _extended (the
+re-labels under a new leaf) map stores to stores. The dense cores are
+written on first read, where dense arithmetic runs (evaluate, dot_l2, the
+right sweep when nothing merges, JSON); the merge and cost_S read the store.
 
 One right sweep, _right_orthogonalize, is behind tt_round, ranks,
 singular_values, norm_l2 and both orthogonalize directions; the truncated
@@ -44,11 +45,11 @@ truncation rule. On a train with r_1 > b the right sweep opens with one
 exact pass, the interface merge (_merge_entries), which folds bond indices
 that carry the same function: forward, equal columns of a core merge and
 the matching rows of the next core are summed; backward, equal rows merge
-and the matching columns of the previous core are summed. It reads every
-train through its entries (_core_entries), so rounding a block sum costs
-about one pass over its nonzeros and never writes its dense cores; a
-free-knot spline of degree m < b comes out with bond <= b^nu at every
-level. A train with r_1 <= b, every rounded train among them, skips it.
+and the matching columns of the previous core are summed. It reads the
+store, so rounding a block sum costs about one pass over its nonzeros and
+never writes its dense cores; a free-knot spline of degree m < b comes out
+with bond <= b^nu at every level. A train with r_1 <= b, every rounded
+train among them, skips it.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import legendre as _leg
 
 from .basis import PolyBasis
-from .grids import DomainError, Grid, _check_tol, _digit_steps, _point_digits
+from .grids import DomainError, Grid, _check_tol, _digit_steps, _is_int, _point_digits
 
 _FULL_GRID_CAP = 2**20
 # Most points per evaluation chunk, so that the sweep's working set stays in
@@ -110,19 +111,17 @@ _cores_lock = threading.Lock()  # writes the dense cores of trains built from en
 class TensorTrain:
     """Immutable TT representation of a function in V_{b,d,m}.
 
-    A producer of block-diagonal cores (the free-knot encoder, block_sum)
-    builds the train from its entries instead (_from_entries): each core's
-    shape and the flat index and value of every entry it wrote. cores then
-    writes the dense arrays on first read, once per train, with the bytes
-    of the dense write; the interface merge and cost_S read the entries
-    (_core_entries), so rounding such a train never makes it dense. The
-    first single-point evaluate stores the train's _point_tables beside
-    its cores."""
+    The cores live in one store, _entries: per core, (flat indices, values)
+    in index order, indices None for every entry in order. Dense cores are
+    stored as (None, their values); the free-knot encoder and block_sum
+    write only their entries (_from_entries), whose dense arrays cores
+    writes on first read. The first single-point evaluate stores the
+    train's _point_tables beside its cores."""
 
     def __init__(self, grid: Grid, cores, leaf, basis: PolyBasis):
         cores = tuple(_frozen(c) for c in cores)
         self._init(grid, [c.shape for c in cores], leaf, basis)
-        self._cores, self._entries = cores, None
+        self._cores, self._entries = cores, [(None, c.ravel()) for c in cores]
 
     @classmethod
     def _from_entries(cls, grid: Grid, shapes, entries, leaf, basis: PolyBasis):
@@ -173,14 +172,6 @@ class TensorTrain:
                         out.append(_frozen(a.reshape(shape)))
                     self._cores = tuple(out)
         return self._cores
-
-    def _core_entries(self) -> list:
-        """Per core, (flat indices, values) of its entries in index order:
-        the producer's for a train built from entries; for dense cores,
-        every entry, with None for the indices 0, 1, ..."""
-        if self._entries is not None:
-            return self._entries
-        return [(None, c.ravel()) for c in self._cores]
 
     # -- structure ---------------------------------------------------------
     @property
@@ -390,7 +381,7 @@ def block_sum(trains) -> TensorTrain:
         leaf = np.sum([t.leaf for t in trains], axis=0)
         return TensorTrain(first.grid, [], leaf, first.basis)
     # each train's entries at its block's offsets; level 1 has one row
-    entries = [t._core_entries() for t in trains]
+    entries = [t._entries for t in trains]
     shapes, out = [], []
     for nu in range(first.depth):
         parts = [(e[nu], t._shapes[nu]) for e, t in zip(entries, trains)]
@@ -409,15 +400,16 @@ def block_sum(trains) -> TensorTrain:
 
 
 def scale(a: TensorTrain, c: float) -> TensorTrain:
-    """Pointwise scaling; ranks unchanged. DomainError for a non-finite c
-    or a scaled core that overflows."""
+    """Pointwise scaling of core 1's stored values; ranks unchanged.
+    DomainError for a non-finite c or a scaled core that overflows."""
     if not math.isfinite(c):
         raise DomainError(f"scale factor must be finite, got {c}")
     with np.errstate(over="ignore"):  # _finite reports it
         if a.depth == 0:
             return TensorTrain(a.grid, [], _finite(c * a.leaf), a.basis)
-        cores = [_finite(c * a.cores[0]), *a.cores[1:]]
-    return TensorTrain(a.grid, cores, a.leaf, a.basis)
+        (flat, val), *rest = a._entries
+        first = (flat, _finite(c * val))
+    return TensorTrain._from_entries(a.grid, a._shapes, [first, *rest], a.leaf, a.basis)
 
 
 # -- orthogonalization / rounding / ranks ----------------------------------
@@ -494,14 +486,14 @@ def _merge_entries(tt: TensorTrain, leaf):
     rows in core nu+1 (or the leaf) are equal (after its columns were
     merged) carry the same function of the later digits and the leaf
     variable; one row stays and the matching columns of core nu are
-    summed. Runs over the nonzero entries of tt._core_entries(), so a train
-    built from entries is merged without writing its dense cores. Zero
+    summed. Runs over the nonzero entries of tt's store, so a train built
+    from entries is merged without writing its dense cores. Zero
     values are dropped, so the merged arrays have the same bits whether tt
     holds its cores dense or as entries."""
     shapes = [*tt._shapes, (1, *leaf.shape)]  # the leaf as a core with one digit
     digits, rows, cols = (list(n) for n in zip(*shapes))
     ent = []
-    for (flat, val), c in zip([*tt._core_entries(), (None, leaf.ravel())], cols):
+    for (flat, val), c in zip([*tt._entries, (None, leaf.ravel())], cols):
         nz = val != 0
         flat = nz.nonzero()[0] if flat is None else flat[nz]
         ent.append([*np.divmod(flat, c), val[nz]])
@@ -758,8 +750,8 @@ def deepen(tt: TensorTrain, extra: int) -> TensorTrain:
     encode_polynomial's monomial chain, and below its cell, every piece of
     a free-knot spline.
     """
-    if extra < 0:
-        raise DomainError(f"extra must be >= 0, got {extra}")
+    if not _is_int(extra) or extra < 0:
+        raise DomainError(f"extra must be an integer >= 0, got {extra!r}")
     if extra == 0:
         return tt
     A = dilation_cores(tt.basis, tt.base)
@@ -768,11 +760,9 @@ def deepen(tt: TensorTrain, extra: int) -> TensorTrain:
 
 
 def _extended(tt: TensorTrain, leaf, basis: PolyBasis, appended=()) -> TensorTrain:
-    """tt's stored cores as they are, then the dense cores appended, under a
-    new leaf and basis. Dense cores stay the same arrays and the entries of
-    a train built from entries stay entries, so nothing is copied or made
-    dense."""
-    entries = [*tt._core_entries(), *((None, a.ravel()) for a in appended)]
+    """tt's stored entries as they are, then the dense cores appended, under
+    a new leaf and basis; nothing is copied or made dense."""
+    entries = [*tt._entries, *((None, a.ravel()) for a in appended)]
     shapes = [*tt._shapes, *(a.shape for a in appended)]
     grid = Grid(tt.base, tt.depth + len(appended))
     return TensorTrain._from_entries(grid, shapes, entries, leaf, basis)

@@ -651,6 +651,14 @@ def test_greedy_piece_count_is_the_largest_reachable_at_most_n(base, n):
     assert info["pieces"] == pp.piece_count == 1 + (n - 1) // (base - 1) * (base - 1)
 
 
+@pytest.mark.parametrize("n", [2.5, 8.0, "8", True, 0])
+def test_greedy_rejects_a_piece_count_that_is_not_a_count(n):
+    # 2.5 used to return a spline
+    with pytest.raises(DomainError, match="n_pieces"):
+        greedy_badic_knots(np.sqrt, n, 1, 2.0)
+    assert greedy_badic_knots(np.sqrt, np.int64(8), 1, 2.0).piece_count == 8
+
+
 def test_greedy_piece_count_examples():
     f = lambda x: np.asarray(x) ** 0.6
     assert greedy_badic_knots(f, 80, 2, 2.0, base=3).piece_count == 79

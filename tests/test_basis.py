@@ -53,6 +53,14 @@ def test_validation():
         PolyBasis(2, "hermite")
 
 
+@pytest.mark.parametrize("degree", [1.5, 2.0, "2", True])
+def test_a_degree_that_is_not_an_integer_is_rejected(degree):
+    # PolyBasis(1.5).dim used to be 2.5
+    with pytest.raises(DomainError, match="not an integer"):
+        PolyBasis(degree)
+    assert PolyBasis(np.int64(2)) == PolyBasis(2) and PolyBasis(np.int32(2)).dim == 3
+
+
 @pytest.mark.parametrize("degree", [8, 12, 30])
 def test_chebyshev_gram_closed_form_high_degree(degree):
     basis = PolyBasis(degree, "chebyshev")

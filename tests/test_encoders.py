@@ -77,6 +77,14 @@ def test_knot_normalization_and_validation():
         PiecewisePolynomial(2, ((1, 1),), ([1.0],))
 
 
+def test_a_piece_without_coefficients_is_rejected():
+    # the spline used to construct, and its first call raised IndexError
+    with pytest.raises(DomainError, match="piece 0 has no coefficient"):
+        PiecewisePolynomial(2, (), ([],))
+    with pytest.raises(DomainError, match="piece 1 has no coefficient"):
+        PiecewisePolynomial(2, ((1, 1),), ([1.0], np.zeros(0)))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_coefficients_rejected(bad):
     with pytest.raises(DomainError, match="non-finite"):
@@ -706,6 +714,13 @@ def test_dilated_level_zero_identity():
     assert np.abs(evaluate(tt, QUASI) - evaluate(h, QUASI)).max() == 0.0
 
 
+@pytest.mark.parametrize("level, shift", [(1.0, 0), (1, 0.0), (1.5, 1), (True, 0), (1, "1")])
+def test_wavelet_spec_rejects_a_level_or_shift_that_is_not_an_integer(level, shift):
+    with pytest.raises(DomainError, match="must be integers"):
+        WaveletSpec(haar_mother(), level, shift)
+    assert encode_dilated(WaveletSpec(haar_mother(), np.int64(2), np.int32(1)), 6).depth == 6
+
+
 def test_dilated_depth_error():
     with pytest.raises(DomainError):
         encode_dilated(WaveletSpec(haar_mother(), 2, 0, 2.0), 2)
@@ -781,6 +796,8 @@ def test_sawtooth_base_error():
         encode_sawtooth(Grid(3, 3), 1)
     with pytest.raises(DomainError):
         encode_sawtooth(Grid(2, 3), 0)
+    with pytest.raises(DomainError, match="not an integer"):  # used to be a TypeError
+        encode_sawtooth(Grid(2, 3), 1.5)
 
 
 # ---------------------------------------------------------------------------

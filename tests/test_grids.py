@@ -84,6 +84,27 @@ def test_decode_validation():
         MultiIndexPoint(2, (1, 0), 1.0)
 
 
+@pytest.mark.parametrize("digit", [0.5, 1.9, 1.0, "1", True])
+def test_a_digit_that_is_not_an_integer_is_rejected(digit):
+    # (1.9, 1) used to give leaf 3, (0.5, 1) leaf 1, and the point (0.5,), 0.2 decoded to 0.35
+    grid = Grid(2, 2)
+    with pytest.raises(DomainError, match="not an integer"):
+        digits_to_flat((digit, 1), grid)
+    with pytest.raises(DomainError, match="not an integer"):
+        LeafIndex.from_digits((digit, 1), grid)
+    with pytest.raises(DomainError, match="not an integer"):
+        MultiIndexPoint(2, (digit,), 0.2)
+    assert digits_to_flat((np.int64(1), 1), grid) == 3
+    assert decode_point(MultiIndexPoint(2, (np.int32(1),), 0.5)) == 0.75
+
+
+@pytest.mark.parametrize("flat", [1.5, 1.0, "1", None])
+def test_a_leaf_index_that_is_not_an_integer_is_rejected_at_construction(flat):
+    with pytest.raises(DomainError, match="not an integer"):
+        LeafIndex(Grid(2, 2), flat)
+    assert LeafIndex(Grid(2, 2), np.int64(3)).flat == 3
+
+
 def test_round_trip_dyadic_bit_exact():
     # 10^4 random dyadic-representable points survive encode/decode exactly
     rng = np.random.default_rng(42)
@@ -138,10 +159,12 @@ def test_leaf_restriction_examples():
     assert g2(0.5) == 0.765625  # f(0.875)
 
 
-@pytest.mark.parametrize("j", [1.5, 1.0, "1", True, LeafIndex(Grid(2, 2), 1.5)])
+@pytest.mark.parametrize("j", [1.5, 1.0, "1", True, (LeafIndex, 1.5)])
 def test_leaf_restriction_rejects_a_non_integer_index(j):
     # 1.5 used to sample [0.375, 0.625), across two leaves
     with pytest.raises(DomainError, match="not an integer"):
+        if isinstance(j, tuple):  # a LeafIndex of 1.5, which its constructor rejects
+            j = j[0](Grid(2, 2), j[1])
         leaf_restriction(lambda x: x, Grid(2, 2), j)
     assert leaf_restriction(lambda x: x, Grid(2, 2), np.int64(1))(0.0) == 0.25
 

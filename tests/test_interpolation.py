@@ -228,6 +228,29 @@ def test_chebyshev_truncate_nonfinite():
         chebyshev_truncate(lambda x: np.asarray(x) * np.nan, 3)
 
 
+@pytest.mark.parametrize("degree", [2.5, 3.0, "3", True, -1])
+def test_chebyshev_truncate_rejects_a_degree_that_is_not_a_count(degree):
+    # a float used to end in a TypeError from the DCT slice
+    with pytest.raises(DomainError, match="degree"):
+        chebyshev_truncate(np.exp, degree)
+    assert chebyshev_truncate(np.exp, np.int64(3)).size == 4
+
+
+@pytest.mark.parametrize("input_basis", ["monomial", "chebyshev"])
+def test_interpolants_reject_an_interpolator_of_another_degree(input_basis):
+    # polynomial_interpolant_train used to end in numpy's matmul ValueError
+    with pytest.raises(DomainError, match="interpolator degree 2"):
+        polynomial_interpolant_train(
+            [1.0, 2.0, 3.0], Grid(2, 2), 1, input_basis=input_basis, interp=Interpolator(2)
+        )
+    with pytest.raises(DomainError, match="interpolator degree 2"):
+        reinterpolate(encode_polynomial([1.0, 2.0, 3.0], Grid(2, 2)), 3, 1, Interpolator(2))
+    tt = polynomial_interpolant_train(
+        [1.0, 2.0, 3.0], Grid(2, 2), 1, input_basis=input_basis, interp=Interpolator(1)
+    )
+    assert tt.basis.degree == 1 and tt.depth == 2
+
+
 def test_polynomial_interpolant_matches_reinterpolate():
     rng = np.random.default_rng(11)
     c = rng.standard_normal(4)

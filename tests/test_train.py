@@ -152,6 +152,22 @@ def test_scale_rejects_a_non_finite_factor_or_result(c, depth):
     assert scale(a, 1e300)(0.5) == pytest.approx(1e300 * 2.75)
 
 
+def test_scale_keeps_a_block_sum_as_its_entries():
+    # the dense cores of the N=512 free-knot block sum are about 174 MiB
+    tt = encode_free_knot_spline(greedy_badic_knots(lambda x: x**0.6, 512, 1, 2.0))
+    tracemalloc.start()
+    try:
+        out = scale(tt, -2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tt._cores is None and out._cores is None
+    assert peak < 8 * 2**20, peak  # about 0.7 MiB measured
+    dense = scale(TensorTrain(tt.grid, tt.cores, tt.leaf, tt.basis), -2.0)
+    x = np.random.default_rng(512).random(1000)
+    assert np.array_equal(evaluate(out, x), evaluate(dense, x))
+
+
 def test_evaluation_linearity():
     rng = np.random.default_rng(5)
     a = encode_polynomial(rng.standard_normal(4), Grid(2, 5))
@@ -286,6 +302,15 @@ def test_deepen_exact():
     dd = deepen(tt, 4)
     assert dd.depth == 7
     assert np.abs(evaluate(dd, QUASI) - evaluate(tt, QUASI)).max() < 1e-13
+
+
+@pytest.mark.parametrize("extra", [1.5, 2.0, "2", True, -1])
+def test_deepen_rejects_an_extra_that_is_not_a_count(extra):
+    # a float used to end in a TypeError from list repetition
+    tt = encode_polynomial([1.0, 2.0], Grid(2, 3))
+    with pytest.raises(DomainError, match="extra"):
+        deepen(tt, extra)
+    assert deepen(tt, np.int64(2)).depth == 5
 
 
 def _fitted_dilation_cores(basis, b):
