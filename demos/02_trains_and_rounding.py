@@ -5,6 +5,9 @@ leaf. Sums are block-diagonal (ranks add), rounding re-compresses, and the
 numerical rank profile is read off the orthogonalized unfoldings.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from ttfun import Grid, add, encode_polynomial, ranks, scale, tt_round
@@ -30,8 +33,10 @@ def main():
     print("rank profile of the rounded sum:", ranks(r).ranks)
     print("L2 norm:", norm_l2(r))
 
-    dump_json(r, "/tmp/train.json")
-    back = load_json("/tmp/train.json")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "train.json")
+        dump_json(r, path)
+        back = load_json(path)
     print("JSON round trip exact:", np.array_equal(evaluate(back, xs), evaluate(r, xs)))
 
 

@@ -16,7 +16,7 @@ from ttfun.analysis import (
     StudyConfig, fit_linear, rate_fits, study_analytic, study_sawtooth, study_sobolev, write_csv,
 )
 
-OUT = pathlib.Path.cwd()
+OUT = pathlib.Path(__file__).resolve().parent
 
 
 def main():

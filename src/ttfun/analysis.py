@@ -35,10 +35,10 @@ from .encoders import (
 from .grids import (
     DomainError,
     Grid,
+    _check_int,
     _check_p,
     _check_tol,
     _digit_steps,
-    _is_int,
     lp_norm_from_leaves,
 )
 from .interpolation import (
@@ -101,6 +101,8 @@ def lp_error(
     norms.
     """
     _check_p(p)
+    _check_int("quad_order", quad_order, 0)
+    _check_int("max_cells", max_cells, 1)
     b, d = tt.base, tt.depth
     level = d
     while b**level > max_cells:
@@ -156,8 +158,8 @@ def rank_span_oracle(
     representation: rows are the dilated leaf functions sampled at shared
     quasi-random points.
     """
-    if not 1 <= nu <= grid.depth:
-        raise DomainError(f"nu = {nu} outside 1..{grid.depth}")
+    _check_int("nu", nu, 1, grid.depth)
+    _check_int("samples_per_leaf", samples_per_leaf, 0)
     _check_tol(tol)
     rows = grid.base**nu
     n_samples = samples_per_leaf if samples_per_leaf > 0 else min(max(64, 2 * rows), 8192)
@@ -287,11 +289,11 @@ def greedy_badic_knots(
     interpolation) polynomial. Budget or depth exhaustion is reported in
     the info dict, not raised.
     """
-    if not _is_int(n_pieces) or n_pieces < 1:
-        raise DomainError(f"n_pieces must be an integer >= 1, got {n_pieces!r}")
+    _check_int("n_pieces", n_pieces, 1)
     _check_p(p)
-    if quad_order < 1:
-        raise DomainError(f"quad_order must be >= 1, got {quad_order}")
+    _check_int("quad_order", quad_order, 1)
+    _check_int("max_depth", max_depth, 0)
+    _check_int("base", base, 2)
     if interp is None:
         interp = Interpolator(degree)
     counter = 0
@@ -342,10 +344,8 @@ class StudyConfig:
 
     def __post_init__(self):
         _check_p(self.p)
-        if self.m < 0:
-            raise DomainError(f"m must be >= 0, got {self.m}")
-        if self.b < 2:
-            raise DomainError(f"base must be >= 2, got {self.b}")
+        _check_int("m", self.m, 0)
+        _check_int("base", self.b, 2)
 
 
 @dataclass(frozen=True)

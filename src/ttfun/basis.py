@@ -9,7 +9,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import legendre as _leg
 
-from .grids import DomainError, _is_int
+from .grids import DomainError, _check_int
 
 KINDS = ("monomial", "chebyshev", "legendre")
 
@@ -27,10 +27,7 @@ class PolyBasis:
     kind: str = "legendre"
 
     def __post_init__(self):
-        if not _is_int(self.degree):
-            raise DomainError(f"degree {self.degree!r} is not an integer")
-        if self.degree < 0:
-            raise DomainError(f"degree must be >= 0, got {self.degree}")
+        _check_int("degree", self.degree, 0)
         if self.kind not in KINDS:
             raise DomainError(f"unknown basis kind {self.kind!r}; choose from {KINDS}")
 

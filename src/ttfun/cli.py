@@ -21,7 +21,7 @@ from .encoders import (
     haar_mother,
     hat_mother,
 )
-from .grids import DomainError, Grid
+from .grids import DomainError, Grid, _check_int
 from .targets import get_target
 from .train import ranks, tt_round
 
@@ -51,6 +51,7 @@ class _Parser(argparse.ArgumentParser):
 def _load_train_spec(args) -> train.TensorTrain:
     spec = args.spec
     b, d = args.base, args.depth
+    _check_int("--degree", args.degree, 0)
     builtin_depth = {"haar": 1, "hat": 1}.get(spec, 4) if d is None else d
     if spec == "haar":
         return encode_dilated(WaveletSpec(haar_mother(degree=args.degree), 0, 0), builtin_depth)
@@ -74,7 +75,7 @@ def _load_train_spec(args) -> train.TensorTrain:
         pp = PiecewisePolynomial.from_json_dict(doc)
     except KnotError as exc:
         _fail(str(exc), EXIT_KNOT)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         _fail(f"bad spline document: {exc}", EXIT_PARSE)
     depth = d if d is not None else max(pp.max_level, 1)
     try:

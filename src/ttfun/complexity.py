@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grids import DomainError, Grid, _check_tol, _is_int
+from .grids import DomainError, Grid, _check_int, _check_tol
 from .train import RankProfile, TensorTrain, tt_round, ranks
 from .encoders import (
     badic_cover,
@@ -230,13 +230,8 @@ def audit_bounds(instance: str, **params):
     parameters not given take the instance's defaults, and every record
     carries the full params."""
     for key, low in _AUDIT_MINIMA.items():
-        if key not in params:
-            continue
-        if not _is_int(params[key]):
-            raise DomainError(f"{key} must be an integer, got {params[key]!r}")
-        params[key] = int(params[key])  # a numpy integer too, so that records serialize
-        if params[key] < low:
-            raise DomainError(f"{key} must be >= {low}, got {params[key]}")
+        if key in params:  # int(): a numpy integer too, so that records serialize
+            params[key] = int(_check_int(key, params[key], low))
     rng = np.random.default_rng(int(params.pop("seed", 7)))
     if instance not in _AUDITS:
         raise DomainError(f"unknown audit instance {instance!r}")

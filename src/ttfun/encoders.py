@@ -33,7 +33,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from .basis import PolyBasis
-from .grids import DomainError, Grid, _check_p, _is_int, encode_points, flat_to_digits
+from .grids import DomainError, Grid, _check_int, _check_p, _is_int, encode_points, flat_to_digits
 from .train import (
     _CHUNK,
     TensorTrain,
@@ -62,8 +62,7 @@ class MixedBaseError(DomainError):
 
 def badic_from_float(x: float, base: int, max_level: int = 52):
     """Exact (i, level) with x = i * b^-level, or KnotError naming the knot."""
-    if base < 2:
-        raise DomainError(f"base must be >= 2, got {base}")
+    _check_int("base", base, 2)
     if not math.isfinite(x):
         raise DomainError(f"knot {x!r} is not finite")
     fr = Fraction(x)
@@ -100,9 +99,15 @@ class PiecewisePolynomial:
     pieces: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.base < 2:
-            raise DomainError(f"base must be >= 2, got {self.base}")
-        knots = tuple(_normalize_knot(int(i), int(lv), self.base) for i, lv in self.knots)
+        # int(): a numpy integer too, so that the spline serializes
+        b = int(_check_int("base", self.base, 2))
+        knots = tuple(
+            _normalize_knot(
+                int(_check_int("knot index", i)), int(_check_int("knot level", lv, 0)), b
+            )
+            for i, lv in self.knots
+        )
+        object.__setattr__(self, "base", b)
         object.__setattr__(self, "knots", knots)
         pieces = []
         for k, p in enumerate(self.pieces):
@@ -183,9 +188,10 @@ class PiecewisePolynomial:
         other base or knot, KnotError for a number that is not b-adic."""
         if not isinstance(doc, dict):
             raise DomainError("a spline document is a JSON object")
-        base = doc["base"]
-        if not _is_int(base):
-            raise DomainError(f"base must be an integer, got {base!r}")
+        try:
+            base, pieces = doc["base"], doc["pieces"]
+        except KeyError as exc:
+            raise DomainError(f"spline document lacks {exc}") from None
         knots = []
         for entry in doc.get("knots", []):
             if isinstance(entry, (int, float)) and not isinstance(entry, bool):
@@ -194,7 +200,7 @@ class PiecewisePolynomial:
                 knots.append(tuple(entry))
             else:
                 raise DomainError(f"knot {entry!r} is neither a pair of integers nor a number")
-        return cls(int(base), tuple(knots), tuple(doc["pieces"]))
+        return cls(base, tuple(knots), tuple(pieces))
 
     @classmethod
     def from_json(cls, text: str) -> "PiecewisePolynomial":
@@ -203,7 +209,7 @@ class PiecewisePolynomial:
     @classmethod
     def uniform(cls, base: int, depth: int, pieces) -> "PiecewisePolynomial":
         """Spline on the uniform grid of b^depth pieces."""
-        n = base**depth
+        n = _check_int("base", base, 2) ** _check_int("depth", depth, 0)
         if len(pieces) != n:
             raise DomainError(f"expected {n} pieces, got {len(pieces)}")
         knots = tuple((k, depth) for k in range(1, n))
@@ -291,9 +297,7 @@ def encode_fixed_knot_spline(
     want = tuple(_normalize_knot(k, d, b) for k in range(1, n))
     if s.knots != want:
         raise DomainError("breakpoints are not the uniform b^-d grid")
-    m = degree if degree is not None else s.degree
-    if m < s.degree:
-        raise DomainError(f"leaf degree {m} below piece degree {s.degree}")
+    m = s.degree if degree is None else _check_int("degree", degree, s.degree)
     basis = PolyBasis(m, basis_kind)
     grid = Grid(b, d)
     C = np.stack([_pad(p, m + 1) for p in s.pieces]) @ basis.from_monomial()
@@ -357,9 +361,7 @@ def encode_free_knot_spline(
     sparse-complexity witness); round it to expose minimal ranks.
     """
     b = s.base
-    d = s.max_level if depth is None else depth
-    if d < s.max_level:
-        raise DomainError(f"depth {d} below finest knot level {s.max_level}")
+    d = s.max_level if depth is None else _check_int("depth", depth, s.max_level)
     grid = Grid(b, d)
     mono = PolyBasis(s.degree, "monomial")
     m1 = mono.dim
@@ -436,14 +438,8 @@ class WaveletSpec:
     p: float = 2.0
 
     def __post_init__(self):
-        if not (_is_int(self.level) and _is_int(self.shift)):
-            raise DomainError(f"level {self.level!r} and shift {self.shift!r} must be integers")
-        if self.level < 0:
-            raise DomainError(f"level must be >= 0, got {self.level}")
-        if not 0 <= self.shift < self.mother.base**self.level:
-            raise DomainError(
-                f"shift {self.shift} outside 0..{self.mother.base ** self.level - 1}"
-            )
+        top = self.mother.base ** _check_int("level", self.level, 0) - 1
+        _check_int("shift", self.shift, 0, top)
         _check_p(self.p)
 
 
@@ -459,10 +455,7 @@ def encode_dilated(spec: WaveletSpec, target_depth: int | None = None) -> Tensor
     d0 = mother.depth
     if target_depth is None:
         target_depth = spec.level + d0
-    if target_depth < spec.level + d0:
-        raise DomainError(
-            f"target depth {target_depth} below level {spec.level} + mother depth {d0}"
-        )
+    _check_int("target_depth", target_depth, spec.level + d0)
     body = deepen(mother, target_depth - spec.level - d0)
     factor = 1.0 if math.isinf(spec.p) else float(b) ** (spec.level / spec.p)
     selectors = np.zeros((spec.level, b))
@@ -505,9 +498,7 @@ def encode_sawtooth(grid: Grid, degree: int = 1, *, basis_kind: str = "legendre"
         raise DomainError(f"sawtooth requires base 2, got {grid.base}")
     if grid.depth < 1:
         raise DomainError("sawtooth requires depth >= 1")
-    if degree < 1:
-        raise DomainError(f"degree must be >= 1, got {degree}")
-    basis = PolyBasis(degree, basis_kind)
+    basis = PolyBasis(_check_int("degree", degree, 1), basis_kind)
     first = np.zeros((2, 1, 2))
     first[0, 0, 0] = 1.0
     first[1, 0, 1] = 1.0
@@ -553,9 +544,8 @@ def random_fixed_knot_spline(
     the local coordinate makes the element generic at every level (all
     unfolding directions carry comparable energy).
     """
-    if not -1 <= continuity <= degree:
-        raise DomainError(f"continuity {continuity} outside -1..{degree}")
-    n = base**depth
+    _check_int("continuity", continuity, -1, _check_int("degree", degree, 0))
+    n = _check_int("base", base, 2) ** _check_int("depth", depth, 0)
     pieces = [rng.standard_normal(degree + 1)]
     for _ in range(1, n):
         prev = pieces[-1]
@@ -575,9 +565,10 @@ def random_free_knot_spline(
 ) -> PiecewisePolynomial:
     """Random piecewise polynomial with distinct random b-adic knots at
     levels 1..max_level, which hold b^max_level - 1 of them."""
-    if pieces < 1:
-        raise DomainError("need at least one piece")
-    room = base**max_level - 1 if max_level >= 1 else 0
+    _check_int("base", base, 2)
+    _check_int("pieces", pieces, 1)
+    _check_int("degree", degree, 0)
+    room = base**max_level - 1 if _check_int("max_level", max_level) >= 1 else 0
     if pieces - 1 > room:
         raise DomainError(
             f"{pieces} pieces need {pieces - 1} distinct knots; levels 1..{max_level} hold {room}"

@@ -4,6 +4,7 @@ The conversion map sends (i_1, ..., i_d, y) to sum_k i_k b^-k + b^-d y,
 identifying a point x in [0, 1) with d digits and a remainder y in [0, 1).
 All intervals are half open; points that land exactly on a grid line belong
 to the interval on their right.
+Every integer parameter of the library goes through _check_int.
 """
 
 from __future__ import annotations
@@ -36,6 +37,18 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_int(name: str, value, low=None, high=None):
+    """value, or DomainError unless it is an integer (_is_int) in low..high;
+    a None end is open."""
+    if not _is_int(value):
+        raise DomainError(f"{name} {value!r} is not an integer")
+    if (low is not None and value < low) or (high is not None and value > high):
+        if high is None:
+            raise DomainError(f"{name} must be >= {low}, got {value}")
+        raise DomainError(f"{name} {value} outside {low}..{high}")
+    return value
+
+
 def _check_p(p):
     """DomainError unless the L^p exponent p > 0 (NaN fails too)."""
     if not p > 0:
@@ -50,13 +63,8 @@ class Grid:
     depth: int
 
     def __post_init__(self):
-        for name, value in (("base", self.base), ("depth", self.depth)):
-            if not _is_int(value):
-                raise DomainError(f"{name} {value!r} is not an integer")
-        if self.base < 2:
-            raise DomainError(f"base must be >= 2, got {self.base}")
-        if self.depth < 0:
-            raise DomainError(f"depth must be >= 0, got {self.depth}")
+        _check_int("base", self.base, 2)
+        _check_int("depth", self.depth, 0)
         if self.base**self.depth >= _MAX_LEAVES:
             raise DomainError(
                 f"b^d = {self.base}^{self.depth} exceeds the desk-scale guard"
@@ -74,8 +82,7 @@ class Grid:
 def _check_digits(digits, base: int):
     """DomainError unless every digit is an integer in 0..base-1."""
     for k, i in enumerate(digits, start=1):
-        if not (_is_int(i) and 0 <= i < base):
-            raise DomainError(f"digit {i!r} at position {k} is not an integer in 0..{base - 1}")
+        _check_int(f"digit i_{k}", i, 0, base - 1)
 
 
 @dataclass(frozen=True)
@@ -89,7 +96,7 @@ class MultiIndexPoint:
     def __post_init__(self):
         if not 0.0 <= self.remainder < 1.0:
             raise DomainError(f"remainder {self.remainder} outside [0, 1)")
-        _check_digits(self.digits, self.base)
+        _check_digits(self.digits, _check_int("base", self.base, 2))
 
 
 @dataclass(frozen=True)
@@ -100,10 +107,7 @@ class LeafIndex:
     flat: int
 
     def __post_init__(self):
-        if not (_is_int(self.flat) and 0 <= self.flat < self.grid.leaf_count):
-            raise DomainError(
-                f"leaf index {self.flat!r} is not an integer in 0..{self.grid.leaf_count - 1}"
-            )
+        _check_int("leaf index", self.flat, 0, self.grid.leaf_count - 1)
 
     @property
     def digits(self) -> tuple:
@@ -126,10 +130,8 @@ def digits_to_flat(digits: Sequence[int], grid: Grid) -> int:
 
 
 def flat_to_digits(flat: int, grid: Grid) -> tuple:
-    if not _is_int(flat):
-        raise DomainError(f"leaf index {flat!r} is not an integer")
     out = []
-    j = int(flat)
+    j = int(_check_int("leaf index", flat))
     for _ in range(grid.depth):
         j, r = divmod(j, grid.base)
         out.append(r)

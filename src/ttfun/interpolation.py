@@ -15,7 +15,7 @@ import numpy as np
 
 from .basis import PolyBasis
 from .encoders import encode_polynomial
-from .grids import DomainError, Grid, _is_int
+from .grids import DomainError, Grid, _check_int
 from .train import TensorTrain, _extended, deepen, train_from_leaf_coefficients
 
 _DENSE_CAP = 2**14
@@ -40,8 +40,7 @@ class Interpolator:
     nodes: np.ndarray = None
 
     def __post_init__(self):
-        if self.degree < 0:
-            raise DomainError(f"degree must be >= 0, got {self.degree}")
+        _check_int("degree", self.degree, 0)
         nodes = cgl_nodes(self.degree) if self.nodes is None else np.asarray(self.nodes, float)
         if nodes.size != self.degree + 1 or np.unique(nodes).size != nodes.size:
             raise DomainError(f"need {self.degree + 1} distinct nodes")
@@ -154,10 +153,8 @@ def reinterpolate(
     polynomials (bond dimension source degree + 1).
     """
     mbar = tt.basis.degree
-    if target_depth < tt.depth:
-        raise DomainError(f"target depth {target_depth} below source depth {tt.depth}")
-    if target_degree > mbar:
-        raise DomainError(f"target degree {target_degree} above source degree {mbar}")
+    _check_int("target_depth", target_depth, tt.depth)
+    _check_int("target_degree", target_degree, 0, mbar)
     mono = _extended(tt, tt.leaf @ tt.basis.to_monomial(), PolyBasis(mbar, "monomial"))
     chain = deepen(mono, target_depth - tt.depth)
     return _relabeled(chain, target_degree, tt.basis.kind, interp)
@@ -180,9 +177,7 @@ def polynomial_interpolant_train(
     stable coordinate systems end to end.
     """
     coeffs = np.asarray(coeffs, dtype=float).ravel()
-    degree = coeffs.size - 1
-    if target_degree > degree:
-        raise DomainError(f"target degree {target_degree} above polynomial degree {degree}")
+    _check_int("target_degree", target_degree, 0, coeffs.size - 1)
     chain = encode_polynomial(coeffs, grid, input_basis=input_basis, basis_kind=input_basis)
     return _relabeled(chain, target_degree, basis_kind, interp)
 
@@ -207,8 +202,7 @@ def chebyshev_truncate(f, degree: int) -> np.ndarray:
     DCT on 4 (degree+1) Chebyshev points; the constant-term halving of the
     raw cosine sums is folded in.
     """
-    if not _is_int(degree) or degree < 0:
-        raise DomainError(f"degree must be an integer >= 0, got {degree!r}")
+    _check_int("degree", degree, 0)
     from scipy.fft import dct  # imported here, so that import ttfun loads no scipy
 
     K = 4 * (degree + 1)

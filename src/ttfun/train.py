@@ -69,7 +69,7 @@ from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import legendre as _leg
 
 from .basis import PolyBasis
-from .grids import DomainError, Grid, _check_tol, _digit_steps, _is_int, _point_digits
+from .grids import DomainError, Grid, _check_int, _check_tol, _digit_steps, _point_digits
 
 _FULL_GRID_CAP = 2**20
 # Most points per evaluation chunk, so that the sweep's working set stays in
@@ -750,9 +750,7 @@ def deepen(tt: TensorTrain, extra: int) -> TensorTrain:
     encode_polynomial's monomial chain, and below its cell, every piece of
     a free-knot spline.
     """
-    if not _is_int(extra) or extra < 0:
-        raise DomainError(f"extra must be an integer >= 0, got {extra!r}")
-    if extra == 0:
+    if _check_int("extra", extra, 0) == 0:
         return tt
     A = dilation_cores(tt.basis, tt.base)
     appended = [np.einsum("rq,iqp->irp", tt.leaf, A)] + [A] * (extra - 1)

@@ -86,6 +86,14 @@ def test_lp_error_deep_train_coarse_cells():
     assert err == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("max_cells", [0, -1])
+def test_lp_error_needs_at_least_one_cell(max_cells):
+    # max_cells = -1 used to loop forever, and 0 to blame a depth of 1078
+    tt = encode_polynomial([0.0, 1.0], Grid(2, 4))
+    with pytest.raises(DomainError, match=f"^max_cells must be >= 1, got {max_cells}$"):
+        lp_error(np.sin, tt, 2.0, max_cells=max_cells)
+
+
 def test_rank_span_oracle_examples():
     f2 = lambda x: np.asarray(x) ** 2
     assert rank_span_oracle(f2, Grid(2, 3), 2) == 3
@@ -681,3 +689,7 @@ def test_adaptive_depth_is_sized_from_the_pieces_built():
         if r.study == "adaptive" and r.cost_kind == "pieces"
     ]
     assert rows == [(3, 4), (7, 9)]
+
+
+def test_rank_span_oracle_of_the_zero_function_is_zero():
+    assert rank_span_oracle(lambda x: np.zeros_like(np.asarray(x, dtype=float)), Grid(2, 4), 2) == 0

@@ -633,3 +633,31 @@ def test_ranks_and_complexity_options_never_end_in_a_traceback(tmp_path_factory,
         assert main(["encode", "poly:1,-2,3", "--depth", "4", "--out", str(path)]) == 0
     options = [("tol", FLOATS)] if command == "ranks" else [("zero-tol", FLOATS), ("round", FLOATS)]
     _no_traceback([command, str(path), *_options(data.draw, options)])
+
+
+@pytest.mark.parametrize("spec, degree", [("hat", "-3"), ("sawtooth", "-5"), ("haar", "-1")])
+def test_encode_negative_degree_exits_2(tmp_path, capsys, spec, degree):
+    # hat and sawtooth used to build a degree-1 train and exit 0, and haar
+    # blamed a "leaf degree"
+    out = tmp_path / "t.json"
+    code, stdout, err = run(capsys, "encode", spec, "--degree", degree, "--out", str(out))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err == f"error: --degree must be >= 0, got {degree}\n"
+
+
+@pytest.mark.parametrize("spec", ["hat", "sawtooth"])
+def test_encode_default_degree_builds_the_degree_one_builtin(tmp_path, capsys, spec):
+    out = tmp_path / "t.json"
+    assert run(capsys, "encode", spec, "--out", str(out))[0] == 0
+    assert load_json(str(out)).basis.degree == 1
+
+
+@pytest.mark.parametrize("key", ["base", "pieces"])
+def test_encode_spline_document_without_base_or_pieces_exits_2(tmp_path, capsys, key):
+    doc = {"base": 2, "knots": [[1, 1]], "pieces": [[1.0], [2.0]]}
+    del doc[key]
+    path = tmp_path / "spline.json"
+    path.write_text(json.dumps(doc))
+    code, stdout, err = run(capsys, "encode", str(path), "--out", str(tmp_path / "o.json"))
+    assert code == 2 and stdout == ""
+    assert err == f"error: bad spline document: spline document lacks '{key}'\n"

@@ -107,7 +107,7 @@ def test_audit_unknown_instance():
 def test_audit_rejects_a_non_integer_parameter(params):
     # d=2.5 and m=1.5 used to end in a TypeError inside the auditor
     (key, val), = params.items()
-    with pytest.raises(DomainError, match=f"{key} must be an integer, got {val!r}"):
+    with pytest.raises(DomainError, match=f"{key} {val!r} is not an integer"):
         audit_bounds("sawtooth", **params)
     recs = audit_bounds("sawtooth", d=np.int64(3), m=np.int32(1))
     assert json.loads(json.dumps([r.to_json_dict() for r in recs]))[0]["params"] == {"d": 3, "m": 1}

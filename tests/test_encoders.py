@@ -716,7 +716,7 @@ def test_dilated_level_zero_identity():
 
 @pytest.mark.parametrize("level, shift", [(1.0, 0), (1, 0.0), (1.5, 1), (True, 0), (1, "1")])
 def test_wavelet_spec_rejects_a_level_or_shift_that_is_not_an_integer(level, shift):
-    with pytest.raises(DomainError, match="must be integers"):
+    with pytest.raises(DomainError, match="is not an integer"):
         WaveletSpec(haar_mother(), level, shift)
     assert encode_dilated(WaveletSpec(haar_mother(), np.int64(2), np.int32(1)), 6).depth == 6
 
@@ -856,3 +856,39 @@ def test_the_free_knot_path_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+@pytest.mark.parametrize(
+    "knot, message",
+    [
+        ((1.5, 1), "knot index 1.5 is not an integer"),
+        ((True, 1), "knot index True is not an integer"),
+        ((1, 1.0), "knot level 1.0 is not an integer"),
+        ((1, -1), "knot level must be >= 0, got -1"),
+    ],
+)
+def test_a_knot_index_or_level_that_is_not_an_integer_is_rejected(knot, message):
+    # (1.5, 1) used to read as 1/2, and (1, -1) to end in a TypeError from Fraction
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        PiecewisePolynomial(2, (knot,), ([1.0], [2.0]))
+    s = PiecewisePolynomial(np.int64(2), ((np.int64(1), np.int32(2)),), ([1.0], [2.0]))
+    assert s.knots == ((1, 2),)
+    assert json.loads(json.dumps(s.to_json_dict())) == {
+        "base": 2, "knots": [[1, 2]], "pieces": [[1.0], [2.0]]
+    }
+
+
+@pytest.mark.parametrize("key", ["base", "pieces"])
+def test_from_json_dict_names_a_missing_base_or_pieces(key):
+    doc = {"base": 2, "knots": [[1, 1]], "pieces": [[1.0], [2.0]]}
+    del doc[key]
+    with pytest.raises(DomainError, match=f"^spline document lacks '{key}'$"):
+        PiecewisePolynomial.from_json_dict(doc)
+
+
+def test_encode_polynomial_maps_a_chebyshev_input_to_a_monomial_leaf():
+    c = np.array([0.3, -1.2, 0.7, 0.25])
+    tt = encode_polynomial(c, Grid(2, 4), input_basis="chebyshev", basis_kind="monomial")
+    assert tt.basis == PolyBasis(3, "monomial")
+    want = np.polynomial.chebyshev.chebval(2.0 * QUASI - 1.0, c)
+    assert np.abs(evaluate(tt, QUASI) - want).max() < 1e-13

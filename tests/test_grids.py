@@ -3,11 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from ttfun.analysis import greedy_badic_knots, lp_error, rank_span_oracle
+from ttfun.encoders import (
+    PiecewisePolynomial,
+    WaveletSpec,
+    badic_from_float,
+    encode_dilated,
+    encode_polynomial,
+    haar_mother,
+    random_fixed_knot_spline,
+    random_free_knot_spline,
+)
 from ttfun.grids import (
     DomainError,
     Grid,
     LeafIndex,
     MultiIndexPoint,
+    _check_int,
     decode_point,
     digits_to_flat,
     encode_point,
@@ -16,6 +28,7 @@ from ttfun.grids import (
     leaf_restriction,
     lp_norm_from_leaves,
 )
+from ttfun.interpolation import Interpolator, reinterpolate
 
 
 def test_grid_validation():
@@ -261,3 +274,69 @@ def test_scalar_and_array_digit_rules_agree_bitwise(b, d):
         got = encode_point(p, grid)
         assert got.digits == tuple(digits[k].tolist())
         assert got.remainder.hex() == float(y[k]).hex()
+
+
+def test_check_int_returns_the_value_or_raises_in_three_shapes():
+    assert _check_int("n", 3) == 3
+    assert _check_int("n", np.int64(3), 0, 3) == 3
+    assert _check_int("n", -7, high=0) == -7  # a None end is open
+    for bad in (1.5, 2.0, True, "1", None):
+        with pytest.raises(DomainError, match=f"^n {bad!r} is not an integer$"):
+            _check_int("n", bad, 0)
+    with pytest.raises(DomainError, match="^n must be >= 1, got 0$"):
+        _check_int("n", 0, 1)
+    with pytest.raises(DomainError, match=r"^n 4 outside 0\.\.3$"):
+        _check_int("n", np.int32(4), 0, 3)
+
+
+def _train():
+    return encode_polynomial([1.0, 2.0], Grid(2, 3))
+
+
+def _rng():
+    return np.random.default_rng(0)
+
+
+# (entry point, parameter, a value that is not an integer, a valid one, the call)
+_INTEGER_PARAMETERS = [
+    ("random_free_knot_spline", "pieces", 2.5, 3,
+     lambda v: random_free_knot_spline(_rng(), 2, v, 1, 3)),
+    ("random_free_knot_spline", "max_level", 2.5, 2,
+     lambda v: random_free_knot_spline(_rng(), 2, 2, 1, v)),
+    ("random_fixed_knot_spline", "degree", 1.5, 1,
+     lambda v: random_fixed_knot_spline(_rng(), 2, 2, v)),
+    ("random_fixed_knot_spline", "depth", 1.5, 2,
+     lambda v: random_fixed_knot_spline(_rng(), 2, v, 1)),
+    ("MultiIndexPoint", "base", 2.5, 2, lambda v: MultiIndexPoint(v, (1,), 0.2)),
+    ("badic_from_float", "base", 2.5, 2, lambda v: badic_from_float(0.5, v)),
+    ("PiecewisePolynomial", "base", 2.5, 2, lambda v: PiecewisePolynomial(v, (), ([1.0],))),
+    ("PiecewisePolynomial.uniform", "depth", 1.5, 1,
+     lambda v: PiecewisePolynomial.uniform(2, v, [[1.0], [2.0]])),
+    ("Interpolator", "degree", 1.5, 1, lambda v: Interpolator(v)),
+    ("greedy_badic_knots", "quad_order", 2.5, 4,
+     lambda v: greedy_badic_knots(np.sin, 4, 1, 2.0, quad_order=v)),
+    ("greedy_badic_knots", "max_depth", 2.5, 3,
+     lambda v: greedy_badic_knots(np.sin, 4, 1, 2.0, max_depth=v)),
+    ("greedy_badic_knots", "base", 2.5, 3,
+     lambda v: greedy_badic_knots(np.sin, 5, 1, 2.0, base=v)),
+    ("greedy_badic_knots", "degree", 1.5, 1, lambda v: greedy_badic_knots(np.sin, 4, v, 2.0)),
+    ("lp_error", "quad_order", 2.5, 3, lambda v: lp_error(np.sin, _train(), 2.0, quad_order=v)),
+    ("lp_error", "max_cells", 2.5, 4, lambda v: lp_error(np.sin, _train(), 2.0, max_cells=v)),
+    ("rank_span_oracle", "nu", 1.5, 2, lambda v: rank_span_oracle(np.sin, Grid(2, 3), v)),
+    ("encode_dilated", "target_depth", 2.5, 3,
+     lambda v: encode_dilated(WaveletSpec(haar_mother(), 1, 0), v)),
+    ("reinterpolate", "target_depth", 2.5, 4, lambda v: reinterpolate(_train(), v, 1)),
+    ("reinterpolate", "target_degree", 0.5, 1, lambda v: reinterpolate(_train(), 3, v)),
+]
+
+
+@pytest.mark.parametrize(
+    "name, bad, good, call",
+    [pytest.param(*row[1:], id=f"{row[0]}-{row[1]}") for row in _INTEGER_PARAMETERS],
+)
+def test_an_integer_parameter_is_checked_by_name(name, bad, good, call):
+    # each of these used to end in a traceback, return a result, or blame
+    # another parameter
+    with pytest.raises(DomainError, match=f"^{name} {bad!r} is not an integer$"):
+        call(bad)
+    call(np.int64(good))

@@ -58,3 +58,12 @@ def test_poly_seminorm_matches_the_closed_form_at_large_p(p):
     # (2x - 1)^p cancels catastrophically at large p
     got = get_target("poly:-1,2").sobolev_seminorm(0, p)
     assert math.isclose(got, (p + 1) ** (-1 / p), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["haar", "hat"])
+def test_the_mother_targets_sample_their_trains(name):
+    x = np.mod(0.5 + np.arange(1, 201) * 0.6180339887498949, 1.0)
+    want = np.where(x < 0.5, -1.0, 1.0) if name == "haar" else 1.0 - np.abs(2.0 * x - 1.0)
+    target = get_target(name)
+    assert target.name == name
+    assert np.abs(target.sampler(x) - want).max() < 1e-14

@@ -1240,3 +1240,20 @@ def test_round_of_a_merged_block_sum_allocates_under_a_tenth_of_its_input(free_k
     finally:
         tracemalloc.stop()
     assert peak <= 0.1 * core_bytes, (peak, core_bytes)
+
+
+def test_rounding_the_zero_function_gives_the_zero_train():
+    tt = encode_polynomial([1.0, 2.0, -0.5], Grid(3, 3))
+    got = tt_round(scale(tt, 0.0), 1e-12)
+    want = zero_train(tt.grid, tt.basis)
+    assert got.bond_dims == want.bond_dims and got.basis == tt.basis
+    assert all(np.array_equal(a, b) for a, b in zip(got.cores, want.cores))
+    assert np.array_equal(got.leaf, want.leaf)
+
+
+def test_leaf_coefficients_at_depth_zero_are_the_leaf():
+    basis = PolyBasis(2, "chebyshev")
+    coeff = np.array([[0.5, -1.0, 2.0]])
+    tt = train_from_leaf_coefficients(coeff, Grid(3, 0), basis)
+    assert tt.depth == 0 and len(tt.cores) == 0 and np.array_equal(tt.leaf, coeff)
+    assert np.array_equal(tt.leaf_coefficients(), coeff)
