@@ -50,7 +50,9 @@ from .interpolation import (
     tensor_interpolate,
 )
 from .targets import get_target
-from .train import _CHUNK, _FULL_GRID_CAP, TensorTrain, _chunk_map, _extend_states, evaluate
+from .train import (
+    _CHUNK, _FULL_GRID_CAP, TensorTrain, _chunk_map, _extend_states, _finite, evaluate,
+)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Gauss-Legendre order of the greedy's local errors and of the uniform track
@@ -72,9 +74,9 @@ def _gauss01(order: int):
     return nodes, weights
 
 
-def quasi_random(n: int, seed_shift: float = 0.0) -> np.ndarray:
+def quasi_random(n: int) -> np.ndarray:
     """Deterministic low-discrepancy points in [0, 1)."""
-    return np.mod(seed_shift + (np.arange(1, n + 1)) * _GOLDEN, 1.0)
+    return np.mod(np.arange(1, _check_int("n", n, 0) + 1) * _GOLDEN, 1.0)
 
 
 def lp_error(
@@ -134,9 +136,10 @@ def lp_error(
         V = _extend_states(prefixes[k][None, :], tt.cores[level - block_levels : level])
         err = V @ W.T if level < d else (V @ tt.leaf) @ phi.T
         np.abs(np.subtract(samples, err, out=err), out=err)
-        norms[k * block : (k + 1) * block] = (
-            err.max(axis=1) if math.isinf(p) else (err**p @ ws) ** (1.0 / p)
-        )
+        with np.errstate(over="ignore"):  # _finite reports it
+            norms[k * block : (k + 1) * block] = _finite(
+                err.max(axis=1) if math.isinf(p) else (err**p @ ws) ** (1.0 / p), "L^p error"
+            )
 
     n, lanes = len(prefixes), min(_LANES, len(prefixes))
 
@@ -247,15 +250,17 @@ def _local_fits(f, cells, level: int, base: int, interp, p, quad_order):
     starts = np.array(cells, dtype=float) * w
     xs = np.add.outer(starts, interp.nodes * w)
     np.minimum(xs, np.nextafter(starts + w, 0.0)[:, None], out=xs)
-    ts = quasi_random(64) if math.isinf(p) else _gauss01(quad_order)[0]
+    ts, ws = (quasi_random(64), None) if math.isinf(p) else _gauss01(quad_order)
     vals = _sample(f, np.concatenate([xs, starts[:, None] + w * ts], axis=1))
     k = interp.nodes.size
     coeffs = np.linalg.solve(interp.vandermonde(), vals[:, :k, None])[:, :, 0]
     resid = np.abs(vals[:, k:] - np.polynomial.polynomial.polyval(ts, coeffs.T))
-    if math.isinf(p):
-        return coeffs, [float(e) for e in resid.max(axis=1)]
-    ws = _gauss01(quad_order)[1]
-    return coeffs, [float((w * e) ** (1.0 / p)) for e in np.sum(ws * resid**p, axis=1)]
+    with np.errstate(over="ignore"):  # _finite reports it
+        if math.isinf(p):
+            errs = resid.max(axis=1)
+        else:
+            errs = [(w * e) ** (1.0 / p) for e in np.sum(ws * resid**p, axis=1)]
+    return coeffs, [float(e) for e in _finite(np.array(errs), "local L^p error")]
 
 
 def _local_fit_and_error(f, i: int, level: int, base: int, interp, p, quad_order):
@@ -265,7 +270,9 @@ def _local_fit_and_error(f, i: int, level: int, base: int, interp, p, quad_order
 
 def _aggregate_local_errors(errs, p):
     errs = np.asarray(errs, dtype=float)
-    return float(errs.max()) if math.isinf(p) else float(np.sum(errs**p) ** (1.0 / p))
+    with np.errstate(over="ignore"):  # _finite reports it
+        err = errs.max() if math.isinf(p) else np.sum(errs**p) ** (1.0 / p)
+    return float(_finite(err, "L^p error"))
 
 
 def greedy_badic_knots(
@@ -343,6 +350,9 @@ class StudyConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for n in self.schedule:
+            if _check_int("schedule entry", n) < 1:
+                raise DomainError(f"schedule entry {n} is below 1")
         _check_p(self.p)
         _check_int("m", self.m, 0)
         _check_int("base", self.b, 2)

@@ -63,6 +63,7 @@ class MixedBaseError(DomainError):
 def badic_from_float(x: float, base: int, max_level: int = 52):
     """Exact (i, level) with x = i * b^-level, or KnotError naming the knot."""
     _check_int("base", base, 2)
+    _check_int("max_level", max_level, 0)
     if not math.isfinite(x):
         raise DomainError(f"knot {x!r} is not finite")
     fr = Fraction(x)
@@ -166,11 +167,7 @@ class PiecewisePolynomial:
             t = xs[lo : lo + _CHUNK]
             k = np.clip(np.searchsorted(bp, t, side="right") - 1, 0, self.piece_count - 1)
             t = (t - bp[k]) / (bp[k + 1] - bp[k])
-            c = coef[:, k]
-            v = c[-1] + t * 0
-            for cj in c[-2::-1]:
-                v = cj + v * t
-            out[lo : lo + _CHUNK] = v
+            out[lo : lo + _CHUNK] = np.polynomial.polynomial.polyval(t, coef[:, k], tensor=False)
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     # -- JSON wire format ----------------------------------------------------
@@ -516,8 +513,8 @@ def encode_sawtooth(grid: Grid, degree: int = 1, *, basis_kind: str = "legendre"
 
 
 def sawtooth_function(depth: int):
-    """Reference sampler matching encode_sawtooth at the given depth."""
-    grid = Grid(2, depth)
+    """Reference sampler matching encode_sawtooth at the given depth >= 1."""
+    grid = Grid(2, _check_int("depth", depth, 1))
 
     def f(x):
         arr = np.asarray(x, dtype=float)

@@ -211,12 +211,14 @@ def _point_digits(x: float, grid: Grid) -> tuple:
 
 
 def leaf_restriction(f: Callable, grid: Grid, j) -> Callable:
-    """Restrict f to leaf j and rescale to [0, 1): y -> f(b^-d (j + y))."""
+    """Restrict f to leaf j and rescale to [0, 1): y -> f(b^-d (j + y)), for
+    y in [0, 1) (DomainError naming a point outside it, NaN included)."""
     j = LeafIndex(grid, j.flat if isinstance(j, LeafIndex) else j).flat
     w = grid.leaf_width
 
     def g(y):
-        return f((j + np.asarray(y)) * w)
+        # the remainders at depth 0 are the points themselves, once checked
+        return f((j + encode_points(y, Grid(grid.base, 0))[1]) * w)
 
     return g
 

@@ -40,16 +40,16 @@ right sweep when nothing merges, JSON); the merge and cost_S read the store.
 One right sweep, _right_orthogonalize, is behind tt_round, ranks,
 singular_values, norm_l2 and both orthogonalize directions; the truncated
 SVD sweep _svd_sweep runs after it in all but norm_l2 and the right
-orthogonalize, and the dense TT-SVD train_from_leaf_coefficients shares its
-truncation rule. On a train with r_1 > b the right sweep opens with one
-exact pass, the interface merge (_merge_entries), which folds bond indices
-that carry the same function: forward, equal columns of a core merge and
-the matching rows of the next core are summed; backward, equal rows merge
-and the matching columns of the previous core are summed. It reads the
-store, so rounding a block sum costs about one pass over its nonzeros and
-never writes its dense cores; a free-knot spline of degree m < b comes out
-with bond <= b^nu at every level. A train with r_1 <= b, every rounded
-train among them, skips it.
+orthogonalize. It and the dense TT-SVD train_from_leaf_coefficients run one
+truncation step, _split, with its guard. On a train with r_1 > b the right
+sweep opens with one exact pass, the interface merge (_merge_entries),
+which folds bond indices that carry the same function: forward, equal
+columns of a core merge and the matching rows of the next core are summed;
+backward, equal rows merge and the matching columns of the previous core
+are summed. It reads the store, so rounding a block sum costs about one
+pass over its nonzeros and never writes its dense cores; a free-knot spline
+of degree m < b comes out with bond <= b^nu at every level. A train with
+r_1 <= b, every rounded train among them, skips it.
 """
 
 from __future__ import annotations
@@ -425,11 +425,11 @@ def _lq(M: np.ndarray):
 # never write into a core, so the cores are not copied.
 
 
-def _finite(a: np.ndarray) -> np.ndarray:
-    """a itself; DomainError if a sweep met a non-finite entry or overflowed
-    (LAPACK would otherwise fail or return a silently wrong spectrum)."""
+def _finite(a: np.ndarray, what: str = "train") -> np.ndarray:
+    """a itself; DomainError naming what if a sweep or a norm met a non-finite
+    entry or overflowed (LAPACK would otherwise fail or return a wrong spectrum)."""
     if not np.all(np.isfinite(a)):
-        raise DomainError("train has a non-finite entry or overflows float64")
+        raise DomainError(f"{what} has a non-finite entry or overflows float64")
     return a
 
 
@@ -560,6 +560,18 @@ def _kept_rank(S: np.ndarray, budget) -> int:
     return keep
 
 
+def _split(X: np.ndarray, b: int, budget):
+    """The truncation step of both TT-SVD sweeps: the SVD of X (r, b n) as
+    (r b, n), cut by _kept_rank, gives the core (b, r, k), the carry (k, n)
+    and the spectrum; DomainError for a non-finite X or S or a failed SVD."""
+    try:
+        U, S, Vt = np.linalg.svd(_finite(X).reshape(len(X) * b, -1), full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise DomainError(f"the truncation SVD failed: {exc}") from None
+    k = _kept_rank(_finite(S), budget)
+    return U[:, :k].reshape(len(X), b, k).transpose(1, 0, 2), S[:k, None] * Vt[:k], S
+
+
 def _weighted_leaf(tt: TensorTrain) -> np.ndarray:
     """The Gram-weighted leaf leaf @ L, where L L^T is the basis Gram
     matrix; DomainError if it is not finite or overflows."""
@@ -586,18 +598,11 @@ def _svd_sweep(tt: TensorTrain, tol=None):
     """
     cores, leaf = _right_orthogonalize(tt, _weighted_leaf(tt))
     budget = None if tol is None else tol * _norm(cores[0]) / math.sqrt(tt.depth)
-    spectra = []
-    carry = np.ones((1, 1))
-    for nu in range(len(cores)):
-        c = carry @ cores[nu]
-        b, r1, r2 = c.shape
-        U, S, Vt = np.linalg.svd(
-            c.transpose(1, 0, 2).reshape(r1 * b, r2), full_matrices=False
-        )
-        keep = _kept_rank(S, budget)
-        cores[nu] = U[:, :keep].reshape(r1, b, keep).transpose(1, 0, 2)
-        carry = S[:keep, None] * Vt[:keep]
-        spectra.append(_finite(S))
+    spectra, carry = [], np.ones((1, 1))
+    for nu, c in enumerate(cores):
+        X = (carry @ c).transpose(1, 0, 2).reshape(len(carry), -1)
+        cores[nu], carry, S = _split(X, tt.base, budget)
+        spectra.append(S)
     return cores, carry @ leaf, spectra
 
 
@@ -714,7 +719,7 @@ def train_from_leaf_coefficients(
 ) -> TensorTrain:
     """TT-SVD (Oseledets 2011, Alg. 1) of a dense (b^d, m+1) coefficient matrix.
 
-    The dense counterpart of the rounding sweep, with its truncation rule
+    The dense counterpart of the rounding sweep, with its step (_split)
     and Gram weighting: tol is relative to the L2 norm of the represented
     function; tol = 0 keeps everything except exact zero directions,
     reproducing the dimension-bound rank profile.
@@ -723,21 +728,17 @@ def train_from_leaf_coefficients(
     if coeff.shape != (grid.leaf_count, basis.dim):
         raise DomainError(f"coefficient matrix shape {coeff.shape} does not match grid/basis")
     _check_tol(tol)
-    b, d = grid.base, grid.depth
+    d = grid.depth
     if d == 0:
-        return TensorTrain(grid, [], coeff, basis)
+        return TensorTrain(grid, [], _finite(coeff), basis)
     gram_L = basis.gram_cholesky()
-    M = coeff @ gram_L
-    budget = tol * _norm(M) / math.sqrt(d)
-    cores = []
-    r = 1
+    with np.errstate(over="ignore", invalid="ignore"):  # _split reports them
+        X = (coeff @ gram_L).reshape(1, -1)
+        budget = tol * _norm(X) / math.sqrt(d)
+    cores = [None] * d
     for nu in range(d):
-        U, S, Vt = np.linalg.svd(M.reshape(r * b, -1), full_matrices=False)
-        keep = _kept_rank(S, budget)
-        cores.append(U[:, :keep].reshape(r, b, keep).transpose(1, 0, 2))
-        M = S[:keep, None] * Vt[:keep]
-        r = keep
-    return TensorTrain(grid, cores, _unweighted(M, gram_L), basis)
+        cores[nu], X, _ = _split(X, grid.base, budget)
+    return TensorTrain(grid, cores, _unweighted(X, gram_L), basis)
 
 
 def deepen(tt: TensorTrain, extra: int) -> TensorTrain:

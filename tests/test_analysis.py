@@ -326,6 +326,42 @@ def test_every_lp_entry_point_rejects_a_p_that_is_not_positive(p):
             call()
 
 
+@pytest.mark.parametrize(
+    "schedule, message",
+    [((0,), "schedule entry 0 is below 1"), ((3, -1), "schedule entry -1 is below 1"),
+     ((2.5,), "schedule entry 2.5 is not an integer")],
+)
+def test_study_config_checks_its_schedule(schedule, message):
+    # the library's study_sobolev said only "invalid record" for entry 0
+    with pytest.raises(DomainError, match=message):
+        study_sobolev(StudyConfig("sin2pi", schedule=schedule))
+
+
+@pytest.mark.parametrize("n", [2.5, -1, "3"])
+def test_quasi_random_rejects_a_count_that_is_not_a_count(n):
+    # 2.5 returned 3 points
+    with pytest.raises(DomainError, match="n "):
+        quasi_random(n)
+
+
+def _huge(x):
+    return 1e200 * np.asarray(x) ** 2
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: lp_error(_huge, zero_train(Grid(2, 3), PolyBasis(1)), 2.0), id="lp_error"),
+        pytest.param(lambda: greedy_badic_knots(_huge, 4, 1, 2.0), id="local_fits"),
+        pytest.param(lambda: _aggregate_local_errors([1e200, 1e200], 2.0), id="aggregate"),
+    ],
+)
+def test_an_error_whose_pth_power_overflows_raises_domain_error(call):
+    # the p-th powers overflowed and the studies recorded an error of inf
+    with pytest.raises(DomainError, match="L\\^p error has a non-finite entry or overflows"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # lp_error's streamed contraction against the full-grid route it replaced
 # ---------------------------------------------------------------------------

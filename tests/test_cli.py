@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -234,6 +235,17 @@ def test_audit_out_writes_every_record_deterministically(tmp_path, capsys):
     assert files[0].read_bytes() == files[1].read_bytes()
 
 
+# The sha256 of the `ttfun audit --out` file. A change to these bytes is a
+# change to the audit's output: record the new value on purpose.
+_AUDIT_OUT_SHA256 = "f48788755f4ebc071b7296c1cb29b008316dc4fce46de4cfb262e647aceeac9b"
+
+
+def test_audit_out_bytes_are_pinned(tmp_path, capsys):
+    out = tmp_path / "audit.json"
+    assert run(capsys, "audit", "--out", str(out))[0] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _AUDIT_OUT_SHA256
+
+
 def test_audit_failing_bound_exits_1_and_names_it(monkeypatch, capsys):
     bad = AuditRecord("fixed_knot", {"b": 2}, "rank_1", 5.0, 4.0, False)
     monkeypatch.setattr(cli, "default_audit_sweep", lambda: [bad])
@@ -251,6 +263,29 @@ def test_study_unknown_target(capsys):
         code, stdout, err = run(capsys, "study", kind, "--target", target, "--schedule", "2")
         assert code == 4 and stdout == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1 and repr(target) in err
+
+
+def test_study_sawtooth_target_of_depth_0_exits_4(capsys):
+    # it used to end in an IndexError traceback
+    code, stdout, err = run(capsys, "study", "sobolev", "--target", "sawtooth:0", "--schedule", "3")
+    assert code == 4 and stdout == ""
+    assert err == "error: depth must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "kind, schedule, message",
+    [("sobolev", "3,4", "L^p error"), ("adaptive", "8,16", "local L^p error")],
+)
+def test_study_whose_error_overflows_exits_2_without_output(tmp_path, capsys, kind, schedule, message):
+    # the p-th powers of the errors overflowed: the rows recorded inf, and
+    # the fit printed slope=nan
+    csv_out = tmp_path / "s.csv"
+    code, stdout, err = run(
+        capsys, "study", kind, "--target", "poly:0,0,1e307", "--schedule", schedule,
+        "--csv", str(csv_out),
+    )
+    assert code == 2 and stdout == "" and not csv_out.exists()
+    assert err == f"error: {message} has a non-finite entry or overflows float64\n"
 
 
 def test_study_that_records_no_rows_exits_2_without_output(tmp_path, capsys):

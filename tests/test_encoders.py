@@ -68,6 +68,13 @@ def test_badic_from_float():
         badic_from_float(1 / 3, 2)
 
 
+@pytest.mark.parametrize("max_level", [2.5, -1])
+def test_badic_from_float_rejects_a_max_level_that_is_not_a_level(max_level):
+    # 2.5 was accepted and read as a bound between levels 2 and 3
+    with pytest.raises(DomainError, match="max_level"):
+        badic_from_float(0.5, 2, max_level=max_level)
+
+
 def test_knot_normalization_and_validation():
     pp = PiecewisePolynomial(2, ((2, 2),), ([1.0], [2.0]))
     assert pp.knots == ((1, 1),)  # 2/4 reduces to 1/2
@@ -798,6 +805,13 @@ def test_sawtooth_base_error():
         encode_sawtooth(Grid(2, 3), 0)
     with pytest.raises(DomainError, match="not an integer"):  # used to be a TypeError
         encode_sawtooth(Grid(2, 3), 1.5)
+
+
+@pytest.mark.parametrize("depth, message", [(0, "depth must be >= 1, got 0"), (2.5, "not an integer")])
+def test_sawtooth_function_rejects_a_depth_below_1(depth, message):
+    # depth 0 built a sampler that ended in an IndexError at its first call
+    with pytest.raises(DomainError, match=message):
+        sawtooth_function(depth)
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,14 @@ def test_leaf_restriction_rejects_a_non_integer_index(j):
     assert leaf_restriction(lambda x: x, Grid(2, 2), np.int64(1))(0.0) == 0.25
 
 
+@pytest.mark.parametrize("y, bad", [(1.5, 1.5), (-0.25, -0.25), (math.nan, math.nan), ([0.5, 1.0], 1.0)])
+def test_leaf_restriction_rejects_a_point_outside_the_unit_interval(y, bad):
+    # 1.5 on leaf 0 of Grid(2, 2) returned f(0.375), a value from leaf 1
+    g = leaf_restriction(lambda x: x, Grid(2, 2), 0)
+    with pytest.raises(DomainError, match=f"point {bad} outside"):
+        g(y)
+
+
 def test_leaf_consistency_random():
     # leaf_restriction(f, grid, j)(y) == f(decode(digits(j), y)) pointwise
     rng = np.random.default_rng(3)

@@ -9,6 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
+from ttfun import encoders as encoders_module
+from ttfun import interpolation as interpolation_module
 from ttfun import train as train_module
 from ttfun.analysis import greedy_badic_knots
 from ttfun.basis import PolyBasis
@@ -26,6 +28,7 @@ from ttfun.encoders import (
     random_fixed_knot_spline,
 )
 from ttfun.grids import DomainError, Grid, _digit_steps, encode_points
+from ttfun.interpolation import Interpolator, tensor_interpolate
 from ttfun.train import (
     _CHUNK,
     MismatchError,
@@ -912,6 +915,100 @@ def test_left_pass_keeps_the_rank_profiles_of_block_sums(reference, n_pieces):
     assert t.bond_dims[0] > t.base  # the pass acts
     assert ranks(t) == reference(ranks, t)
     assert tt_round(t, 1e-12).bond_dims == reference(tt_round, t, 1e-12).bond_dims
+
+
+def _former_dense_tt_svd(coeff, grid, basis, tol=0.0):
+    """train_from_leaf_coefficients' own SVD loop, before it shared the
+    rounding sweep's truncation step (train._split)."""
+    b, d = grid.base, grid.depth
+    gram_L = basis.gram_cholesky()
+    M = coeff @ gram_L
+    budget = tol * train_module._norm(M) / math.sqrt(d)
+    cores, r = [], 1
+    for _ in range(d):
+        U, S, Vt = np.linalg.svd(M.reshape(r * b, -1), full_matrices=False)
+        keep = train_module._kept_rank(S, budget)
+        cores.append(U[:, :keep].reshape(r, b, keep).transpose(1, 0, 2))
+        M, r = S[:keep, None] * Vt[:keep], keep
+    return TensorTrain(grid, cores, _unweighted(M, gram_L), basis)
+
+
+def _former_svd_sweep(tt, tol=None):
+    """train._svd_sweep's own SVD loop, before it shared train._split."""
+    cores, leaf = train_module._right_orthogonalize(tt, train_module._weighted_leaf(tt))
+    budget = None if tol is None else tol * train_module._norm(cores[0]) / math.sqrt(tt.depth)
+    spectra, carry = [], np.ones((1, 1))
+    for nu in range(len(cores)):
+        c = carry @ cores[nu]
+        b, r1, r2 = c.shape
+        U, S, Vt = np.linalg.svd(c.transpose(1, 0, 2).reshape(r1 * b, r2), full_matrices=False)
+        keep = train_module._kept_rank(S, budget)
+        cores[nu] = U[:, :keep].reshape(r1, b, keep).transpose(1, 0, 2)
+        carry = S[:keep, None] * Vt[:keep]
+        spectra.append(train_module._finite(S))
+    return cores, carry @ leaf, spectra
+
+
+def _assert_same_bytes(got, want):
+    assert got.bond_dims == want.bond_dims
+    for a, c in zip(got.cores + (got.leaf,), want.cores + (want.leaf,)):
+        assert a.tobytes() == c.tobytes()
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-12])
+@pytest.mark.parametrize("b", [2, 3])
+def test_tt_svd_step_keeps_the_bytes_of_the_former_dense_loop_on_splines(monkeypatch, b, tol):
+    rng = np.random.default_rng(280 + b)
+    for d in range(1, 7):
+        for m in range(4):
+            s = random_fixed_knot_spline(rng, b, d, m)
+            got = encode_fixed_knot_spline(s, tol=tol)
+            with monkeypatch.context() as patch:
+                patch.setattr(encoders_module, "train_from_leaf_coefficients", _former_dense_tt_svd)
+                _assert_same_bytes(got, encode_fixed_knot_spline(s, tol=tol))
+
+
+def test_tt_svd_step_keeps_the_bytes_of_the_former_dense_loop_on_tensor_interpolate(monkeypatch):
+    got = tensor_interpolate(np.sin, Grid(2, 8), Interpolator(3), tol=0)
+    monkeypatch.setattr(interpolation_module, "train_from_leaf_coefficients", _former_dense_tt_svd)
+    _assert_same_bytes(got, tensor_interpolate(np.sin, Grid(2, 8), Interpolator(3), tol=0))
+
+
+@pytest.mark.parametrize("name", list(_NARROW_FIRST_BOND))
+def test_tt_svd_step_keeps_the_bytes_of_the_former_rounding_sweep(monkeypatch, name):
+    tt = _NARROW_FIRST_BOND[name]()
+    got = tt_round(tt, 1e-12), orthogonalize(tt, "left")
+    monkeypatch.setattr(train_module, "_svd_sweep", _former_svd_sweep)
+    for a, c in zip(got, (tt_round(tt, 1e-12), orthogonalize(tt, "left"))):
+        _assert_same_bytes(a, c)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 1e308])
+def test_tt_svd_step_rejects_a_non_finite_or_overflowing_coefficient_matrix(value):
+    # each ended in "LinAlgError: SVD did not converge"
+    with pytest.raises(DomainError, match="train has a non-finite entry or overflows"):
+        train_from_leaf_coefficients(np.full((8, 3), value), Grid(2, 3), PolyBasis(2))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_tt_svd_step_rejects_a_non_finite_coefficient_row_at_depth_0(value):
+    # depth 0 runs no step, and returned a train with a non-finite leaf
+    with pytest.raises(DomainError, match="train has a non-finite entry or overflows"):
+        train_from_leaf_coefficients(np.full((1, 3), value), Grid(2, 0), PolyBasis(2))
+
+
+def test_tt_svd_step_rejects_an_interpolant_that_overflows():
+    with pytest.raises(DomainError, match="train has a non-finite entry or overflows"):
+        tensor_interpolate(lambda x: 1e308 * np.ones_like(x), Grid(2, 3), Interpolator(2))
+
+
+def test_tt_svd_step_turns_a_failed_svd_into_domain_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(DomainError, match="the truncation SVD failed: SVD did not converge"):
+        tt_round(encode_polynomial([1.0, 2.0], Grid(2, 3)), 1e-12)
 
 
 def test_left_pass_keeps_the_rank_profiles_of_the_catalog_free_knot_trains(reference):
