@@ -393,6 +393,14 @@ def _rows(study, cfg, t0, tt, depth, degree, error, kinds=("N", "C", "S"), piece
     ]
 
 
+def _dbar(cfg, value, source) -> int:
+    """ceil(value) as a depth; DomainError naming dbar and source past Grid's guard."""
+    try:
+        return Grid(cfg.b, math.ceil(value)).depth
+    except DomainError as exc:
+        raise DomainError(f"dbar = {math.ceil(value)} from {source}: {exc}") from None
+
+
 def study_sobolev(cfg: StudyConfig):
     """Re-interpolation schedule dbar = ceil(d r / (m+1)) for W^{r,p} targets."""
     target = get_target(cfg.target)
@@ -405,8 +413,8 @@ def study_sobolev(cfg: StudyConfig):
     records = []
     for d in schedule:
         t0 = time.perf_counter()
+        dbar = _dbar(cfg, d * r / (cfg.m + 1), f"r = {r}")
         s = tensor_interpolate(f, Grid(cfg.b, d), Interpolator(mbar), tol=0.0)
-        dbar = math.ceil(d * r / (cfg.m + 1))
         st = reinterpolate(s, dbar, cfg.m)
         records += _rows("sobolev", cfg, t0, st, dbar, cfg.m, lp_error(f, st, cfg.p))
     return records
@@ -476,9 +484,8 @@ def study_adaptive(cfg: StudyConfig):
         pp, info = greedy_badic_knots(f, n_pieces, mbar, cfg.p, base=cfg.b, with_info=True)
         d = max(pp.max_level, 1)
         built = info["pieces"]  # at b >= 3 the greedy may stop short of n_pieces
-        dbar = max(d, math.ceil(
-            (d * (cfg.m + 1 + 1.0 / cfg.p) + alpha * math.log(built, cfg.b)) / (cfg.m + 1)
-        ))
+        num = d * (cfg.m + 1 + 1.0 / cfg.p) + alpha * math.log(built, cfg.b)
+        dbar = _dbar(cfg, num / (cfg.m + 1), f"p = {cfg.p}")
         tt = reinterpolate(encode_free_knot_spline(pp, depth=d), dbar, cfg.m)
         records += _rows("adaptive", cfg, t0, tt, dbar, cfg.m, info["error"], pieces=built)
         # uniform comparison at the same piece count (same local machinery)
@@ -532,11 +539,10 @@ def fit_linear(x, y):
     return float(slope), float(intercept), r2
 
 
-def fit_loglog(ns, errs, floor: float = 0.0):
-    """Slope of log(err) against log(n), dropping sub-floor errors."""
-    ns = np.asarray(ns, dtype=float)
-    errs = np.asarray(errs, dtype=float)
-    keep = errs > floor
+def fit_loglog(ns, errs):
+    """Slope of log(err) against log(n), dropping errors that are not positive."""
+    ns, errs = np.asarray(ns, dtype=float), np.asarray(errs, dtype=float)
+    keep = errs > 0
     return fit_linear(np.log(ns[keep]), np.log(errs[keep]))
 
 
@@ -557,7 +563,7 @@ def rate_fits(records):
             slope, _, r2 = fit_linear([r.n**power for r in sub], [math.log(r.error) for r in sub])
             axis = f"n^{power:.2g}"
         else:
-            slope, _, r2 = fit_loglog([r.n for r in sub], [r.error for r in sub], floor=1e-12)
+            slope, _, r2 = fit_loglog([r.n for r in sub], [r.error for r in sub])
             axis = "log n"
         fits.append((study, kind, len(sub), axis, slope, r2))
     return fits

@@ -165,7 +165,7 @@ class PiecewisePolynomial:
         out = np.empty_like(xs)
         for lo in range(0, xs.size, _CHUNK):
             t = xs[lo : lo + _CHUNK]
-            k = np.clip(np.searchsorted(bp, t, side="right") - 1, 0, self.piece_count - 1)
+            k = np.searchsorted(bp, t, side="right") - 1
             t = (t - bp[k]) / (bp[k + 1] - bp[k])
             out[lo : lo + _CHUNK] = np.polynomial.polynomial.polyval(t, coef[:, k], tensor=False)
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)

@@ -3,7 +3,7 @@
 The conversion map sends (i_1, ..., i_d, y) to sum_k i_k b^-k + b^-d y,
 identifying a point x in [0, 1) with d digits and a remainder y in [0, 1).
 All intervals are half open; points that land exactly on a grid line belong
-to the interval on their right.
+to the interval on their right. x < 1 rounds x b below b, so no clamp is needed.
 Every integer parameter of the library goes through _check_int.
 """
 
@@ -17,8 +17,6 @@ import numpy as np
 
 # Flat leaf indices must stay addressable as int64 (dense sweeps use them).
 _MAX_LEAVES = 2**62
-# Remainders are clamped to the largest float below 1.
-_BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 
 class DomainError(ValueError):
@@ -162,8 +160,8 @@ def encode_points(x: np.ndarray, grid: Grid) -> tuple:
 
     Digits come from repeated multiply-by-b and floor on the running
     fractional part; boundary ties resolve downward, so a grid point gets
-    remainder 0 and belongs to the interval on its right. NaN and infinite
-    points are outside [0, 1).
+    remainder 0 and belongs to the interval on its right, with no clamp (see
+    _digit_steps). NaN and infinite points are outside [0, 1).
     """
     t = np.array(x, dtype=float)
     digits = np.empty((t.size, grid.depth), dtype=np.int64)
@@ -174,9 +172,9 @@ def encode_points(x: np.ndarray, grid: Grid) -> tuple:
 
 def _digit_steps(x: np.ndarray, grid: Grid):
     """The digit rule of encode_points, one level at a time: yields the int64
-    digits of the points x at levels 1..d. x holds the running fraction, so
-    it must be writable; once the generator is exhausted, it holds the
-    remainders."""
+    digits of the points x at levels 1..d. x holds the running fraction, so it
+    must be writable; once exhausted, it holds the remainders. No clamp: as
+    x <= 1 - 2^-53, x b rounds below b for b <= 2^53, so every digit is < b."""
     inside = (x >= 0.0) & (x < 1.0)
     if not np.all(inside):
         raise DomainError(f"point {float(x[~inside].flat[0])} outside [0, 1)")
@@ -186,16 +184,14 @@ def _digit_steps(x: np.ndarray, grid: Grid):
     for _ in range(grid.depth):
         np.multiply(x, b, out=x)
         i = x.astype(np.int64)  # x >= 0: the cast is the floor
-        np.minimum(i, b - 1, out=i)
         np.subtract(x, i, out=x)
         yield i
-    np.clip(x, 0.0, _BELOW_ONE, out=x)
 
 
 def _point_digits(x: float, grid: Grid) -> tuple:
     """The digit rule of encode_points for one point, in Python floats:
     returns (digits as a list of ints, remainder). The same IEEE operations
-    as the array rule, so both give the same bits."""
+    as the array rule, so both give the same bits and need no clamp."""
     if not 0.0 <= x < 1.0:
         raise DomainError(f"point {x} outside [0, 1)")
     b = grid.base
@@ -203,11 +199,9 @@ def _point_digits(x: float, grid: Grid) -> tuple:
     for _ in range(grid.depth):
         x *= b
         i = int(x)  # the floor, since x >= 0
-        if i == b:  # x rounded up to b: the clamp to b - 1
-            i -= 1
         x -= i
         digits.append(i)
-    return digits, min(x, _BELOW_ONE)
+    return digits, x
 
 
 def leaf_restriction(f: Callable, grid: Grid, j) -> Callable:

@@ -16,7 +16,7 @@ import numpy as np
 from .basis import PolyBasis
 from .encoders import encode_polynomial
 from .grids import DomainError, Grid, _check_int
-from .train import TensorTrain, _extended, deepen, train_from_leaf_coefficients
+from .train import TensorTrain, _extended, _finite, deepen, train_from_leaf_coefficients
 
 _DENSE_CAP = 2**14
 
@@ -200,7 +200,7 @@ def chebyshev_truncate(f, degree: int) -> np.ndarray:
 
     Coefficients c with f ~ sum_k c_k T_k(2x - 1), computed by a type-II
     DCT on 4 (degree+1) Chebyshev points; the constant-term halving of the
-    raw cosine sums is folded in.
+    raw cosine sums is folded in. DomainError if the series overflows.
     """
     _check_int("degree", degree, 0)
     from scipy.fft import dct  # imported here, so that import ttfun loads no scipy
@@ -210,4 +210,4 @@ def chebyshev_truncate(f, degree: int) -> np.ndarray:
     xs = 0.5 * (1.0 + np.cos(theta))
     a = dct(_sample(f, xs), type=2, norm=None)[: degree + 1] / K
     a[0] *= 0.5
-    return a
+    return _finite(a, "the Chebyshev series of f")

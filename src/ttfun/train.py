@@ -70,6 +70,7 @@ from numpy.polynomial import legendre as _leg
 
 from .basis import PolyBasis
 from .grids import DomainError, Grid, _check_int, _check_tol, _digit_steps, _point_digits
+from .grids import encode_points
 
 _FULL_GRID_CAP = 2**20
 # Most points per evaluation chunk, so that the sweep's working set stays in
@@ -207,8 +208,8 @@ class TensorTrain:
 
     def leaf_values(self, ys, max_cells: int = _FULL_GRID_CAP) -> np.ndarray:
         """Values f(b^-d (j + y)) on the full leaf grid: shape (b^d, len(ys))."""
-        coeff = self.leaf_coefficients(max_cells=max_cells)
-        return coeff @ self.basis.eval(np.asarray(ys, dtype=float)).T
+        ys = encode_points(ys, Grid(self.base, 0))[1]  # DomainError for a y outside [0, 1)
+        return self.leaf_coefficients(max_cells=max_cells) @ self.basis.eval(ys).T
 
 
 def _extend_states(V: np.ndarray, cores) -> np.ndarray:
@@ -255,7 +256,7 @@ def evaluate(tt: TensorTrain, x):
     outs = np.array_split(vals, len(chunks))  # chunk k fills outs[k]
     # reading every result re-raises a chunk's DomainError, first chunk first
     list(_chunk_map(len(chunks))(_sweep_chunk, repeat(tt), chunks, outs))
-    return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
+    return vals.reshape(arr.shape)
 
 
 def _point_tables(tt: TensorTrain):
@@ -681,6 +682,7 @@ def singular_values(tt: TensorTrain):
     are singular values of the function, not of raw coefficient arrays.
     """
     if tt.depth == 0:
+        _weighted_leaf(tt)  # DomainError for a non-finite leaf, as at any depth
         return []
     return _svd_sweep(tt)[2]
 

@@ -13,6 +13,7 @@ import pytest
 from ttfun import analysis
 from ttfun import train as train_module
 from ttfun.analysis import (
+    ErrorRecord,
     StudyConfig,
     _aggregate_local_errors,
     _gauss01,
@@ -130,6 +131,14 @@ def test_isometry_direct_vs_leafsum():
             direct = piecewise_poly_lp_norm(s, p)
             leafs = lp_norm_from_leaves(leaf_lp_norms(s, grid, p), grid, p)
             assert abs(direct - leafs) <= 1e-10 * direct
+
+
+def test_a_record_or_leaf_norm_out_of_range_is_rejected():
+    with pytest.raises(DomainError, match="invalid record"):
+        ErrorRecord("sobolev", "sin2pi", 2, 1, 2.0, 4, "N", 3, 1, -1e-3, 0.0, 1)
+    s = PiecewisePolynomial(2, ((1, 3),), ([1.0], [2.0]))  # a knot at level 3
+    with pytest.raises(DomainError, match="grid depth below the finest knot level"):
+        leaf_lp_norms(s, Grid(2, 2), 2.0)
 
 
 def test_greedy_polynomial_is_single_piece():
@@ -252,6 +261,7 @@ def test_fit_helpers():
     assert slope == pytest.approx(2.0) and intercept == pytest.approx(1.0) and r2 == 1.0
     slope, _, _ = fit_loglog([2, 4, 8], [1.0, 0.25, 0.0625])
     assert slope == pytest.approx(-2.0, abs=1e-12)
+    assert fit_loglog([2, 4, 8, 16], [1.0, 0.25, 0.0625, 0.0])[0] == slope  # 0 is dropped
     with pytest.raises(DomainError):
         fit_linear([1.0], [1.0])
     # two equal x used to reach np.polyfit and its RankWarning

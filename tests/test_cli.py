@@ -696,3 +696,73 @@ def test_encode_spline_document_without_base_or_pieces_exits_2(tmp_path, capsys,
     code, stdout, err = run(capsys, "encode", str(path), "--out", str(tmp_path / "o.json"))
     assert code == 2 and stdout == ""
     assert err == f"error: bad spline document: spline document lacks '{key}'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["study", "adaptive", "--target", "x_pow:0.6", "--schedule", "8", "--p", "0.01"],
+         "dbar = 102 from p = 0.01: b^d = 2^102 exceeds the desk-scale guard"),
+        (["study", "sobolev", "--target", "sin2pi", "--schedule", "3", "--r", "200"],
+         "dbar = 300 from r = 200: b^d = 2^300 exceeds the desk-scale guard"),
+    ],
+)
+def test_study_whose_dbar_trips_the_guard_names_it(tmp_path, capsys, argv, message):
+    # the message named neither the re-interpolation depth nor its option
+    csv_out = tmp_path / "s.csv"
+    code, stdout, err = run(capsys, *argv, "--csv", str(csv_out))
+    assert code == 2 and stdout == "" and not csv_out.exists()
+    assert err == f"error: {message}\n"
+
+
+def test_study_whose_chebyshev_series_overflows_names_it(tmp_path, capsys):
+    # the unnormalised DCT of finite samples overflows; the error used to
+    # name a polynomial coefficient that the user never wrote
+    csv_out = tmp_path / "a.csv"
+    code, stdout, err = run(
+        capsys, "study", "analytic", "--target", "poly:0,0,1e307", "--schedule", "216",
+        "--csv", str(csv_out),
+    )
+    assert code == 2 and stdout == "" and not csv_out.exists()
+    assert err == "error: the Chebyshev series of f has a non-finite entry or overflows float64\n"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["poly:1e308,1e308,1e308", {"base": 2, "knots": [], "pieces": [[1e308, 1e308, 1e308]]}],
+)
+def test_encode_of_a_depth_0_train_that_overflows_exits_2(tmp_path, capsys, spec):
+    # the leaf-basis map overflows; at depth 0 the rank sweep has no level to
+    # run, so ranks itself rejects the leaf
+    if isinstance(spec, dict):
+        path = tmp_path / "spline.json"
+        path.write_text(json.dumps(spec))
+        spec = str(path)
+    out = tmp_path / "o.json"
+    code, stdout, err = run(capsys, "encode", spec, "--depth", "0", "--out", str(out))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err == "error: train has a non-finite entry or overflows float64\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["encode", "poly:1,x", "--out", "{tmp}/o.json"], 2,
+         "bad polynomial coefficients: could not convert string to float: 'x'"),
+        (["eval", "{train}"], 2, "eval needs at least one point"),
+        (["eval", "{train}", "abc"], 2, "bad point: could not convert string to float: 'abc'"),
+        (["ranks", "{tmp}/missing.json"], 2, "cannot read {tmp}/missing.json: "),
+        (["study", "sawtooth", "--target", "sawtooth", "--base", "3", "--schedule", "2"], 2,
+         "the sawtooth family requires base 2"),
+        (["study", "sobolev", "--target", "x_pow:1.5", "--schedule", "3"], 4,
+         "x_pow exponent must be in (0, 1), got 1.5"),
+    ],
+)
+def test_bad_input_exits_with_one_error_line(tmp_path, capsys, argv, code, message):
+    train_path = tmp_path / "p.json"
+    run(capsys, "encode", "poly:0,0,1", "--depth", "3", "--out", str(train_path))
+    argv = [a.format(tmp=tmp_path, train=train_path) for a in argv]
+    got, stdout, err = run(capsys, *argv)
+    assert got == code and stdout == "" and err.count("\n") == 1
+    assert err.startswith("error: " + message.format(tmp=tmp_path))
+    assert not (tmp_path / "o.json").exists()

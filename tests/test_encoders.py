@@ -66,6 +66,8 @@ def test_badic_from_float():
     assert badic_from_float(0.5, 2) == (1, 1)
     with pytest.raises(KnotError, match="0.3333333333333333"):
         badic_from_float(1 / 3, 2)
+    with pytest.raises(KnotError, match="knot 0.5 is not 3-adic"):
+        badic_from_float(0.5, 3)
 
 
 @pytest.mark.parametrize("max_level", [2.5, -1])
@@ -82,6 +84,8 @@ def test_knot_normalization_and_validation():
         PiecewisePolynomial(2, ((1, 1), (1, 1)), ([1.0], [2.0], [3.0]))
     with pytest.raises(DomainError):
         PiecewisePolynomial(2, ((1, 1),), ([1.0],))
+    with pytest.raises(KnotError, match=r"interior knot 1/2\^0 outside \(0, 1\)"):
+        PiecewisePolynomial(2, ((2, 1),), ([1.0], [2.0]))  # 2/2 = 1
 
 
 def test_a_piece_without_coefficients_is_rejected():
@@ -106,6 +110,7 @@ def test_json_round_trip():
     back = PiecewisePolynomial.from_json_dict(doc)
     assert back.base == pp.base and back.knots == pp.knots
     assert all(np.array_equal(a, b) for a, b in zip(back.pieces, pp.pieces))
+    assert PiecewisePolynomial.from_json(json.dumps(pp.to_json_dict())).knots == pp.knots
     # float knots are accepted when exactly b-adic
     doc2 = {"base": 2, "knots": [0.375], "pieces": [[1.0], [0.0]]}
     assert PiecewisePolynomial.from_json_dict(doc2).knots == ((3, 3),)
@@ -252,6 +257,11 @@ def test_uniform_grid_required():
     pp = PiecewisePolynomial(2, ((1, 2),), ([1.0], [2.0]))  # knot at 1/4 only
     with pytest.raises(DomainError):
         encode_fixed_knot_spline(pp)
+    pp = PiecewisePolynomial(2, ((1, 2), (1, 1)), ([1.0], [2.0], [3.0]))
+    with pytest.raises(DomainError, match="piece count 3 is not a power of base 2"):
+        encode_fixed_knot_spline(pp)
+    with pytest.raises(DomainError, match="expected 4 pieces, got 3"):
+        PiecewisePolynomial.uniform(2, 2, [[1.0]] * 3)
 
 
 @pytest.mark.parametrize(
@@ -311,6 +321,10 @@ def test_badic_cover_examples():
     # worst-ish case stays under 2 d (b-1)
     cov = badic_cover(Fraction(1, 16), Fraction(15, 16), 2, 4)
     assert len(cov) <= 2 * 4 * (2 - 1)
+    with pytest.raises(KnotError, match="is not aligned at level 3"):
+        badic_cover(Fraction(1, 16), Fraction(1, 2), 2, 3)
+    with pytest.raises(DomainError, match="bad interval"):
+        badic_cover(Fraction(1, 2), Fraction(1, 2), 2, 3)
 
 
 def test_cover_bound_random_sweep():
@@ -755,6 +769,27 @@ def test_n_term_vanishing_moment():
     s = n_term_wavelet(terms, 5)
     one = encode_polynomial([1.0], Grid(2, 5), basis_kind=s.basis.kind)
     assert abs(dot_l2(s, one)) < 1e-12
+
+
+def test_dilated_and_n_term_default_to_the_deepest_term():
+    spec = WaveletSpec(haar_mother(), 2, 1, 2.0)
+    deeper = WaveletSpec(haar_mother(), 3, 5, 2.0)
+    tt = encode_dilated(spec)
+    assert tt.depth == 3  # level 2 + the mother's depth 1
+    assert np.array_equal(evaluate(tt, QUASI), evaluate(encode_dilated(spec, 3), QUASI))
+    terms = [(1.0, spec), (2.0, deeper)]
+    s = n_term_wavelet(terms)
+    assert s.depth == 4
+    assert np.array_equal(evaluate(s, QUASI), evaluate(n_term_wavelet(terms, 4), QUASI))
+    with pytest.raises(DomainError, match="empty term list"):
+        n_term_wavelet([])
+
+
+def test_encode_polynomial_rejects_no_coefficients_or_an_unknown_input_basis():
+    with pytest.raises(DomainError, match="empty coefficient vector"):
+        encode_polynomial([], Grid(2, 2))
+    with pytest.raises(DomainError, match="unknown input basis 'legendre'"):
+        encode_polynomial([1.0], Grid(2, 2), input_basis="legendre")
 
 
 def test_n_term_mixed_base_error():

@@ -15,11 +15,14 @@ from ttfun.encoders import (
     random_free_knot_spline,
 )
 from ttfun.grids import (
+    _MAX_LEAVES,
     DomainError,
     Grid,
     LeafIndex,
     MultiIndexPoint,
     _check_int,
+    _digit_steps,
+    _point_digits,
     decode_point,
     digits_to_flat,
     encode_point,
@@ -95,6 +98,9 @@ def test_decode_validation():
         MultiIndexPoint(2, (2, 0), 0.5)
     with pytest.raises(DomainError):
         MultiIndexPoint(2, (1, 0), 1.0)
+    # valid digits and remainder whose sum rounds up to 1
+    with pytest.raises(DomainError, match="decoded point 1.0 outside"):
+        decode_point(MultiIndexPoint(2, (1,) * 60, 0.99))
 
 
 @pytest.mark.parametrize("digit", [0.5, 1.9, 1.0, "1", True])
@@ -159,6 +165,8 @@ def test_flat_digit_duality():
     assert LeafIndex.from_digits((2, 1, 0, 2), grid).flat == 2 * 27 + 9 + 2
     with pytest.raises(DomainError):
         LeafIndex(grid, 81)
+    with pytest.raises(DomainError, match="expected 4 digits, got 3"):
+        digits_to_flat((2, 1, 0), grid)
 
 
 def test_leaf_restriction_examples():
@@ -282,6 +290,23 @@ def test_scalar_and_array_digit_rules_agree_bitwise(b, d):
         got = encode_point(p, grid)
         assert got.digits == tuple(digits[k].tolist())
         assert got.remainder.hex() == float(y[k]).hex()
+
+
+def test_the_digit_rule_needs_no_clamp_at_any_base():
+    # x < 1 is at most 1 - 2^-53, so x b rounds below b: no digit reaches b
+    # and no remainder reaches 1, also above 2^53 where b itself rounds
+    xs = (float(np.nextafter(1.0, 0.0)), 0.0, -0.0)
+    # 2..2^16 holds every base within 4 of 2^k for k < 16
+    near_powers = {2**k + e for k in range(16, 62) for e in range(-4, 5)}
+    for b in sorted(set(range(2, 2**16 + 1)) | near_powers):
+        deepest = max(d for d in (1, 2, 3) if b**d < _MAX_LEAVES)
+        for grid in {Grid(b, 1), Grid(b, deepest)}:
+            rem = np.array(xs)
+            digits = np.array(list(_digit_steps(rem, grid))).T.tolist()
+            for x, want, y in zip(xs, digits, rem):
+                got, t = _point_digits(x, grid)
+                assert got == want and max(got) <= b - 1, (b, grid.depth, x)
+                assert 0.0 <= t < 1.0 and t.hex() == float(y).hex(), (b, grid.depth, x)
 
 
 def test_check_int_returns_the_value_or_raises_in_three_shapes():

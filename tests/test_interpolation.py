@@ -228,6 +228,19 @@ def test_chebyshev_truncate_nonfinite():
         chebyshev_truncate(lambda x: np.asarray(x) * np.nan, 3)
 
 
+def test_chebyshev_truncate_reports_an_overflowing_series():
+    # finite samples whose unnormalised DCT overflows: the series used to
+    # come back as inf and be reported later as a polynomial coefficient
+    with pytest.raises(DomainError, match="the Chebyshev series of f has a non-finite entry"):
+        chebyshev_truncate(lambda x: 1e307 * np.asarray(x) ** 2, 5)
+    from scipy.fft import dct
+
+    xs = 0.5 * (1.0 + np.cos(np.pi * (np.arange(24) + 0.5) / 24))
+    want = dct(np.exp(xs), type=2, norm=None)[:6] / 24
+    want[0] *= 0.5
+    assert chebyshev_truncate(np.exp, 5).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("degree", [2.5, 3.0, "3", True, -1])
 def test_chebyshev_truncate_rejects_a_degree_that_is_not_a_count(degree):
     # a float used to end in a TypeError from the DCT slice

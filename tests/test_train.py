@@ -66,6 +66,10 @@ def test_structure_validation():
         TensorTrain(grid, [np.ones((2, 1, 2))], np.ones((2, 2)), basis)
     with pytest.raises(MismatchError):
         TensorTrain(grid, [np.ones((2, 1, 2)), np.ones((2, 3, 1))], np.ones((1, 2)), basis)
+    with pytest.raises(MismatchError, match=r"core 2 has shape \(3, 2, 1\)"):
+        TensorTrain(grid, [np.ones((2, 1, 2)), np.ones((3, 2, 1))], np.ones((1, 2)), basis)
+    with pytest.raises(MismatchError, match=r"leaf shape \(2, 2\), want \(1, 2\)"):
+        TensorTrain(grid, [np.ones((2, 1, 2)), np.ones((2, 2, 1))], np.ones((2, 2)), basis)
 
 
 def test_evaluate_identity_polynomial():
@@ -261,7 +265,8 @@ def test_ranks_dimension_bound():
 
 
 def test_ranks_zero_train():
-    assert ranks(zero_train(Grid(2, 3), PolyBasis(2))).ranks == (0, 0, 0)
+    profile = ranks(zero_train(Grid(2, 3), PolyBasis(2)))
+    assert profile.ranks == (0, 0, 0) and len(profile) == 3 and profile[-1] == 0
 
 
 def test_norm_against_quadrature():
@@ -283,6 +288,7 @@ def test_dot_l2():
     b = encode_polynomial([1.0, 0.0], Grid(2, 4))  # 1
     assert dot_l2(a, b) == pytest.approx(0.5, abs=1e-14)
     assert dot_l2(a, a) == pytest.approx(1.0 / 3.0, abs=1e-14)
+    assert dot_l2(zero_train(a.grid, a.basis), a) == 0.0  # every product is zero
 
 
 def test_singular_values_match_dense_unfolding():
@@ -349,6 +355,46 @@ def test_json_round_trip():
     back = from_json_dict(doc)
     assert back.grid == tt.grid and back.basis == tt.basis
     assert np.abs(evaluate(back, QUASI) - evaluate(tt, QUASI)).max() == 0.0
+
+
+@pytest.mark.parametrize(
+    "spoil, error, message",
+    [
+        (lambda doc: [doc], DomainError, "not a ttfun train document"),
+        (lambda doc: {**doc, "base": [2]}, DomainError, "bad train document: int"),
+        (lambda doc: {**doc, "cores": [["a"] * 2, doc["cores"][1]]}, DomainError,
+         "core 1 is not a numeric array"),
+        (lambda doc: {**doc, "cores": doc["cores"][:1]}, MismatchError, "1 cores but 2 core shapes"),
+    ],
+)
+def test_from_json_dict_rejects_a_malformed_document(spoil, error, message):
+    doc = to_json_dict(encode_polynomial([0.0, 1.0], Grid(2, 2)))
+    with pytest.raises(error, match=message):
+        from_json_dict(spoil(doc))
+
+
+def test_train_operations_reject_out_of_range_arguments():
+    tt = encode_polynomial([0.0, 1.0], Grid(2, 2))
+    with pytest.raises(DomainError, match="4 leaves exceed the dense cap 3"):
+        tt.leaf_coefficients(max_cells=3)
+    with pytest.raises(MismatchError, match="empty train list"):
+        block_sum([])
+    with pytest.raises(DomainError, match="direction must be 'left' or 'right', got 'up'"):
+        orthogonalize(tt, "up")
+    with pytest.raises(DomainError, match=r"coefficient matrix shape \(3, 2\) does not match"):
+        train_from_leaf_coefficients(np.ones((3, 2)), tt.grid, tt.basis)
+
+
+@pytest.mark.parametrize("bad", [math.nan, 1.5, -0.25, 1.0])
+def test_leaf_values_rejects_a_y_outside_the_unit_interval(bad):
+    # NaN used to give a row of NaN, and 1.5 extrapolated leaf j's polynomial
+    # instead of reading leaf j + 1
+    tt = encode_polynomial([0.0, 1.0], Grid(2, 2))
+    with pytest.raises(DomainError, match=f"point {bad} outside"):
+        tt.leaf_values([0.5, bad])
+    ys = np.array([0.0, 0.25, np.nextafter(1.0, 0.0)])
+    want = tt.leaf_coefficients() @ tt.basis.eval(ys).T
+    assert tt.leaf_values(ys).tobytes() == want.tobytes()
 
 
 def test_immutability():
@@ -842,6 +888,17 @@ def test_norm_l2_of_a_depth_zero_train_rejects_an_overflowing_leaf():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="non-finite entry or overflows"):
             norm_l2(tt)
+
+
+def test_ranks_of_a_depth_zero_train_reject_an_overflowing_leaf():
+    # depth 0 has no level for the rank sweep, so an inf leaf gave ranks ()
+    for leaf in ([[math.inf, 0.0]], [[1.5e308, 1.5e308]]):
+        tt = TensorTrain(Grid(2, 0), [], leaf, PolyBasis(1, "monomial"))
+        with pytest.raises(DomainError, match="non-finite entry or overflows"):
+            ranks(tt)
+        with pytest.raises(DomainError, match="non-finite entry or overflows"):
+            singular_values(tt)
+    assert ranks(encode_polynomial([1.0, 2.0], Grid(3, 0))).ranks == ()
 
 
 def _reference_right_orthogonalize(tt, leaf):
