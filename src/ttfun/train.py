@@ -10,13 +10,14 @@ right as each digit becomes known, so no digit matrix is built and the
 working set stays in cache: up to the largest level l with b^l <= n, the n
 points of a chunk share a table of one state per digit prefix; each later
 level advances v <- v C_nu[i_nu] for every point. Chunks never meet, so an
-input of several chunks is swept on a process-wide thread pool, one worker
-per CPU the process may run on, with the bits of the serial sweep; one
-chunk runs on the caller's thread, and so does every chunk of a call made
-on a pool worker (analysis.lp_error maps its cell blocks on the same pool,
-and its sampler may evaluate a train). A single point (an input of size 1,
-whatever its shape) skips the sweep: its digits come from the same rule in
-Python floats, and it reads the state of its first l digits from a
+input of several chunks whose per-point levels carry at least _POOL_MADDS
+multiply-adds per point is swept on a process-wide thread pool, one worker
+per CPU the process may run on, with the bits of the serial sweep; narrower
+chunks, a single chunk and every chunk of a call made on a pool worker run
+on the caller's thread (analysis.lp_error maps its cell blocks on the same
+pool, and its sampler may evaluate a train). A single point (an input of
+size 1, whatever its shape) skips the sweep: its digits come from the same
+rule in Python floats, and it reads the state of its first l digits from a
 prefix-state table that the train builds on its first single-point call and
 keeps (_point_tables: the chunk sweep's table, grown while it holds at most
 8 _CHUNK entries, so at most 512 KiB). A 1-D state then takes one
@@ -75,8 +76,13 @@ from .grids import encode_points
 _FULL_GRID_CAP = 2**20
 # Most points per evaluation chunk, so that the sweep's working set stays in
 # cache. Chunks are of equal size: a one-point tail would take the BLAS
-# vector kernel, which rounds differently from the matrix kernel.
+# vector kernel, which rounds differently from the matrix kernel. On a narrow
+# train a chunk is dozens of numpy calls of a few microseconds each, and pool
+# workers would hand the interpreter lock back and forth at every call, so
+# evaluate maps chunks on the pool only when their per-point levels carry at
+# least _POOL_MADDS multiply-adds per point (README, performance notes).
 _CHUNK = 8192
+_POOL_MADDS = 512
 
 
 class MismatchError(ValueError):
@@ -215,9 +221,16 @@ class TensorTrain:
 def _extend_states(V: np.ndarray, cores) -> np.ndarray:
     """The states of every digit string of cores after each row of V: row
     j*b + i of a level is row j extended by digit i, so the first digit is
-    the most significant."""
+    the most significant. From several rows to widths s > 1, einsum loops
+    in column order (order="F"), several times faster with the same bits:
+    each entry still sums over r in order from zero, and the reshape copies
+    the result back to rows. At s = 1 the bits differ, and from one row the
+    reshape would keep the column layout, in which a later matmul rounds
+    otherwise, so both keep the default order."""
     for c in cores:
-        V = np.einsum("ar,irs->ais", V, c).reshape(-1, c.shape[2])
+        s = c.shape[2]
+        V = np.einsum("ar,irs->ais", V, c, order="F" if len(V) > 1 and s > 1 else "K")
+        V = V.reshape(-1, s)
     return V
 
 
@@ -231,8 +244,10 @@ def evaluate(tt: TensorTrain, x):
     d - l + 2 products with the leaf and basis. More points are split into
     chunks of at most _CHUNK points, and _sweep_chunk writes each chunk's
     slice of the result (a prefix-state table for the leading levels, then
-    a per-point sweep); several chunks run on the shared worker pool, with
-    the bits of a serial sweep.
+    a per-point sweep). Several chunks run on the shared worker pool when
+    their per-point levels carry at least _POOL_MADDS multiply-adds per
+    point, and on the caller's thread otherwise; either way the chunks and
+    their arithmetic are the same, so the bits are those of a serial sweep.
     """
     arr = np.asarray(x, dtype=float)
     if arr.size == 1:
@@ -254,9 +269,21 @@ def evaluate(tt: TensorTrain, x):
     chunks = np.array_split(arr.ravel(), max(1, -(-arr.size // _CHUNK)))
     vals = np.empty(arr.size)
     outs = np.array_split(vals, len(chunks))  # chunk k fills outs[k]
+    pays = len(chunks) > 1 and _per_point_madds(tt, chunks[0].size) >= _POOL_MADDS
+    chunk_map = _chunk_map(len(chunks)) if pays else map
     # reading every result re-raises a chunk's DomainError, first chunk first
-    list(_chunk_map(len(chunks))(_sweep_chunk, repeat(tt), chunks, outs))
+    list(chunk_map(_sweep_chunk, repeat(tt), chunks, outs))
     return vals.reshape(arr.shape)
+
+
+def _per_point_madds(tt: TensorTrain, n: int) -> int:
+    """The multiply-adds per point of the levels that _sweep_chunk runs per
+    point on a chunk of n points, those below its prefix table: the sum of
+    b r r' over cores l+1..d, where l is the largest level with b^l <= n."""
+    ell = 0
+    while ell < tt.depth and tt.base ** (ell + 1) <= n:
+        ell += 1
+    return sum(math.prod(shape) for shape in tt._shapes[ell:])
 
 
 def _point_tables(tt: TensorTrain):
@@ -302,13 +329,17 @@ def _sweep_chunk(tt: TensorTrain, t: np.ndarray, out: np.ndarray):
         i += rows
         v = w.reshape(-1, w.shape[2]).take(i, axis=0)
         del w
-    np.einsum("nr,rq,nq->n", v, tt.leaf, tt.basis.eval(t), out=out)
+    # column order loops over the points innermost, several times faster on
+    # narrow bonds, and sums each point's (r, q) terms as the default order
+    # does, so the bits are the same; at n = 2 the default order sums them
+    # otherwise (r = 2, q >= 3), so two points keep it
+    np.einsum("nr,rq,nq->n", v, tt.leaf, tt.basis.eval(t), out=out, order="F" if n > 2 else "K")
 
 
 # The worker pool that evaluate and analysis.lp_error share across calls and
 # threads: one worker per CPU in the process's affinity mask, created by the
-# first call that spans more than one chunk on a machine with more than one
-# CPU. Its threads' names begin with _POOL_NAME.
+# first call that maps more than one chunk or lane on it on a machine with
+# more than one CPU. Its threads' names begin with _POOL_NAME.
 _pool = None
 _pool_lock = threading.Lock()
 _POOL_NAME = "ttfun-evaluate"

@@ -3,12 +3,17 @@
 Only tests import these; the library ships none of them.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
+from ttfun.basis import PolyBasis
 from ttfun.encoders import (
     PiecewisePolynomial,
     WaveletSpec,
     _affine_recoeff,
+    badic_cover,
     encode_dilated,
     encode_fixed_knot_spline,
     encode_free_knot_spline,
@@ -22,6 +27,7 @@ from ttfun.encoders import (
     sawtooth_function,
 )
 from ttfun.grids import DomainError, Grid
+from ttfun.train import TensorTrain, block_sum
 
 
 def _dilated_closure(mother_fn, base, level, shift, p):
@@ -118,6 +124,30 @@ def encoder_catalog():
              n_term_wavelet(specs, 5))
         )
     return out
+
+
+def _block_sum_free_knot(s, depth=None, basis_kind="legendre", summed=block_sum):
+    """The former encoder, kept as an oracle: one dilated depth-0 monomial
+    train per cover cell (encode_dilated), summed by block_sum (or by
+    summed), with the summed leaf mapped to the leaf basis. The sum keeps
+    the entries that summed wrote, so a block_sum comes out in entry form."""
+    b = s.base
+    d = s.max_level if depth is None else depth
+    mono = PolyBasis(s.degree, "monomial")
+    n = b**d
+    edges = [0] + [i * b ** (d - lv) for i, lv in s.knots] + [n]
+    terms = []
+    for coeffs, lo, hi in zip(s.pieces, edges, edges[1:]):
+        coeffs = np.pad(coeffs, (0, mono.dim - coeffs.size))
+        for j, level in badic_cover(Fraction(lo, n), Fraction(hi, n), b, d):
+            w = b ** (d - level)
+            local = _affine_recoeff(coeffs, (j * w - lo) / (hi - lo), w / (hi - lo))
+            cell = TensorTrain(Grid(b, 0), [], local[None, :], mono)
+            terms.append(encode_dilated(WaveletSpec(cell, level, j, math.inf), d))
+    total = summed(terms)
+    basis = PolyBasis(s.degree, basis_kind)
+    leaf = total.leaf @ basis.from_monomial()
+    return TensorTrain._from_entries(total.grid, total._shapes, total._entries, leaf, basis)
 
 
 def spline_space_basis(base: int, depth: int, degree: int, continuity: int):

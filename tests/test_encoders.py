@@ -51,7 +51,7 @@ from ttfun.train import (
 )
 from ttfun.analysis import greedy_badic_knots, rank_span_oracle
 
-from fixtures import encoder_catalog, spline_space_basis
+from fixtures import _block_sum_free_knot, encoder_catalog, spline_space_basis
 
 QUASI = np.mod(0.5 + np.arange(1, 1001) * 0.6180339887498949, 1.0)
 
@@ -428,28 +428,6 @@ def test_free_knot_matches_cell_by_cell_reference():
         assert np.abs(evaluate(tt, QUASI) - want).max() <= 1e-15 * np.abs(want).max()
 
 
-def _block_sum_free_knot(s, depth=None, basis_kind="legendre", summed=block_sum):
-    """The former encoder, kept as an oracle: one dilated depth-0 monomial
-    train per cover cell (encode_dilated), summed by block_sum (or by
-    summed), with the summed leaf mapped to the leaf basis."""
-    b = s.base
-    d = s.max_level if depth is None else depth
-    mono = PolyBasis(s.degree, "monomial")
-    n = b**d
-    edges = [0] + [i * b ** (d - lv) for i, lv in s.knots] + [n]
-    terms = []
-    for coeffs, lo, hi in zip(s.pieces, edges, edges[1:]):
-        coeffs = np.pad(coeffs, (0, mono.dim - coeffs.size))
-        for j, level in badic_cover(Fraction(lo, n), Fraction(hi, n), b, d):
-            w = b ** (d - level)
-            local = _affine_recoeff(coeffs, (j * w - lo) / (hi - lo), w / (hi - lo))
-            cell = TensorTrain(Grid(b, 0), [], local[None, :], mono)
-            terms.append(encode_dilated(WaveletSpec(cell, level, j, math.inf), d))
-    total = summed(terms)
-    basis = PolyBasis(s.degree, basis_kind)
-    return TensorTrain(total.grid, total.cores, total.leaf @ basis.from_monomial(), basis)
-
-
 def _level_write_cases():
     sqrt = lambda x: np.sqrt(np.asarray(x, dtype=float))
     x695 = lambda x: np.asarray(x, dtype=float) ** 0.695
@@ -530,7 +508,7 @@ def _entry_form_cases():
     splines.update({f"x07-N{n}": greedy_badic_knots(x07, n, 1, 2.0) for n in (64, 128, 256, 512)})
     splines["sqrt-b3"] = greedy_badic_knots(np.sqrt, 81, 2, 2.0, base=3)
     cases = {
-        name: (lambda s=s: encode_free_knot_spline(s),
+        name: (lambda s=s: _block_sum_free_knot(s),
                lambda s=s: _block_sum_free_knot(s, summed=_dense_block_sum))
         for name, s in splines.items()
     }

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import multiprocessing
@@ -54,7 +55,7 @@ from ttfun.train import (
     zero_train,
 )
 
-from fixtures import encoder_catalog
+from fixtures import _block_sum_free_knot, encoder_catalog
 
 QUASI = np.mod(0.5 + np.arange(1, 201) * 0.6180339887498949, 1.0)
 
@@ -436,9 +437,10 @@ def test_norm_l2_agrees_across_orthogonal_leaves():
 
 
 def _block_sum_train(n_pieces):
-    """Free-knot train of x^0.7 as the encoder builds it: a block sum held as
-    its entries."""
-    return encode_free_knot_spline(greedy_badic_knots(lambda x: x**0.7, n_pieces, 1, 2.0))
+    """Free-knot train of x^0.7 as block_sum of its per-cell trains (the
+    tests' oracle, bitwise the encoder's cores): a block sum held as its
+    entries."""
+    return _block_sum_free_knot(greedy_badic_knots(lambda x: x**0.7, n_pieces, 1, 2.0))
 
 
 def test_round_allocates_less_than_its_input():
@@ -845,6 +847,177 @@ def test_forked_child_evaluates_after_the_parent_made_its_pool():
             child.kill()
             child.join(timeout=10)
     assert child.exitcode == 0
+
+
+def _pooled_train(seed):
+    """A random b=2, d=30 train of bond 6: its chunks of 4097..8192 points
+    carry 1224 or more multiply-adds per point below the prefix table, so
+    evaluate maps them on the pool."""
+    rng = np.random.default_rng(seed)
+    cores = [rng.standard_normal((2, 1 if nu == 0 else 6, 6)) / 2 for nu in range(30)]
+    tt = TensorTrain(Grid(2, 30), cores, rng.standard_normal((6, 3)), PolyBasis(2))
+    assert train_module._per_point_madds(tt, _CHUNK) >= train_module._POOL_MADDS
+    return tt
+
+
+def _serial_sweep(tt, x):
+    """evaluate's chunks of x swept one after another on this thread."""
+    chunks = _chunks(x)
+    vals = np.empty(x.size)
+    for t, out in zip(chunks, np.array_split(vals, len(chunks))):
+        _sweep_chunk(tt, t, out)
+    return vals
+
+
+def _record_sweep_threads(monkeypatch):
+    """The list that the name of the thread running each chunk sweep is
+    appended to, from now on."""
+    names, real = [], train_module._sweep_chunk
+
+    def recording(tt, t, out):
+        names.append(threading.current_thread().name)
+        real(tt, t, out)
+
+    monkeypatch.setattr(train_module, "_sweep_chunk", recording)
+    return names
+
+
+def _on_the_pool(names):
+    return train_module._cpu_count() == 1 or all(
+        n.startswith(train_module._POOL_NAME) for n in names
+    )
+
+
+@pytest.mark.parametrize("n", [_CHUNK + 1, 3 * _CHUNK + 1, 100_000])
+def test_evaluate_maps_chunks_that_pay_on_the_pool(n, monkeypatch):
+    tt = _pooled_train(73)
+    x = np.random.default_rng(n).random(n)
+    x.setflags(write=False)
+    before = x.copy()
+    serial = _serial_sweep(tt, x)
+    names = _record_sweep_threads(monkeypatch)
+    assert np.array_equal(evaluate(tt, x), serial)
+    assert len(names) == -(-n // _CHUNK) and _on_the_pool(names), names
+    assert np.array_equal(x, before)
+
+
+def test_evaluate_on_the_pool_names_the_first_bad_point_of_a_later_chunk(monkeypatch):
+    tt = _pooled_train(78)
+    x = np.random.default_rng(78).random(3 * _CHUNK)
+    x[_CHUNK + 5], x[_CHUNK + 9], x[2 * _CHUNK + 1] = np.nan, 1.5, -0.25
+    names = _record_sweep_threads(monkeypatch)
+    with pytest.raises(DomainError) as got:
+        evaluate(tt, x)
+    assert str(got.value) == "point nan outside [0, 1)"
+    # the pool may cancel the third chunk once the second has raised
+    assert len(names) >= 2 and _on_the_pool(names), names
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: encode_sawtooth(Grid(2, 10), 1), lambda: _random_train(3, 74)],
+    ids=["sawtooth-0", "random-b3-192"],
+)
+def test_evaluate_keeps_narrow_chunks_on_the_callers_thread(make, monkeypatch):
+    tt = make()
+    x = np.random.default_rng(74).random(5 * _CHUNK + 3)
+    assert train_module._per_point_madds(tt, _CHUNK) < train_module._POOL_MADDS
+    serial = _serial_sweep(tt, x)
+    names = _record_sweep_threads(monkeypatch)
+    assert np.array_equal(evaluate(tt, x), serial)
+    assert names == [threading.current_thread().name] * 6
+
+
+def test_evaluate_on_the_pool_from_four_threads_at_once(monkeypatch):
+    tt = _pooled_train(75)
+    x = np.random.default_rng(75).random(5 * _CHUNK)
+    want = _serial_sweep(tt, x)
+    names = _record_sweep_threads(monkeypatch)
+    results = [None] * 4
+    start = threading.Barrier(4, timeout=30)
+
+    def run(k):
+        start.wait()
+        results[k] = evaluate(tt, x)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for got in results:
+        assert np.array_equal(got, want)
+    assert len(names) == 4 * 5 and _on_the_pool(names), names
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform"
+)
+def test_forked_child_evaluates_a_pooled_train_after_the_parent_used_the_pool(monkeypatch):
+    tt = _pooled_train(76)
+    x = np.random.default_rng(76).random(3 * _CHUNK + 1)
+    names = _record_sweep_threads(monkeypatch)
+    want = evaluate(tt, x)
+    assert len(names) == 4 and _on_the_pool(names), names
+    monkeypatch.undo()  # the child runs the real sweep, and its own pool
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_evaluate_in_child, args=(send, tt, x, want))
+    with warnings.catch_warnings():
+        # forking a process that runs threads is the case under test
+        warnings.simplefilter("ignore", DeprecationWarning)
+        child.start()
+    send.close()
+    try:
+        assert recv.poll(timeout=60), "the forked child hung in evaluate"
+        assert recv.recv() is True
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+            child.join(timeout=10)
+    assert child.exitcode == 0
+
+
+def test_column_order_einsums_keep_the_bits_of_the_default_order():
+    """The premise of the column-order einsums (order="F"), which numpy
+    does not promise: the leaf contraction of _sweep_chunk at n > 2 points,
+    and each level of _extend_states, give the bits of einsum's default
+    order; _extend_states also hands rows (C order) to the next product."""
+    rng = np.random.default_rng(77)
+    pool = rng.standard_normal(8192 * 70)  # operands are views of one draw
+
+    def draw(*shape):
+        size = math.prod(shape)
+        start = rng.integers(0, pool.size - size + 1)
+        return pool[start : start + size].reshape(shape)
+
+    def same(got, want):
+        return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+    # every width up to 70 on few rows, a spread of widths on many rows
+    # (the whole grid at 4096 rows would take a minute)
+    every, some = range(1, 71), (1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33, 64, 70)
+    for n in [*range(3, 65), 4097, 8192]:  # two points keep the default order
+        for r in every if n <= 64 else some:
+            for q in range(1, 9):
+                v, leaf, phi = draw(n, r), draw(r, q), draw(n, q)
+                got = np.einsum("nr,rq,nq->n", v, leaf, phi, order="F")
+                assert same(got, np.einsum("nr,rq,nq->n", v, leaf, phi)), (n, r, q)
+    for a, b in itertools.product((1, 2, 3, 7, 64, 4096), (2, 3, 5, 7)):
+        widths = every if a <= 7 and b == 2 else some if a <= 64 else some[:9]
+        for r in widths:
+            for s in widths:
+                V, c = draw(a, r), draw(b, r, s)
+                got = train_module._extend_states(V, [c])
+                want = np.einsum("ar,irs->ais", V, c).reshape(-1, s)
+                assert got.flags.c_contiguous and same(got, want), (a, b, r, s)
 
 
 def _unscaled_dot_l2(a, b):
@@ -1293,15 +1466,15 @@ _FREE_KNOT_SUMS = ["8", "64", "512", "sqrt-b3"]
 
 @pytest.fixture(scope="module")
 def free_knot_sum():
-    """free_knot_sum(name): the encoder's block sums, built once per module:
-    greedy x^0.7 (b=2, m=1) at N = name pieces, and "sqrt-b3", the base-3
-    sqrt train of the benchmark (m=2, N=81)."""
+    """free_knot_sum(name): free-knot block sums from the tests' oracle,
+    built once per module: greedy x^0.7 (b=2, m=1) at N = name pieces, and
+    "sqrt-b3", the base-3 sqrt train of the benchmark (m=2, N=81)."""
     cache = {}
 
     def get(name):
         if name not in cache:
             cache[name] = (
-                encode_free_knot_spline(greedy_badic_knots(np.sqrt, 81, 2, 2.0, base=3))
+                _block_sum_free_knot(greedy_badic_knots(np.sqrt, 81, 2, 2.0, base=3))
                 if name == "sqrt-b3"
                 else _block_sum_train(int(name))
             )
