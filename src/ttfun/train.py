@@ -13,16 +13,14 @@ level advances v <- v C_nu[i_nu] for every point. Chunks never meet, so an
 input of several chunks whose per-point levels carry at least _POOL_MADDS
 multiply-adds per point is swept on a process-wide thread pool, one worker
 per CPU the process may run on, with the bits of the serial sweep; narrower
-chunks, a single chunk and every chunk of a call made on a pool worker run
-on the caller's thread (analysis.lp_error maps its cell blocks on the same
-pool, and its sampler may evaluate a train). A single point (an input of
-size 1, whatever its shape) skips the sweep: its digits come from the same
-rule in Python floats, and it reads the state of its first l digits from a
-prefix-state table that the train builds on its first single-point call and
-keeps (_point_tables: the chunk sweep's table, grown while it holds at most
-8 _CHUNK entries, so at most 512 KiB). A 1-D state then takes one
-vector-matrix product per later level, on each core's slices listed once,
-with no per-level array dispatch.
+chunks and a single chunk run on the caller's thread. A single point (an
+input of size 1, whatever its shape) skips the sweep: its digits come from
+the same rule in Python floats, and it reads the state of its first l
+digits from a prefix-state table that the train builds on its first
+single-point call and keeps (_point_tables: the chunk sweep's table, grown
+while it holds at most 8 _CHUNK entries, so at most 512 KiB). A 1-D state
+then takes one vector-matrix product per later level, on each core's slices
+listed once, with no per-level array dispatch.
 
 L2 quantities use the exact Gram matrix of the leaf basis together with the
 tensorization isometry: the function norm equals b^(-d/2) times the
@@ -270,7 +268,7 @@ def evaluate(tt: TensorTrain, x):
     vals = np.empty(arr.size)
     outs = np.array_split(vals, len(chunks))  # chunk k fills outs[k]
     pays = len(chunks) > 1 and _per_point_madds(tt, chunks[0].size) >= _POOL_MADDS
-    chunk_map = _chunk_map(len(chunks)) if pays else map
+    chunk_map = _chunk_map() if pays else map
     # reading every result re-raises a chunk's DomainError, first chunk first
     list(chunk_map(_sweep_chunk, repeat(tt), chunks, outs))
     return vals.reshape(arr.shape)
@@ -336,10 +334,10 @@ def _sweep_chunk(tt: TensorTrain, t: np.ndarray, out: np.ndarray):
     np.einsum("nr,rq,nq->n", v, tt.leaf, tt.basis.eval(t), out=out, order="F" if n > 2 else "K")
 
 
-# The worker pool that evaluate and analysis.lp_error share across calls and
-# threads: one worker per CPU in the process's affinity mask, created by the
-# first call that maps more than one chunk or lane on it on a machine with
-# more than one CPU. Its threads' names begin with _POOL_NAME.
+# The worker pool that evaluate shares across calls and threads: one worker
+# per CPU in the process's affinity mask, created by the first call that maps
+# more than one chunk on it on a machine with more than one CPU. Its threads'
+# names begin with _POOL_NAME.
 _pool = None
 _pool_lock = threading.Lock()
 _POOL_NAME = "ttfun-evaluate"
@@ -352,16 +350,12 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _chunk_map(n_chunks: int):
-    """The map to run n_chunks independent chunks with: the built-in map, on
-    the caller's thread, for one chunk, one CPU or a caller that is itself a
-    pool worker (a sampler of lp_error that evaluates a train, say, which
-    would otherwise wait on the pool it occupies); else the shared pool's
-    map, which also yields in input order."""
+def _chunk_map():
+    """The map to run independent chunks with: the built-in map, on the
+    caller's thread, on one CPU; else the shared pool's map, which also
+    yields in input order."""
     global _pool
-    if n_chunks == 1 or _cpu_count() == 1:
-        return map
-    if threading.current_thread().name.startswith(_POOL_NAME):
+    if _cpu_count() == 1:
         return map
     with _pool_lock:
         if _pool is None:

@@ -511,8 +511,42 @@ def test_lp_error_non_finite_sample_in_a_later_block_raises(p):
 
 
 # ---------------------------------------------------------------------------
-# lp_error's cell blocks on the shared worker pool
+# lp_error's cell blocks on the caller's thread
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [2.0, math.inf])
+def test_lp_error_samples_each_block_once_on_the_callers_thread_in_increasing_x(p):
+    tt = encode_polynomial([0.0, 1.0], Grid(2, 15))  # 4 blocks of 2^13 cells
+    calls = []
+
+    def f(x):
+        calls.append((threading.get_ident(), float(x.min()), float(x.max())))
+        return np.asarray(x)
+
+    lp_error(f, tt, p)
+    assert [ident for ident, _, _ in calls] == [threading.get_ident()] * 4
+    assert all(k / 4 <= lo and hi < (k + 1) / 4 for k, (_, lo, hi) in enumerate(calls)), calls
+
+
+def _in_thread(call, timeout=60):
+    """call() on a daemon thread: its result, or None if it did not finish."""
+    out = []
+    th = threading.Thread(target=lambda: out.append(call()), daemon=True)
+    th.start()
+    th.join(timeout)
+    return out[0] if out else None
+
+
+def test_lp_error_with_a_train_as_the_sampler_finishes_and_keeps_the_serial_value():
+    # 4 blocks of 2^13 cells; each samples the other train at 6 * 2^13 points,
+    # a multi-chunk evaluate inside the block
+    a = encode_polynomial([0.0, 1.0, 0.5], Grid(2, 15))
+    b = encode_polynomial([0.1, 1.0], Grid(2, 15))
+    # a - b = 0.5 x^2 - 0.1, whose squared integral over [0, 1] is 1/20 - 1/30 + 1/100
+    want = math.sqrt(1 / 20 - 1 / 30 + 1 / 100)
+    got = _in_thread(lambda: lp_error(a, b, 2.0))
+    assert got is not None and got == pytest.approx(want, rel=1e-12)
 
 
 @pytest.fixture
@@ -536,41 +570,9 @@ def pool_size(monkeypatch):
             pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _in_thread(call, timeout=60):
-    """call() on a daemon thread: its result, or None if it did not finish."""
-    out = []
-    th = threading.Thread(target=lambda: out.append(call()), daemon=True)
-    th.start()
-    th.join(timeout)
-    return out[0] if out else None
-
-
-def test_lp_error_with_a_train_as_the_sampler_finishes_and_keeps_the_serial_value(pool_size):
-    # 4 blocks of 2^13 cells; each samples the other train at 6 * 2^13 points,
-    # a multi-chunk evaluate on the worker that runs the block
-    a = encode_polynomial([0.0, 1.0, 0.5], Grid(2, 15))
-    b = encode_polynomial([0.1, 1.0], Grid(2, 15))
-    pool_size(1)
-    want = lp_error(a, b, 2.0)
-    pool_size(2)
-    assert _in_thread(lambda: lp_error(a, b, 2.0)) == want
-    assert train_module._pool is not None  # the blocks ran on the pool
-
-
-# 2 and 128 blocks of cells; p = inf samples 64 points a cell
-@pytest.mark.parametrize("d, p", [(7, 2.0), (7, math.inf), (10, 2.0)])
-def test_pooled_lp_error_keeps_the_serial_bits_on_the_sobolev_trains(pool_size, d, p):
-    f, tt = _sobolev_train(d)
-    got = []
-    for n in (1, 2, 4):
-        pool_size(n)
-        got.append(lp_error(f, tt, p))
-    assert got[1] == got[0] and got[2] == got[0]
-
-
 def _lp_error_peak(f, tt, p):
     """tracemalloc's peak over one lp_error call, made after a first call
-    has set up the pool and the lazy tables outside the trace."""
+    has set up the lazy tables outside the trace."""
     lp_error(f, tt, p)
     tracemalloc.start()
     try:
@@ -580,7 +582,7 @@ def _lp_error_peak(f, tt, p):
         tracemalloc.stop()
 
 
-# the blocks in flight are at most analysis._LANES, however wide the pool
+# the blocks run one at a time on the caller's thread, however wide evaluate's pool
 @pytest.mark.parametrize("workers", [4, 16])
 def test_lp_error_holds_one_cell_sized_temporary_beside_the_norms_at_any_pool_size(
     pool_size, workers

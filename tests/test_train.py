@@ -780,16 +780,18 @@ def _random_train(b, seed):
 
 @pytest.mark.parametrize("n", [_CHUNK + 1, 3 * _CHUNK + 1, 100_000])
 @pytest.mark.parametrize("b", [2, 3, 5, 7])
-def test_pooled_evaluate_equals_the_serial_chunk_sweep(b, n):
+def test_pooled_evaluate_equals_the_serial_chunk_sweep(b, n, monkeypatch):
     tt = _random_train(b, 60 + b)
     x = np.random.default_rng(n).random(n)
-    chunks = np.array_split(x, -(-n // _CHUNK))
-    serial = np.empty(n)
-    for t, out in zip(chunks, np.array_split(serial, len(chunks))):
-        _sweep_chunk(tt, t, out)
+    chunks = _chunks(x)
+    serial = _serial_sweep(tt, x)
+    names = _record_sweep_threads(monkeypatch)
     assert np.array_equal(evaluate(tt, x), serial)
-    if train_module._cpu_count() > 1:
-        assert train_module._pool is not None  # the chunks ran on the pool
+    assert len(names) == len(chunks)
+    if train_module._per_point_madds(tt, chunks[0].size) >= train_module._POOL_MADDS:
+        assert _on_the_pool(names), names
+    else:
+        assert names == [threading.current_thread().name] * len(chunks)
 
 
 def test_evaluate_from_four_threads_at_once():
