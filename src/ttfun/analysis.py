@@ -38,7 +38,7 @@ from .grids import (
     _check_int,
     _check_p,
     _check_tol,
-    _digit_steps,
+    encode_points,
     lp_norm_from_leaves,
 )
 from .interpolation import (
@@ -108,10 +108,9 @@ def lp_error(
         q = quad_order if quad_order > 0 else max(tt.basis.degree + 2, 6)
         ys, ws = _gauss01(q)
     if level < d:
-        rem = np.array(ys)  # becomes the remainders below the cell level
-        digits = list(_digit_steps(rem, Grid(b, d - level)))
+        digits, rem = encode_points(ys, Grid(b, d - level))  # rem: below the cell level
         W = tt.basis.eval(rem) @ tt.leaf.T  # row k: the leaf at node k
-        for core, i in zip(reversed(tt.cores[level:]), reversed(digits)):
+        for core, i in zip(reversed(tt.cores[level:]), reversed(digits.T)):
             W = np.einsum("krs,ks->kr", core[i], W)
     else:
         phi = tt.basis.eval(ys)

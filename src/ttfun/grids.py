@@ -160,32 +160,26 @@ def encode_points(x: np.ndarray, grid: Grid) -> tuple:
 
     Digits come from repeated multiply-by-b and floor on the running
     fractional part; boundary ties resolve downward, so a grid point gets
-    remainder 0 and belongs to the interval on its right, with no clamp (see
-    _digit_steps). NaN and infinite points are outside [0, 1).
+    remainder 0 and belongs to the interval on its right. No clamp: as
+    x <= 1 - 2^-53, x b rounds below b for b <= 2^53, so every digit is < b.
+    The digits of level k are written as row k of a (d, n) matrix, and the
+    digits returned are its transpose, a view: digits.T holds one row per
+    level. NaN and infinite points are outside [0, 1).
     """
     t = np.array(x, dtype=float)
-    digits = np.empty((t.size, grid.depth), dtype=np.int64)
-    for k, i in enumerate(_digit_steps(t, grid)):
-        digits[:, k] = i
-    return digits, t
-
-
-def _digit_steps(x: np.ndarray, grid: Grid):
-    """The digit rule of encode_points, one level at a time: yields the int64
-    digits of the points x at levels 1..d. x holds the running fraction, so it
-    must be writable; once exhausted, it holds the remainders. No clamp: as
-    x <= 1 - 2^-53, x b rounds below b for b <= 2^53, so every digit is < b."""
-    inside = (x >= 0.0) & (x < 1.0)
-    if not np.all(inside):
-        raise DomainError(f"point {float(x[~inside].flat[0])} outside [0, 1)")
+    frac = t.reshape(-1)  # a view of the copy: the running fractions
+    inside = (frac >= 0.0) & (frac < 1.0)
+    if not inside.all():
+        raise DomainError(f"point {float(frac[~inside][0])} outside [0, 1)")
     b = grid.base
-    # x is updated in place: the same IEEE operations as x * b and x - i,
+    rows = np.empty((grid.depth, frac.size), dtype=np.int64)
+    # frac is updated in place: the same IEEE operations as x * b and x - i,
     # without a temporary per level
-    for _ in range(grid.depth):
-        np.multiply(x, b, out=x)
-        i = x.astype(np.int64)  # x >= 0: the cast is the floor
-        np.subtract(x, i, out=x)
-        yield i
+    for i in rows:
+        np.multiply(frac, b, out=frac)
+        i[...] = frac  # frac >= 0: the cast is the floor
+        np.subtract(frac, i, out=frac)
+    return rows.T, t
 
 
 def _point_digits(x: float, grid: Grid) -> tuple:

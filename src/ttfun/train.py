@@ -5,22 +5,25 @@ A train over Grid(b, d) stores d discrete cores, core nu having shape
 coefficients over a PolyBasis. The represented function is the contraction
 of the core chain at the digits of x with the leaf basis at the remainder.
 
-evaluate sweeps chunks of at most _CHUNK points (_sweep_chunk) left to
-right as each digit becomes known, so no digit matrix is built and the
-working set stays in cache: up to the largest level l with b^l <= n, the n
-points of a chunk share a table of one state per digit prefix; each later
-level advances v <- v C_nu[i_nu] for every point. Chunks never meet, so an
-input of several chunks whose per-point levels carry at least _POOL_MADDS
-multiply-adds per point is swept on a process-wide thread pool, one worker
-per CPU the process may run on, with the bits of the serial sweep; narrower
-chunks and a single chunk run on the caller's thread. A single point (an
-input of size 1, whatever its shape) skips the sweep: its digits come from
-the same rule in Python floats, and it reads the state of its first l
-digits from a prefix-state table that the train builds on its first
-single-point call and keeps (_point_tables: the chunk sweep's table, grown
-while it holds at most 8 _CHUNK entries, so at most 512 KiB). A 1-D state
-then takes one vector-matrix product per later level, on each core's slices
-listed once, with no per-level array dispatch.
+evaluate sweeps chunks of at most _CHUNK points (_sweep_chunk). A chunk of
+n points takes its digits from encode_points as one (d, n) matrix and
+derives every table row and gather index from it in bulk: up to the largest
+level l with b^l <= n, its points share a table of one state per digit
+prefix; each later level advances v <- v C_nu[i_nu] for every point. A
+train builds its prefix tables once, on its first evaluate call by either
+route, up to the level l_c at which a table would exceed 8 _CHUNK entries
+(_point_tables: about 2 * 8 _CHUNK entries in all). A chunk starts from the
+stored level min(l_c, l) and never reads a deeper one, whose rows come from
+products of another row count than the chunk's own and so may round
+otherwise. Chunks never meet, so an input of several chunks whose per-point
+levels carry at least _POOL_MADDS multiply-adds per point is swept on a
+process-wide thread pool, one worker per CPU the process may run on, with
+the bits of the serial sweep; narrower chunks and a single chunk run on the
+caller's thread. A single point (an input of size 1, whatever its shape)
+skips the sweep: its digits come from the same rule in Python floats, it
+reads the state of its first l_c digits from the deepest stored table, and
+a 1-D state then takes one vector-matrix product per later level, on each
+core's slices listed once, with no per-level array dispatch.
 
 L2 quantities use the exact Gram matrix of the leaf basis together with the
 tensorization isometry: the function norm equals b^(-d/2) times the
@@ -68,8 +71,7 @@ from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import legendre as _leg
 
 from .basis import PolyBasis
-from .grids import DomainError, Grid, _check_int, _check_tol, _digit_steps, _point_digits
-from .grids import encode_points
+from .grids import DomainError, Grid, _check_int, _check_tol, _point_digits, encode_points
 
 _FULL_GRID_CAP = 2**20
 # Most points per evaluation chunk, so that the sweep's working set stays in
@@ -120,8 +122,8 @@ class TensorTrain:
     in index order, indices None for every entry in order. Dense cores are
     stored as (None, their values); the free-knot encoder and block_sum
     write only their entries (_from_entries), whose dense arrays cores
-    writes on first read. The first single-point evaluate stores the
-    train's _point_tables beside its cores."""
+    writes on first read. The first evaluate call stores the train's
+    prefix-state tables, _point_tables, beside its cores."""
 
     def __init__(self, grid: Grid, cores, leaf, basis: PolyBasis):
         cores = tuple(_frozen(c) for c in cores)
@@ -236,26 +238,21 @@ def evaluate(tt: TensorTrain, x):
     """Evaluate the represented function at x (scalar or array) in [0, 1).
 
     A single point (x.size == 1, whatever its shape) takes its digits in
-    Python floats, reads the state of its first l digits from the train's
-    prefix-state table (row sum_nu i_nu b^(nu-1), see _point_tables) and
-    advances that 1-D state by one vector-matrix product per later level:
-    d - l + 2 products with the leaf and basis. More points are split into
-    chunks of at most _CHUNK points, and _sweep_chunk writes each chunk's
-    slice of the result (a prefix-state table for the leading levels, then
-    a per-point sweep). Several chunks run on the shared worker pool when
-    their per-point levels carry at least _POOL_MADDS multiply-adds per
-    point, and on the caller's thread otherwise; either way the chunks and
-    their arithmetic are the same, so the bits are those of a serial sweep.
+    Python floats, reads the state of its first l_c digits from the train's
+    deepest prefix-state table (row sum_nu i_nu b^(nu-1), see _point_tables)
+    and advances that 1-D state by one vector-matrix product per later
+    level: d - l_c + 2 products with the leaf and basis. At most _CHUNK
+    points are one chunk, which _sweep_chunk writes on the caller's thread;
+    more are split into chunks of equal size. Several chunks run on the
+    shared worker pool when their per-point levels carry at least
+    _POOL_MADDS multiply-adds per point, and on the caller's thread
+    otherwise; either way the chunks and their arithmetic are the same, so
+    the bits are those of a serial sweep.
     """
     arr = np.asarray(x, dtype=float)
     if arr.size == 1:
         digits, y = _point_digits(arr.item(), tt.grid)
-        try:
-            ell, table, slices = tt._point_tables
-        except AttributeError:  # the train's first single-point call
-            # concurrent first calls may each build equal tables; setdefault
-            # keeps the first one stored, so every call reads that one
-            ell, table, slices = vars(tt).setdefault("_point_tables", _point_tables(tt))
+        ell, table, slices = _tables(tt)
         row, b = 0, tt.base
         for i in reversed(digits[:ell]):
             row = row * b + i
@@ -264,68 +261,112 @@ def evaluate(tt: TensorTrain, x):
             v = v.dot(s[i])
         val = float(v.dot(tt.leaf).dot(tt.basis.eval(y)))
         return val if arr.ndim == 0 else np.full(arr.shape, val)
-    chunks = np.array_split(arr.ravel(), max(1, -(-arr.size // _CHUNK)))
     vals = np.empty(arr.size)
+    if arr.size <= _CHUNK:
+        _sweep_chunk(tt, arr.ravel(), vals)
+        return vals.reshape(arr.shape)
+    chunks = np.array_split(arr.ravel(), -(-arr.size // _CHUNK))
     outs = np.array_split(vals, len(chunks))  # chunk k fills outs[k]
-    pays = len(chunks) > 1 and _per_point_madds(tt, chunks[0].size) >= _POOL_MADDS
+    pays = _per_point_madds(tt, chunks[0].size) >= _POOL_MADDS
     chunk_map = _chunk_map() if pays else map
     # reading every result re-raises a chunk's DomainError, first chunk first
     list(chunk_map(_sweep_chunk, repeat(tt), chunks, outs))
     return vals.reshape(arr.shape)
 
 
+def _table_level(tt: TensorTrain, n: int) -> int:
+    """l, the levels that a chunk of n points runs over digit prefixes: the
+    largest level with b^l <= n, at most d."""
+    b, d, ell = tt.base, tt.depth, 0
+    while ell < d and b ** (ell + 1) <= n:
+        ell += 1
+    return ell
+
+
 def _per_point_madds(tt: TensorTrain, n: int) -> int:
     """The multiply-adds per point of the levels that _sweep_chunk runs per
     point on a chunk of n points, those below its prefix table: the sum of
-    b r r' over cores l+1..d, where l is the largest level with b^l <= n."""
-    ell = 0
-    while ell < tt.depth and tt.base ** (ell + 1) <= n:
-        ell += 1
-    return sum(math.prod(shape) for shape in tt._shapes[ell:])
+    b r r' over cores l+1..d (l = _table_level(tt, n))."""
+    return sum(math.prod(shape) for shape in tt._shapes[_table_level(tt, n) :])
 
 
-def _point_tables(tt: TensorTrain):
-    """(l, table, slices) of the single-point route of tt: the prefix-state
-    table of _sweep_chunk (row sum_nu i_nu b^(nu-1) holds the state after
-    digits i_1..i_l), extended by a level while the next table holds at
-    most 8 _CHUNK entries (b^l r_l of them at level l), and each later core
-    as the list of its b slices. Reads cores without holding a lock, since
-    cores takes _cores_lock itself."""
-    cores, table, ell = tt.cores, np.ones((1, 1)), 0
-    while ell < tt.depth and tt.base * len(table) * cores[ell].shape[2] <= 8 * _CHUNK:
-        table = np.matmul(table, cores[ell]).reshape(-1, cores[ell].shape[2])
-        ell += 1
-    table.setflags(write=False)
-    return ell, table, [list(c) for c in cores[ell:]]
+class _PrefixTables(tuple):
+    """(l_c, table, slices) of the single-point route (see _point_tables),
+    and levels: the prefix-state tables of levels 0..l_c, levels[l_c] being
+    table, that _sweep_chunk starts from."""
+
+    def __new__(cls, levels, slices):
+        tables = super().__new__(cls, (len(levels) - 1, levels[-1], slices))
+        tables.levels = levels
+        return tables
+
+
+def _point_tables(tt: TensorTrain) -> _PrefixTables:
+    """The prefix-state tables of tt, built once per train for both routes
+    of evaluate. The table of level l has b^l rows, row sum_nu i_nu b^(nu-1)
+    holding the state after digits i_1..i_l; each level is one product
+    np.matmul(table, core), the step of _sweep_chunk, so both routes read
+    the bits that a chunk would compute. Levels are added while the next
+    table holds at most 8 _CHUNK entries (b^l r_l of them at level l), up
+    to l_c, so each level takes at most 512 KiB, and all of them about
+    twice the deepest while the bonds do not shrink; later cores are listed
+    as their b slices for the single-point route. Reads cores without
+    holding a lock, since cores takes _cores_lock itself."""
+    levels = [np.ones((1, 1))]
+    for c in tt.cores:
+        if tt.base * len(levels[-1]) * c.shape[2] > 8 * _CHUNK:
+            break
+        levels.append(np.matmul(levels[-1], c).reshape(-1, c.shape[2]))
+    for table in levels:
+        table.setflags(write=False)
+    return _PrefixTables(tuple(levels), [list(c) for c in tt.cores[len(levels) - 1 :]])
+
+
+def _tables(tt: TensorTrain) -> _PrefixTables:
+    """The train's stored _point_tables, built by its first evaluate call.
+    Concurrent first calls may each build equal tables; setdefault keeps
+    the first one stored, so every call reads that one."""
+    try:
+        return tt._point_tables
+    except AttributeError:
+        return vars(tt).setdefault("_point_tables", _point_tables(tt))
 
 
 def _sweep_chunk(tt: TensorTrain, t: np.ndarray, out: np.ndarray):
     """Write the values of tt at the points t of one chunk into out.
 
-    Levels 1..l (b^l <= n = t.size, l <= d) run over digit prefixes: a
-    table of the b^nu prefix states grows by one product per level, and
-    each point accumulates its row sum_nu i_nu b^(nu-1). Each later level
-    advances every point's state v <- v C_nu[i_nu]. The table keeps the
-    per-point association, so its rows carry the per-point bits wherever
-    BLAS rounds a row alike at any row count and position. t is left
-    untouched; each level's arrays are freed before the next level's are
-    made, so a pool worker's heap holds one level's working set."""
-    t, n = t.copy(), t.size  # t becomes the remainders
-    steps = _digit_steps(t, tt.grid)
+    encode_points writes the chunk's digits as a (d, n) matrix, one row per
+    level. Levels 1..l (l = _table_level(tt, n)) run over digit prefixes:
+    each point takes row sum_nu i_nu b^(nu-1) of the level-l table, one
+    product of the first l rows with the powers of b. The table is the
+    train's stored level min(l_c, l) (_tables), extended by one product per
+    level only when l > l_c, on wide trains. It never reads a stored level
+    deeper than l: the states past level l would then come from products
+    of b^(nu-1) rows instead of n, and BLAS may round a row of a product
+    otherwise at another row count. Each later level advances every
+    point's state v <- v C_nu[i_nu]: one matmul with all b slices, then one
+    take of each point's row. The table keeps the per-point association,
+    so its rows carry the per-point bits wherever BLAS rounds a row alike
+    at any row count and position. t is left untouched; each level's
+    arrays are freed before the next level's are made, so a pool worker's
+    heap holds the digit matrix and one level's working set."""
+    digits, t = encode_points(t, tt.grid)  # t becomes the remainders
+    digits, n = digits.T, t.size  # digits: (d, n)
+    ell = _table_level(tt, n)
+    levels = _tables(tt).levels
+    start = min(ell, len(levels) - 1)
+    table = levels[start]
     # row i * P + p of the next table is prefix p (of P) extended by digit i
-    table, prefix, ell = np.ones((1, 1)), np.zeros(n, dtype=np.int64), 0
-    while ell < tt.depth and tt.base * len(table) <= n:
-        prefix += len(table) * next(steps)
-        table = np.matmul(table, tt.cores[ell]).reshape(-1, tt.cores[ell].shape[2])
-        ell += 1
-    v = table.take(prefix, axis=0)
-    rows = np.arange(n)
-    for nu, i in enumerate(steps, start=ell):
-        w = np.matmul(v, tt.cores[nu])  # v C_nu[s] for every digit s
+    for c in tt.cores[start:ell]:
+        table = np.matmul(table, c).reshape(-1, c.shape[2])
+    v = table.take(np.power(tt.base, np.arange(ell)) @ digits[:ell], axis=0)
+    rows = digits[ell:]  # in place: digit i of point p becomes row i * n + p of w
+    rows *= n
+    rows += np.arange(n)
+    for c, i in zip(tt.cores[ell:], rows):
+        w = np.matmul(v, c)  # v C_nu[s] for every digit s
         del v
-        i *= n  # in place: i becomes the row i * n + p of point p in w
-        i += rows
-        v = w.reshape(-1, w.shape[2]).take(i, axis=0)
+        v = w.reshape(-1, c.shape[2]).take(i, axis=0)
         del w
     # column order loops over the points innermost, several times faster on
     # narrow bonds, and sums each point's (r, q) terms as the default order

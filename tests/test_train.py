@@ -28,7 +28,7 @@ from ttfun.encoders import (
     n_term_wavelet,
     random_fixed_knot_spline,
 )
-from ttfun.grids import DomainError, Grid, _digit_steps, encode_points
+from ttfun.grids import DomainError, Grid, encode_points
 from ttfun.interpolation import Interpolator, tensor_interpolate
 from ttfun.train import (
     _CHUNK,
@@ -1338,10 +1338,10 @@ def test_a_monomial_leaf_past_degree_12_raises_domain_error(call):
 def _reference_sweep_chunk(tt, t, out):
     """The chunk sweep as it ran before the prefix-state table: every level
     advances the state of every point."""
-    t, n = t.copy(), t.size
-    rows = np.arange(n)
+    digits, t = encode_points(t, tt.grid)
+    n, rows = t.size, np.arange(t.size)
     v = np.ones((n, 1))
-    for nu, i in enumerate(_digit_steps(t, tt.grid)):
+    for nu, i in enumerate(digits.T):
         w = np.matmul(v, tt.cores[nu])
         del v
         i *= n
@@ -1403,12 +1403,14 @@ def test_prefix_table_sweep_keeps_the_bits_of_the_per_point_sweep(b):
         "wide-above-l": (1, 2, 3, 16, 17, 33, 64, 40, 9, 1, 64, 7)[:d],
     }
     k = {2: 6, 3: 4, 5: 3, 7: 2}[b]
-    for n in (2, b**k - 1, b**k, b**k + 1, 8192, 8193, 10**5):
+    for n in (2, b**k - 1, b**k, b**k + 1, 1000, 8192, 8193, 10**5):
         x = rng.random(n)
         trains = {**narrow, **wide} if n <= 8193 else narrow
         for name, bonds in trains.items():
             tt = _train_with_bonds(b, bonds, n)
             got, want = evaluate(tt, x), _reference_evaluate(tt, x)
+            # the second call reads the tables that the first one stored
+            assert np.array_equal(evaluate(tt, x), got), (name, n)
             if _dgemm_rows_keep_their_bits(tt, x):
                 assert np.array_equal(got, want), (name, n)
             else:
@@ -1420,27 +1422,100 @@ def test_prefix_table_sweep_keeps_the_bits_of_the_per_point_sweep(b):
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (name, n)
 
 
-@pytest.mark.parametrize("b", [2, 3, 5, 7])
-def test_sweep_multiplies_each_digit_prefix_once(b, monkeypatch):
-    """The rows that reach a core product: b^(nu-1) at table level nu <= l,
-    then every point of the chunk."""
-    rows = []
-    real = np.matmul
+def _record_product_rows(monkeypatch):
+    """The list that the row count of the left operand of each np.matmul
+    in the train module is appended to, from now on."""
+    rows, real = [], np.matmul
 
     def counting(a, c, *args, **kw):
         rows.append(np.shape(a)[0])
         return real(a, c, *args, **kw)
 
+    monkeypatch.setattr(train_module.np, "matmul", counting)
+    return rows
+
+
+@pytest.mark.parametrize("b", [2, 3, 5, 7])
+def test_sweep_multiplies_each_digit_prefix_once(b, monkeypatch):
+    """The rows that reach a core product. A fresh train's first chunk
+    stores its tables: b^(nu-1) rows at each level nu <= l_c. Its levels
+    past l_c (none on this train) multiply b^(nu-1) rows on every call,
+    and then every point of the chunk. A second call multiplies no table
+    row at levels <= min(l_c, l)."""
     tt = _random_train(b, 90 + b)
     x = np.random.default_rng(90).random(_CHUNK)
     want = _reference_evaluate(tt, x)
-    monkeypatch.setattr(train_module.np, "matmul", counting)
+    rows = _record_product_rows(monkeypatch)
     _sweep_chunk(tt, x, got := np.empty(x.size))
+    first, rows[:] = rows[:], []
+    _sweep_chunk(tt, x, again := np.empty(x.size))
     monkeypatch.undo()
-    ell = _table_levels(b, tt.depth, x.size)
-    assert 1 <= ell < tt.depth
-    assert rows == [b**nu for nu in range(ell)] + [x.size] * (tt.depth - ell)
-    assert np.array_equal(got, want)
+    ell, stored = _table_levels(b, tt.depth, x.size), tt._point_tables[0]
+    assert 1 <= ell < tt.depth and stored >= ell
+    per_call = [b**nu for nu in range(stored, ell)] + [x.size] * (tt.depth - ell)
+    assert first == [b**nu for nu in range(stored)] + per_call
+    assert rows == per_call
+    assert np.array_equal(got, want) and np.array_equal(again, want)
+
+
+@pytest.mark.parametrize("first", ["batch", "single"])
+def test_batch_and_single_point_routes_share_one_stored_table(first, monkeypatch):
+    """Whichever route comes first stores the tables; the other route reads
+    them and multiplies no table row."""
+    x = np.random.default_rng(114).random(1000)
+    fresh = _random_train(3, 114)
+    want_batch, want_single = evaluate(fresh, x), evaluate(fresh, x[0])
+    tt = _random_train(3, 114)
+    routes = {"batch": lambda: evaluate(tt, x), "single": lambda: evaluate(tt, x[0])}
+    second = "single" if first == "batch" else "batch"
+    rows = _record_product_rows(monkeypatch)
+    got = {first: routes[first]()}
+    tables, rows[:] = tt._point_tables, []
+    got[second] = routes[second]()
+    monkeypatch.undo()
+    # the batch route's products are its per-point levels, of 1000 rows each
+    assert rows == ([] if second == "single" else [x.size] * (tt.depth - _table_levels(3, tt.depth, x.size)))
+    assert tt._point_tables is tables
+    assert np.array_equal(got["batch"], want_batch) and got["single"] == want_single
+
+
+def test_batch_evaluate_first_calls_from_eight_threads(monkeypatch):
+    pp = greedy_badic_knots(np.sqrt, 27, 1, 2.0, base=3)
+    x = np.random.default_rng(115).random(1000)
+    real, read = train_module._tables, []
+
+    def recording(tt):
+        tables = real(tt)
+        read.append(tables)
+        return tables
+
+    monkeypatch.setattr(train_module, "_tables", recording)
+    for _ in range(3):
+        # a fresh train in entry form: the first call writes its dense
+        # cores under _cores_lock and builds its tables
+        tt = encode_free_knot_spline(pp)
+        assert tt._cores is None
+        results, read[:] = [None] * 8, []
+        start = threading.Barrier(8, timeout=30)
+
+        def run(k):
+            start.wait()
+            results[k] = evaluate(tt, x)
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert len(read) == 8 and all(tables is tt._point_tables for tables in read)
+        want = evaluate(tt, x)
+        assert all(np.array_equal(got, want) for got in results)
 
 
 @pytest.mark.parametrize("b, d", [(2, 8), (7, 3), (5, 0)])
