@@ -225,18 +225,19 @@ def leaf_lp_norms(s: PiecewisePolynomial, grid: Grid, p: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _local_fits(f, cells, level: int, base: int, interp, p, quad_order):
-    """Monomial rows of the node interpolants of f on the level-`level`
-    b-adic cells with indices `cells`, and their local L^p errors. One
-    sampler call takes every fit and error node; the stacked solve is one
-    LAPACK call per cell and the residual runs per row, so a cell's bits
-    do not depend on the batch."""
-    w = float(base) ** (-level)
+def _local_fits(f, cells, levels, base: int, interp, p, quad_order):
+    """Monomial rows of the node interpolants of f on the b-adic cells with
+    indices `cells`, at `levels` (one per cell, or one for all), and their
+    local L^p errors. One sampler call takes every fit and error node; the
+    stacked solve is one LAPACK call per cell and the residual runs per row,
+    and each width is float(base) ** -level in Python, so a cell's bits do
+    not depend on the batch."""
+    w = np.array([float(base) ** -int(lv) for lv in np.broadcast_to(levels, len(cells))])
     starts = np.array(cells, dtype=float) * w
-    xs = np.add.outer(starts, interp.nodes * w)
+    xs = starts[:, None] + interp.nodes * w[:, None]
     np.minimum(xs, np.nextafter(starts + w, 0.0)[:, None], out=xs)
     ts, ws = (quasi_random(64), None) if math.isinf(p) else _gauss01(quad_order)
-    vals = _sample(f, np.concatenate([xs, starts[:, None] + w * ts], axis=1))
+    vals = _sample(f, np.concatenate([xs, starts[:, None] + w[:, None] * ts], axis=1))
     k = interp.nodes.size
     coeffs = np.linalg.solve(interp.vandermonde(), vals[:, :k, None])[:, :, 0]
     resid = np.abs(vals[:, k:] - np.polynomial.polynomial.polyval(ts, coeffs.T))
@@ -244,7 +245,8 @@ def _local_fits(f, cells, level: int, base: int, interp, p, quad_order):
         if math.isinf(p):
             errs = resid.max(axis=1)
         else:
-            errs = [(w * e) ** (1.0 / p) for e in np.sum(ws * resid**p, axis=1)]
+            sums = np.sum(ws * resid**p, axis=1)
+            errs = [(wi * e) ** (1.0 / p) for wi, e in zip(w, sums)]
     return coeffs, [float(e) for e in _finite(np.array(errs), "local L^p error")]
 
 
@@ -275,11 +277,18 @@ def greedy_badic_knots(
     """Adaptive free b-adic-knot spline by worst-leaf refinement.
 
     Repeatedly splits the b-adic interval with the largest local L^p
-    interpolation error into its b children (fitted in one batch) while
-    the count stays at most n_pieces, a split adding b - 1, and max_depth
-    is not reached; each piece carries its local near-best (node
-    interpolation) polynomial. Budget or depth exhaustion is reported in
-    the info dict, not raised.
+    interpolation error into its b children while the count stays at most
+    n_pieces, a split adding b - 1, and max_depth is not reached; each
+    piece carries its local near-best (node interpolation) polynomial.
+    Budget or depth exhaustion is reported in the info dict, not raised.
+
+    The fits come a generation at a time: a popped leaf whose children are
+    not fitted yet has them fitted in one _local_fits call together with
+    the children of the next leaves in heap order that the remaining budget
+    could still split, and the call stores them for later pops. A cell's
+    bits do not depend on its batch, so the splits are those of fitting one
+    leaf's children per pop. If that call raises, only the popped leaf's
+    children are fitted, and an error surfaces where that fit raises it.
     """
     _check_int("n_pieces", n_pieces, 1)
     _check_p(p)
@@ -288,18 +297,38 @@ def greedy_badic_knots(
     _check_int("base", base, 2)
     if interp is None:
         interp = Interpolator(degree)
-    counter = 0
+
+    def splittable(entry):  # a leaf that popping would split, not freeze
+        return -entry[0] > 1e-15 and entry[3] < max_depth
+
+    def fit(leaves):  # leaves: (i, level); stores each one's children
+        cells = [i * base + child for i, _ in leaves for child in range(base)]
+        levels = [level + 1 for _, level in leaves for _ in range(base)]
+        rows = list(zip(cells, *_local_fits(f, cells, levels, base, interp, p, quad_order)))
+        for k, leaf in enumerate(leaves):
+            fitted[leaf] = rows[k * base : (k + 1) * base]
+
+    counter, fitted = 0, {}
     coeffs, err = _local_fit_and_error(f, 0, 0, base, interp, p, quad_order)
     heap = [(-err, counter, 0, 0, coeffs)]
     frozen = []
     while heap and len(heap) + len(frozen) + base - 1 <= n_pieces:
-        neg_err, _, i, level, c = heapq.heappop(heap)
-        if -neg_err <= 1e-15 or level >= max_depth:
+        entry = heapq.heappop(heap)
+        neg_err, _, i, level, c = entry
+        if not splittable(entry):
             frozen.append((-neg_err, i, level, c))
             continue
-        children = [i * base + child for child in range(base)]
-        fits = _local_fits(f, children, level + 1, base, interp, p, quad_order)
-        for ci, cc, ce in zip(children, *fits):
+        if (i, level) not in fitted:
+            budget = (n_pieces - len(heap) - len(frozen) - 1) // (base - 1)
+            ahead = heapq.nsmallest(budget - 1, filter(splittable, heap))
+            leaves = [(i, level)] + [(j, lv) for _, _, j, lv, _ in ahead if (j, lv) not in fitted]
+            try:
+                fit(leaves)
+            except Exception:
+                if len(leaves) == 1:
+                    raise
+                fit(leaves[:1])
+        for ci, cc, ce in fitted.pop((i, level)):
             counter += 1
             heapq.heappush(heap, (-ce, counter, ci, level + 1, cc))
     pieces = frozen + [(-e, i, lv, c) for e, _, i, lv, c in heap]

@@ -113,7 +113,7 @@ class PiecewisePolynomial:
         pieces = []
         for k, p in enumerate(self.pieces):
             arr = np.ascontiguousarray(p, dtype=float).ravel()
-            if arr.size == 0 or not np.all(np.isfinite(arr)):
+            if arr.size == 0 or not np.isfinite(arr).all():
                 raise DomainError(f"piece {k} has no coefficient or a non-finite one")
             arr.setflags(write=False)
             pieces.append(arr)
@@ -123,9 +123,10 @@ class PiecewisePolynomial:
                 f"{len(knots)} interior knots require {len(knots) + 1} pieces, "
                 f"got {len(self.pieces)}"
             )
-        vals = [Fraction(i, self.base**lv) for i, lv in knots]
+        top = max((lv for _, lv in knots), default=0)
+        vals = [i * b ** (top - lv) for i, lv in knots]  # exact, in units of b^-top
         for v, (i, lv) in zip(vals, knots):
-            if not 0 < v < 1:
+            if not 0 < v < b**top:
                 raise KnotError(f"interior knot {i}/{self.base}^{lv} outside (0, 1)")
         if any(v2 <= v1 for v1, v2 in zip(vals, vals[1:])):
             raise KnotError("knots must be strictly increasing")
@@ -316,6 +317,11 @@ def badic_cover(start: Fraction, end: Fraction, base: int, depth: int):
     a, z = int(a), int(z)
     if not 0 <= a < z <= scale_den:
         raise DomainError(f"bad interval [{start}, {end})")
+    return _cover(a, z, base, depth)
+
+
+def _cover(a: int, z: int, base: int, depth: int):
+    """badic_cover of [a b^-depth, z b^-depth), for integers 0 <= a < z <= b^depth."""
     out = []
     while a < z:
         width = 1
@@ -367,7 +373,7 @@ def encode_free_knot_spline(
     cells, rows = [], []
     for coeffs, lo, hi in zip(s.pieces, edges, edges[1:]):
         coeffs = _pad(coeffs, m1)
-        for j, level in badic_cover(Fraction(lo, n), Fraction(hi, n), b, d):
+        for j, level in _cover(lo, hi, b, d):
             w = b ** (d - level)
             # int true division rounds correctly: the exact shift and scale
             rows.append(_affine_recoeff(coeffs, (j * w - lo) / (hi - lo), w / (hi - lo)))

@@ -601,7 +601,7 @@ def test_lp_error_streams_the_sup_error_in_bounded_memory_at_any_pool_size(pool_
 
 
 # ---------------------------------------------------------------------------
-# greedy refinement: each split fits its b children in one batch
+# greedy refinement: one sampler call fits the children of a generation
 # ---------------------------------------------------------------------------
 
 
@@ -640,9 +640,9 @@ def _reference_greedy(f, n_pieces, degree, p, base=2, max_depth=30, quad_order=1
     return knots, [c for *_1, c in pieces], _aggregate_local_errors([e for e, *_ in pieces], p)
 
 
-def _assert_greedy_is_reference(f, n, m, p, base):
-    pp, info = greedy_badic_knots(f, n, m, p, base=base, with_info=True)
-    knots, pieces, error = _reference_greedy(f, n, m, p, base=base)
+def _assert_greedy_is_reference(f, n, m, p, base, max_depth=30):
+    pp, info = greedy_badic_knots(f, n, m, p, base=base, max_depth=max_depth, with_info=True)
+    knots, pieces, error = _reference_greedy(f, n, m, p, base=base, max_depth=max_depth)
     s = PiecewisePolynomial(base, knots, pieces)
     assert pp.knots == s.knots and info["pieces"] == len(pieces)
     assert all(np.array_equal(a, b) for a, b in zip(pp.pieces, s.pieces))
@@ -663,6 +663,55 @@ def test_greedy_batched_fits_are_bitwise_at_the_bench_sizes():
     _assert_greedy_is_reference(lambda x: np.asarray(x) ** 0.695, 512, 1, 2.0, 2)
     _assert_greedy_is_reference(get_target("sqrt").sampler, 81, 2, 2.0, 3)
     _assert_greedy_is_reference(get_target("sin2pi").sampler, 41, 3, 2.0, 5)
+
+
+def test_greedy_is_the_reference_at_the_ci_schedules_largest_budget():
+    _assert_greedy_is_reference(lambda x: np.asarray(x) ** 0.6, 4096, 1, 2.0, 2)
+
+
+@pytest.mark.parametrize("base", [2, 3, 5])
+def test_greedy_is_the_reference_with_frozen_leaves_between_splittable_ones(base):
+    # |x - 1/2| is exact on every cell that 1/2 does not cut, so at degree 1
+    # zero-error leaves freeze between the cut ones; max_depth freezes more
+    f = lambda x: np.abs(np.asarray(x) - 0.5)
+    for m in (0, 1):
+        for p in (2.0, math.inf):
+            _assert_greedy_is_reference(f, 33, m, p, base, max_depth=4)
+
+
+class _CountingSampler:
+    def __init__(self, f):
+        self.f, self.calls, self.points = f, 0, set()
+
+    def __call__(self, x):
+        self.calls += 1
+        self.points.update(np.ravel(x).tolist())
+        return self.f(x)
+
+
+def test_greedy_samples_once_per_generation():
+    # one sampler call per split would make 512 calls here
+    f = _CountingSampler(lambda x: np.asarray(x) ** 0.695)
+    pp = greedy_badic_knots(f, 512, 1, 2.0)
+    assert f.calls <= pp.max_level + 2
+
+
+@pytest.mark.parametrize("fails", ["nan", "raise"])
+def test_greedy_speculative_fits_never_fail_where_the_reference_does_not(fails):
+    f = lambda x: np.sin(7 * np.asarray(x))
+    ref, batched = _CountingSampler(f), _CountingSampler(f)
+    _reference_greedy(ref, 33, 1, 2.0)
+    greedy_badic_knots(batched, 33, 1, 2.0)
+    only_batched = list(batched.points - ref.points)
+    assert only_batched  # premise: a batch fits cells that the reference never fits
+
+    def g(x):
+        hit = np.isin(x, only_batched)
+        if fails == "raise" and hit.any():
+            raise ValueError("a point that the reference never samples")
+        return np.where(hit, np.nan, f(x))
+
+    _assert_greedy_is_reference(g, 33, 1, 2.0, 2)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])

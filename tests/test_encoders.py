@@ -88,6 +88,19 @@ def test_knot_normalization_and_validation():
         PiecewisePolynomial(2, ((2, 1),), ([1.0], [2.0]))  # 2/2 = 1
 
 
+def test_knot_checks_compare_exactly_across_levels():
+    pieces = ([1.0], [2.0], [3.0])
+    assert PiecewisePolynomial(3, ((2, 2), (1, 1)), pieces).knots == ((2, 2), (1, 1))
+    with pytest.raises(KnotError, match="knots must be strictly increasing"):
+        PiecewisePolynomial(3, ((1, 1), (2, 2)), pieces)  # 3/9 > 2/9
+    with pytest.raises(KnotError, match="knots must be strictly increasing"):
+        PiecewisePolynomial(2, ((5, 3), (1, 1)), pieces)  # 5/8 > 4/8
+    with pytest.raises(KnotError, match=r"interior knot -1/2\^1 outside \(0, 1\)"):
+        PiecewisePolynomial(2, ((-1, 1), (1, 30)), pieces)
+    with pytest.raises(KnotError, match=r"interior knot 9/2\^3 outside \(0, 1\)"):
+        PiecewisePolynomial(2, ((1, 30), (9, 3)), pieces)
+
+
 def test_a_piece_without_coefficients_is_rejected():
     # the spline used to construct, and its first call raised IndexError
     with pytest.raises(DomainError, match="piece 0 has no coefficient"):
