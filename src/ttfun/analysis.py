@@ -118,8 +118,7 @@ def lp_error(
     block = b**block_levels
     norms = np.empty(cells)
     prefixes = _extend_states(np.ones((1, 1)), tt.cores[: level - block_levels])
-
-    def write_block(k):
+    for k in range(len(prefixes)):
         xs = (np.arange(k * block, (k + 1) * block)[:, None] + ys[None, :]) / cells
         np.minimum(xs, np.nextafter(1.0, 0.0), out=xs)
         samples = _sample(f, xs)
@@ -131,9 +130,7 @@ def lp_error(
             norms[k * block : (k + 1) * block] = _finite(
                 err.max(axis=1) if math.isinf(p) else (err**p @ ws) ** (1.0 / p), "L^p error"
             )
-
-    for k in range(len(prefixes)):
-        write_block(k)
+        del samples, V, err  # freed before the next block's arrays are made
     return lp_norm_from_leaves(norms, Grid(b, level), p)
 
 

@@ -16,14 +16,15 @@ route, up to the level l_c at which a table would exceed 8 _CHUNK entries
 stored level min(l_c, l) and never reads a deeper one, whose rows come from
 products of another row count than the chunk's own and so may round
 otherwise. Chunks never meet, so an input of several chunks whose per-point
-levels carry at least _POOL_MADDS multiply-adds per point is swept on a
-process-wide thread pool, one worker per CPU the process may run on, with
-the bits of the serial sweep; narrower chunks and a single chunk run on the
-caller's thread. A single point (an input of size 1, whatever its shape)
-skips the sweep: its digits come from the same rule in Python floats, it
-reads the state of its first l_c digits from the deepest stored table, and
-a 1-D state then takes one vector-matrix product per later level, on each
-core's slices listed once, with no per-level array dispatch.
+levels carry at least _POOL_MADDS multiply-adds per point is swept by
+worker threads that the call starts and joins, one per CPU the process may
+run on, with the bits of the serial sweep; narrower chunks and a single
+chunk run on the caller's thread. A single point (an input of size 1,
+whatever its shape) skips the sweep: its digits come from the same rule in
+Python floats, it reads the state of its first l_c digits from the deepest
+stored table, and a 1-D state then takes one vector-matrix product per
+later level, on each core's slices listed once, with no per-level array
+dispatch.
 
 L2 quantities use the exact Gram matrix of the leaf basis together with the
 tensorization isometry: the function norm equals b^(-d/2) times the
@@ -77,10 +78,11 @@ _FULL_GRID_CAP = 2**20
 # Most points per evaluation chunk, so that the sweep's working set stays in
 # cache. Chunks are of equal size: a one-point tail would take the BLAS
 # vector kernel, which rounds differently from the matrix kernel. On a narrow
-# train a chunk is dozens of numpy calls of a few microseconds each, and pool
-# workers would hand the interpreter lock back and forth at every call, so
-# evaluate maps chunks on the pool only when their per-point levels carry at
-# least _POOL_MADDS multiply-adds per point (README, performance notes).
+# train a chunk is dozens of numpy calls of a few microseconds each, and
+# worker threads would hand the interpreter lock back and forth at every
+# call, so evaluate starts workers only when the chunks' per-point levels
+# carry at least _POOL_MADDS multiply-adds per point (README, performance
+# notes).
 _CHUNK = 8192
 _POOL_MADDS = 512
 
@@ -243,11 +245,14 @@ def evaluate(tt: TensorTrain, x):
     and advances that 1-D state by one vector-matrix product per later
     level: d - l_c + 2 products with the leaf and basis. At most _CHUNK
     points are one chunk, which _sweep_chunk writes on the caller's thread;
-    more are split into chunks of equal size. Several chunks run on the
-    shared worker pool when their per-point levels carry at least
-    _POOL_MADDS multiply-adds per point, and on the caller's thread
-    otherwise; either way the chunks and their arithmetic are the same, so
-    the bits are those of a serial sweep.
+    more are split into chunks of equal size. Several chunks run on one
+    worker thread per CPU, started for the call and joined before it
+    returns, when their per-point levels carry at least _POOL_MADDS
+    multiply-adds per point and the process may run on more than one CPU,
+    and one after another on the caller's thread otherwise; either way the
+    chunks and their arithmetic are the same, so the bits are those of a
+    serial sweep, and a bad point raises the DomainError of the first chunk
+    that holds one.
     """
     arr = np.asarray(x, dtype=float)
     if arr.size == 1:
@@ -267,10 +272,14 @@ def evaluate(tt: TensorTrain, x):
         return vals.reshape(arr.shape)
     chunks = np.array_split(arr.ravel(), -(-arr.size // _CHUNK))
     outs = np.array_split(vals, len(chunks))  # chunk k fills outs[k]
-    pays = _per_point_madds(tt, chunks[0].size) >= _POOL_MADDS
-    chunk_map = _chunk_map() if pays else map
-    # reading every result re-raises a chunk's DomainError, first chunk first
-    list(chunk_map(_sweep_chunk, repeat(tt), chunks, outs))
+    workers = _cpu_count() if _per_point_madds(tt, chunks[0].size) >= _POOL_MADDS else 1
+    if workers == 1:
+        for t, out in zip(chunks, outs):
+            _sweep_chunk(tt, t, out)
+    else:
+        with ThreadPoolExecutor(workers, thread_name_prefix=_POOL_NAME) as pool:
+            # reading every result re-raises a chunk's DomainError, first chunk first
+            list(pool.map(_sweep_chunk, repeat(tt), chunks, outs))
     return vals.reshape(arr.shape)
 
 
@@ -375,13 +384,7 @@ def _sweep_chunk(tt: TensorTrain, t: np.ndarray, out: np.ndarray):
     np.einsum("nr,rq,nq->n", v, tt.leaf, tt.basis.eval(t), out=out, order="F" if n > 2 else "K")
 
 
-# The worker pool that evaluate shares across calls and threads: one worker
-# per CPU in the process's affinity mask, created by the first call that maps
-# more than one chunk on it on a machine with more than one CPU. Its threads'
-# names begin with _POOL_NAME.
-_pool = None
-_pool_lock = threading.Lock()
-_POOL_NAME = "ttfun-evaluate"
+_POOL_NAME = "ttfun-evaluate"  # the prefix of evaluate's worker thread names
 
 
 def _cpu_count() -> int:
@@ -391,28 +394,15 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _chunk_map():
-    """The map to run independent chunks with: the built-in map, on the
-    caller's thread, on one CPU; else the shared pool's map, which also
-    yields in input order."""
-    global _pool
-    if _cpu_count() == 1:
-        return map
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_cpu_count(), thread_name_prefix=_POOL_NAME)
-    return _pool.map
-
-
-def _drop_pool():
-    """After fork: the child inherits the pool object but none of its worker
-    threads, so it starts over without one, and with fresh locks."""
-    global _pool, _pool_lock, _cores_lock
-    _pool, _pool_lock, _cores_lock = None, threading.Lock(), threading.Lock()
+def _reset_lock():
+    """After fork: the child may inherit _cores_lock held by a thread it does
+    not have, so it starts with a fresh one."""
+    global _cores_lock
+    _cores_lock = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
+    os.register_at_fork(after_in_child=_reset_lock)
 
 
 def zero_train(grid: Grid, basis: PolyBasis) -> TensorTrain:

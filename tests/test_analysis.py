@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from ttfun import analysis
-from ttfun import train as train_module
 from ttfun.analysis import (
     ErrorRecord,
     StudyConfig,
@@ -484,6 +483,19 @@ def test_lp_error_holds_one_cell_sized_temporary_beside_the_norms():
     assert peak <= 2.5 * 8 * 2**20
 
 
+def test_lp_error_streams_the_sup_error_in_bounded_memory():
+    # 2^20 cells x 64 points: 4 MiB arrays per block, 512 MiB for the grid
+    f, tt = _sobolev_train(10)
+    lp_error(f, tt, math.inf)
+    tracemalloc.start()
+    try:
+        lp_error(f, tt, math.inf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6
+
+
 # 2^17 norms: past the size where numpy reuses a temporary in place
 @pytest.mark.parametrize("b, d", [(2, 0), (7, 1), (10, 3), (2, 17)])
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
@@ -547,57 +559,6 @@ def test_lp_error_with_a_train_as_the_sampler_finishes_and_keeps_the_serial_valu
     want = math.sqrt(1 / 20 - 1 / 30 + 1 / 100)
     got = _in_thread(lambda: lp_error(a, b, 2.0))
     assert got is not None and got == pytest.approx(want, rel=1e-12)
-
-
-@pytest.fixture
-def pool_size(monkeypatch):
-    """pool_size(n) makes the shared pool n workers wide (or absent, at n = 1)
-    from the next call on. The pools made here are shut down afterwards,
-    with any work still queued cancelled, and the process's pool restored."""
-    made = []
-    monkeypatch.setattr(train_module, "_pool", None)
-
-    def use(n):
-        if train_module._pool is not None:
-            made.append(train_module._pool)
-        monkeypatch.setattr(train_module, "_cpu_count", lambda: n)
-        train_module._pool = None
-
-    yield use
-    made.append(train_module._pool)
-    for pool in made:
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-
-
-def _lp_error_peak(f, tt, p):
-    """tracemalloc's peak over one lp_error call, made after a first call
-    has set up the lazy tables outside the trace."""
-    lp_error(f, tt, p)
-    tracemalloc.start()
-    try:
-        lp_error(f, tt, p)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-# the blocks run one at a time on the caller's thread, however wide evaluate's pool
-@pytest.mark.parametrize("workers", [4, 16])
-def test_lp_error_holds_one_cell_sized_temporary_beside_the_norms_at_any_pool_size(
-    pool_size, workers
-):
-    f, tt = _sobolev_train(10)
-    pool_size(workers)
-    assert _lp_error_peak(f, tt, 2.0) <= 2.5 * 8 * 2**20
-
-
-@pytest.mark.parametrize("workers", [1, 2, 16])
-def test_lp_error_streams_the_sup_error_in_bounded_memory_at_any_pool_size(pool_size, workers):
-    # 2^20 cells x 64 points: 4 MiB arrays per block, 512 MiB for the grid
-    f, tt = _sobolev_train(10)
-    pool_size(workers)
-    assert _lp_error_peak(f, tt, math.inf) <= 40e6
 
 
 # ---------------------------------------------------------------------------

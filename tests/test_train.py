@@ -915,6 +915,27 @@ def test_evaluate_on_the_pool_names_the_first_bad_point_of_a_later_chunk(monkeyp
     assert len(names) >= 2 and _on_the_pool(names), names
 
 
+def test_evaluate_joins_its_workers_before_it_returns_or_raises(monkeypatch):
+    monkeypatch.setattr(train_module, "_cpu_count", lambda: 2)  # workers even on one CPU
+    tt = _pooled_train(79)
+    x = np.random.default_rng(79).random(3 * _CHUNK)
+    want = _serial_sweep(tt, x)
+    names = _record_sweep_threads(monkeypatch)
+
+    def workers():
+        return [
+            th.name for th in threading.enumerate() if th.name.startswith(train_module._POOL_NAME)
+        ]
+
+    assert np.array_equal(evaluate(tt, x), want)
+    assert len(names) == 3 and _on_the_pool(names), names
+    assert workers() == []
+    x[_CHUNK + 5] = np.nan
+    with pytest.raises(DomainError, match="^point nan outside"):
+        evaluate(tt, x)
+    assert workers() == []
+
+
 @pytest.mark.parametrize(
     "make",
     [lambda: encode_sawtooth(Grid(2, 10), 1), lambda: _random_train(3, 74)],
